@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -68,6 +70,8 @@ const char* StatusText(int status) {
       return "Too Many Requests";
     case 500:
       return "Internal Server Error";
+    case 501:
+      return "Not Implemented";
     case 503:
       return "Service Unavailable";
     default:
@@ -87,6 +91,8 @@ int HttpStatusFor(const Status& status) {
       return 409;
     case StatusCode::kResourceExhausted:
       return 429;
+    case StatusCode::kUnimplemented:
+      return 501;
     default:
       return 500;
   }
@@ -267,12 +273,34 @@ StatusOr<HttpRequest> ParseHttpRequest(const std::string& text) {
   }
   request.path = UrlDecode(target);
 
+  // Framing follows RFC 9112 §6: only Content-Length bodies are supported,
+  // so any Transfer-Encoding is refused (501) instead of being mis-framed,
+  // and repeated Content-Length fields must agree (400 otherwise).
   for (size_t i = 1; i < lines.size(); ++i) {
     const std::string line(StripAsciiWhitespace(lines[i]));
     const size_t colon = line.find(':');
     if (colon == std::string::npos) continue;
-    request.headers[AsciiToLower(line.substr(0, colon))] =
-        std::string(StripAsciiWhitespace(line.substr(colon + 1)));
+    const std::string name = AsciiToLower(line.substr(0, colon));
+    std::string value(StripAsciiWhitespace(line.substr(colon + 1)));
+    if (name == "transfer-encoding") {
+      return Status::Unimplemented("http: Transfer-Encoding is not supported");
+    }
+    if (name == "content-length") {
+      // 1*DIGIT, at most INT64_MAX so framing arithmetic cannot overflow.
+      uint64_t length = 0;
+      const char* end = value.data() + value.size();
+      const auto parsed = std::from_chars(value.data(), end, length);
+      if (parsed.ec != std::errc() || parsed.ptr != end || length > INT64_MAX) {
+        return Status::InvalidArgument("http: invalid Content-Length '" +
+                                       value + "'");
+      }
+      value = std::to_string(length);  // Canonical, for the framing loop.
+      auto seen = request.headers.find(name);
+      if (seen != request.headers.end() && seen->second != value) {
+        return Status::InvalidArgument("http: conflicting Content-Length");
+      }
+    }
+    request.headers[name] = std::move(value);
   }
   return request;
 }
@@ -1374,31 +1402,27 @@ void HttpServer::HandleConnection(int client) {
     }
 
     ScopedTimer latency_timer(metrics_.request_seconds);
-    // Read until the full header + Content-Length body of one request has
-    // arrived (or the socket times out / the client goes away).
+    // Read until the header block has arrived, parse it once, then read its
+    // Content-Length body (or until the socket times out / the client goes
+    // away). ParseHttpRequest validated and canonicalized Content-Length.
+    StatusOr<HttpRequest> parsed =
+        Status::InvalidArgument("http: incomplete header");
+    size_t body_start = std::string::npos;
     size_t expected_total = std::string::npos;
     bool timed_out = false;
     bool peer_closed = false;
     for (;;) {
-      if (expected_total == std::string::npos) {
+      if (body_start == std::string::npos) {
         const size_t head_end = data.find("\r\n\r\n");
         if (head_end != std::string::npos) {
-          size_t content_length = 0;
-          auto head = ParseHttpRequest(data.substr(0, head_end + 4));
-          if (head.ok()) {
-            auto it = head->headers.find("content-length");
-            if (it != head->headers.end()) {
-              content_length = static_cast<size_t>(
-                  std::strtoull(it->second.c_str(), nullptr, 10));
-            }
+          body_start = expected_total = head_end + 4;
+          parsed = ParseHttpRequest(data.substr(0, body_start));
+          if (parsed.ok() && parsed->headers.count("content-length") > 0) {
+            expected_total += std::stoull(parsed->headers["content-length"]);
           }
-          expected_total = head_end + 4 + content_length;
         }
       }
-      if (expected_total != std::string::npos &&
-          data.size() >= expected_total) {
-        break;
-      }
+      if (data.size() >= expected_total) break;
       const ssize_t n = ::read(client, buffer, sizeof(buffer));
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         timed_out = true;
@@ -1420,23 +1444,18 @@ void HttpServer::HandleConnection(int client) {
       response = ErrorResponse(
           408, "request_timeout",
           "client did not send a complete request in time");
+    } else if (!parsed.ok()) {
+      // A torn or malformed header block, or framing it refuses.
+      response = ErrorResponseFromStatus(parsed.status());
+    } else if (peer_closed) {
+      response = ErrorResponse(400, "invalid_argument",
+                               "connection closed mid-request");
     } else {
-      // On peer_closed with partial bytes, expected_total is unmet and the
-      // parse of the torn prefix yields the 400 envelope.
-      const size_t take =
-          peer_closed ? data.size() : expected_total;
-      auto parsed = ParseHttpRequest(data.substr(0, take));
-      if (parsed.ok() && !peer_closed) {
-        framed_ok = true;
-        request = std::move(*parsed);
-        data.erase(0, expected_total);
-        response = service_->Handle(request);
-      } else if (parsed.ok()) {
-        response = ErrorResponse(400, "invalid_argument",
-                                 "connection closed mid-request");
-      } else {
-        response = ErrorResponseFromStatus(parsed.status());
-      }
+      framed_ok = true;
+      request = std::move(*parsed);
+      request.body = data.substr(body_start, expected_total - body_start);
+      data.erase(0, expected_total);
+      response = service_->Handle(request);
     }
 
     ++requests_on_connection;

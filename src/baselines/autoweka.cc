@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "src/data/metrics.h"
 #include "src/data/split.h"
 #include "src/ml/registry.h"
 #include "src/tuning/genetic.h"
@@ -177,16 +176,13 @@ StatusOr<CashResult> RunAutoWekaBaseline(const Dataset& dataset,
   result.trajectory = std::move(tuned.trajectory);
 
   // Refit on the training partition; score on the held-out validation
-  // partition (same protocol as SmartML's phase 5).
-  SMARTML_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> model,
+  // partition (the same protocol as SmartML's tuning phase).
+  SMARTML_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> prototype,
                            CreateClassifier(result.best_algorithm));
-  if (model->Fit(split.train, result.best_config).ok()) {
-    auto predictions = model->Predict(split.validation);
-    if (predictions.ok()) {
-      result.validation_accuracy =
-          Accuracy(split.validation.labels(), *predictions);
-    }
-  }
+  result.validation_accuracy =
+      FitAndValidate(*prototype, result.best_config, split.train,
+                     split.validation)
+          .validation_accuracy;
   return result;
 }
 

@@ -11,15 +11,35 @@
 
 namespace smartml {
 
+/// How member weights are chosen (Dietterich 2000 leaves this open):
+/// accuracy-proportional, softmax-sharpened, or Caruana-style greedy
+/// forward selection on the validation partition.
+enum class EnsembleStrategy { kAccuracyWeighted, kSoftmax, kGreedy };
+
+/// Member weights under `strategy`, one per candidate. `accuracy[m]` is
+/// candidate m's validation accuracy; `validation_proba[m]` its class
+/// probabilities on the validation rows whose labels are `labels` (empty
+/// when its predict failed: greedy never picks it). A zero weight leaves
+/// the candidate out of the ensemble.
+std::vector<double> EnsembleWeights(
+    EnsembleStrategy strategy, const std::vector<double>& accuracy,
+    const std::vector<const ProbaMatrix*>& validation_proba,
+    const std::vector<int>& labels, size_t num_classes);
+
 /// A probability-averaging ensemble whose member weights are proportional to
-/// validation accuracy. Members are already-trained classifiers.
+/// validation accuracy. Members are already-trained classifiers, shared with
+/// whoever else holds them (SmartMlResult::best_model is one of them).
 class WeightedEnsemble : public Classifier {
  public:
   /// Adds a trained member with its validation accuracy. Weights are
   /// normalized lazily at prediction time.
-  void AddMember(std::unique_ptr<Classifier> model, double accuracy);
+  void AddMember(std::shared_ptr<const Classifier> model, double accuracy);
 
   size_t NumMembers() const { return members_.size(); }
+  /// Member `i`, in AddMember order (the object itself, not a copy).
+  const std::shared_ptr<const Classifier>& member(size_t i) const {
+    return members_[i];
+  }
   const std::vector<double>& weights() const { return weights_; }
 
   std::string name() const override { return "weighted_ensemble"; }
@@ -27,8 +47,13 @@ class WeightedEnsemble : public Classifier {
   /// Fit is not supported: members arrive pre-trained.
   Status Fit(const Dataset& train, const ParamConfig& config) override;
 
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
+  /// Each member's PredictProba, then Combine.
+  StatusOr<ProbaMatrix> PredictProba(const Dataset& data) const override;
+
+  /// The weighted average of the members' probabilities (`proba[m]` from
+  /// member m, non-empty), rows renormalized. Scoring stored member
+  /// predictions through this equals scoring PredictProba.
+  ProbaMatrix Combine(const std::vector<const ProbaMatrix*>& proba) const;
 
   /// Cloning an ensemble of trained members is not supported; returns an
   /// empty ensemble (interface requirement only).
@@ -37,7 +62,7 @@ class WeightedEnsemble : public Classifier {
   }
 
  private:
-  std::vector<std::unique_ptr<Classifier>> members_;
+  std::vector<std::shared_ptr<const Classifier>> members_;
   std::vector<double> weights_;
 };
 

@@ -134,17 +134,16 @@ StatusOr<AlgorithmRunResult> SmartML::TuneAlgorithm(
   run.trajectory = std::move(tuned.trajectory);
   run.resumed = tuned.resumed;
 
-  // Refit the best configuration on the full training partition and score
-  // it on the held-out validation partition.
+  // Fit the best configuration on the full training partition and score it
+  // on the validation partition. This is the candidate's only full-split
+  // fit: the output phase reuses the model and its probabilities.
   Span refit_span(tracer, "tune/refit");
-  std::unique_ptr<Classifier> model = prototype->Clone();
-  const Status fit_status = model->Fit(train, run.best_config);
-  if (fit_status.ok()) {
-    auto predictions = model->Predict(validation);
-    if (predictions.ok()) {
-      run.validation_accuracy = Accuracy(validation.labels(), *predictions);
-    }
-  }
+  ValidatedModel refit =
+      FitAndValidate(*prototype, run.best_config, train, validation);
+  run.validation_accuracy = refit.validation_accuracy;
+  run.model = std::move(refit.model);
+  run.fit_status = std::move(refit.fit_status);
+  run.validation_proba = std::move(refit.validation_proba);
   refit_span.End();
   run.seconds = watch.ElapsedSeconds();
   return run;
@@ -532,12 +531,16 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
   result.best_config = winner.best_config;
   result.best_validation_accuracy = winner.validation_accuracy;
 
-  // Train the winner for the caller.
-  {
-    SMARTML_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> model,
-                             CreateClassifier(winner.algorithm));
-    SMARTML_RETURN_NOT_OK(model->Fit(train, winner.best_config));
-    result.best_model = std::move(model);
+  // The winner's tune-phase model is the caller's model. A failed fit
+  // fails the run only when that candidate still wins.
+  if (winner.model == nullptr) return winner.fit_status;
+  result.best_model = winner.model;
+  // Release the models the rest of this phase does not use.
+  const size_t kept = options.enable_ensembling ? options.ensemble_size : 1;
+  for (size_t i = std::max<size_t>(kept, 1); i < order.size(); ++i) {
+    AlgorithmRunResult& run = result.per_algorithm[order[i]];
+    run.model.reset();
+    run.validation_proba = {};
   }
 
   // Optional weighted ensemble of the top performers. Skipped once the
@@ -546,111 +549,38 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
   if (options.enable_ensembling && result.per_algorithm.size() >= 2 &&
       !budget.Stop()) {
     Span span(tracer, "ensemble");
-    // Candidate pool: the top `ensemble_size` tuned models, refitted.
-    std::vector<std::unique_ptr<Classifier>> pool;
+    // Candidate pool: the top `ensemble_size` tuned models whose fit
+    // succeeded, with their stored validation probabilities.
+    std::vector<const AlgorithmRunResult*> pool;
     std::vector<double> pool_accuracy;
+    std::vector<const ProbaMatrix*> pool_proba;
     for (size_t i = 0; i < order.size() && i < options.ensemble_size; ++i) {
       const AlgorithmRunResult& run = result.per_algorithm[order[i]];
-      SMARTML_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> member,
-                               CreateClassifier(run.algorithm));
-      if (member->Fit(train, run.best_config).ok()) {
-        pool.push_back(std::move(member));
-        pool_accuracy.push_back(run.validation_accuracy);
-      }
+      if (run.model == nullptr) continue;
+      pool.push_back(&run);
+      pool_accuracy.push_back(run.validation_accuracy);
+      pool_proba.push_back(&run.validation_proba);
     }
-
-    std::vector<double> weights(pool.size(), 0.0);
-    switch (options.ensemble_strategy) {
-      case SmartMlOptions::EnsembleStrategy::kAccuracyWeighted:
-        weights = pool_accuracy;
-        break;
-      case SmartMlOptions::EnsembleStrategy::kSoftmax: {
-        // Sharpen toward the best member (temperature 0.05).
-        const double best = pool_accuracy.empty()
-                                ? 0.0
-                                : *std::max_element(pool_accuracy.begin(),
-                                                    pool_accuracy.end());
-        for (size_t i = 0; i < pool.size(); ++i) {
-          weights[i] = std::exp((pool_accuracy[i] - best) / 0.05);
-        }
-        break;
-      }
-      case SmartMlOptions::EnsembleStrategy::kGreedy: {
-        // Caruana forward selection with replacement on the validation
-        // partition: repeatedly add the member that most improves the
-        // running probability average. Weights = selection counts.
-        std::vector<std::vector<std::vector<double>>> member_proba;
-        for (const auto& member : pool) {
-          auto proba = member->PredictProba(validation);
-          if (!proba.ok()) {
-            member_proba.emplace_back();  // Never selected.
-            continue;
-          }
-          member_proba.push_back(std::move(*proba));
-        }
-        const size_t rows = validation.NumRows();
-        const size_t classes = validation.NumClasses();
-        std::vector<std::vector<double>> running(
-            rows, std::vector<double>(classes, 0.0));
-        double picked_total = 0.0;
-        const int rounds = 2 * static_cast<int>(pool.size()) + 1;
-        for (int round = 0; round < rounds; ++round) {
-          int best_member = -1;
-          double best_accuracy = -1.0;
-          for (size_t m = 0; m < pool.size(); ++m) {
-            if (member_proba[m].empty()) continue;
-            size_t hits = 0;
-            for (size_t r = 0; r < rows; ++r) {
-              int arg = 0;
-              double top = -1.0;
-              for (size_t k = 0; k < classes; ++k) {
-                const double v = running[r][k] + member_proba[m][r][k];
-                if (v > top) {
-                  top = v;
-                  arg = static_cast<int>(k);
-                }
-              }
-              if (arg == validation.label(r)) ++hits;
-            }
-            const double accuracy =
-                static_cast<double>(hits) / static_cast<double>(rows);
-            if (accuracy > best_accuracy) {
-              best_accuracy = accuracy;
-              best_member = static_cast<int>(m);
-            }
-          }
-          if (best_member < 0) break;
-          for (size_t r = 0; r < rows; ++r) {
-            for (size_t k = 0; k < classes; ++k) {
-              running[r][k] +=
-                  member_proba[static_cast<size_t>(best_member)][r][k];
-            }
-          }
-          weights[static_cast<size_t>(best_member)] += 1.0;
-          picked_total += 1.0;
-        }
-        // Greedy can legitimately concentrate on one dominant member; an
-        // "ensemble" needs >= 2, so fall back to accuracy weights then.
-        size_t selected = 0;
-        for (double w : weights) {
-          if (w > 0.0) ++selected;
-        }
-        if (picked_total == 0.0 || selected < 2) weights = pool_accuracy;
-        break;
-      }
-    }
+    const std::vector<double> weights =
+        EnsembleWeights(options.ensemble_strategy, pool_accuracy, pool_proba,
+                        validation.labels(), validation.NumClasses());
 
     auto ensemble = std::make_unique<WeightedEnsemble>();
+    std::vector<const ProbaMatrix*> member_proba;
+    bool all_predicted = true;
     for (size_t i = 0; i < pool.size(); ++i) {
       if (weights[i] > 0.0) {
-        ensemble->AddMember(std::move(pool[i]), weights[i]);
+        ensemble->AddMember(pool[i]->model, weights[i]);
+        member_proba.push_back(pool_proba[i]);
+        all_predicted = all_predicted && !pool_proba[i]->empty();
       }
     }
     if (ensemble->NumMembers() >= 2) {
-      auto predictions = ensemble->Predict(validation);
-      if (predictions.ok()) {
+      // A member whose validation predict failed fails the ensemble's too.
+      if (all_predicted) {
         result.ensemble_validation_accuracy =
-            Accuracy(validation.labels(), *predictions);
+            Accuracy(validation.labels(),
+                     ArgMaxRows(ensemble->Combine(member_proba)));
       }
       result.ensemble = std::move(ensemble);
     }

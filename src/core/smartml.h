@@ -78,10 +78,8 @@ struct SmartMlOptions {
   /// Recommend a weighted ensemble of the top performers.
   bool enable_ensembling = true;
   size_t ensemble_size = 3;
-  /// How member weights are chosen (Dietterich 2000 leaves this open):
-  /// accuracy-proportional, softmax-sharpened, or Caruana-style greedy
-  /// forward selection on the validation partition.
-  enum class EnsembleStrategy { kAccuracyWeighted, kSoftmax, kGreedy };
+  /// How member weights are chosen (see src/core/ensemble.h).
+  using EnsembleStrategy = smartml::EnsembleStrategy;
   EnsembleStrategy ensemble_strategy = EnsembleStrategy::kAccuracyWeighted;
   /// Produce permutation feature importances for the winning model.
   bool enable_interpretability = true;
@@ -117,6 +115,16 @@ struct AlgorithmRunResult {
   std::vector<double> trajectory;    ///< Incumbent error per evaluation.
   /// True when the tuner continued from a checkpoint (crash recovery).
   bool resumed = false;
+  /// `best_config` fitted on the full training split (FitAndValidate): the
+  /// candidate's only full-split fit. Null when that fit failed.
+  std::shared_ptr<const Classifier> model;
+  Status fit_status;
+  /// `model`'s class probabilities on the validation split, from which
+  /// validation_accuracy, greedy selection and the ensemble's score are all
+  /// computed. Empty when the fit or the prediction failed. The output phase
+  /// releases `model` and this unless the candidate is the winner or, with
+  /// ensembling on, in the top `ensemble_size`.
+  ProbaMatrix validation_proba;
 };
 
 /// One nominated algorithm that could not be tuned. The run degrades to the
@@ -156,9 +164,10 @@ struct SmartMlResult {
   /// i.e. this result continues a run interrupted by a crash or restart.
   bool resumed_from_checkpoint = false;
 
-  /// Trained winner (on the training partition). Null in selection-only
+  /// Trained winner (on the training partition): the winning candidate's
+  /// tune-phase model, shared with the ensemble. Null in selection-only
   /// mode.
-  std::unique_ptr<Classifier> best_model;
+  std::shared_ptr<const Classifier> best_model;
   /// Weighted ensemble of the top performers (if enabled and >= 2 members).
   std::unique_ptr<WeightedEnsemble> ensemble;
   double ensemble_validation_accuracy = 0.0;

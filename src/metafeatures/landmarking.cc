@@ -21,18 +21,6 @@ const std::array<std::string, kNumLandmarkers>& LandmarkerNames() {
   return kNames;
 }
 
-namespace {
-
-double HoldoutAccuracy(Classifier* model, const ParamConfig& config,
-                       const TrainValidationSplit& split) {
-  if (!model->Fit(split.train, config).ok()) return 0.0;
-  auto pred = model->Predict(split.validation);
-  if (!pred.ok()) return 0.0;
-  return Accuracy(split.validation.labels(), *pred);
-}
-
-}  // namespace
-
 StatusOr<LandmarkVector> ExtractLandmarkers(const Dataset& dataset,
                                             uint64_t seed, size_t max_rows) {
   if (dataset.NumRows() < 8 || dataset.NumClasses() < 2) {
@@ -66,18 +54,17 @@ StatusOr<LandmarkVector> ExtractLandmarkers(const Dataset& dataset,
   SMARTML_ASSIGN_OR_RETURN(TrainValidationSplit split,
                            StratifiedSplit(sample, 0.3, seed));
 
+  auto holdout_accuracy = [&](const Classifier& learner,
+                              const ParamConfig& config) {
+    return FitAndValidate(learner, config, split.train, split.validation)
+        .validation_accuracy;
+  };
   LandmarkVector lm{};
-  {
-    KnnClassifier knn;
-    ParamConfig config;
-    config.SetInt("k", 1);
-    lm[0] = HoldoutAccuracy(&knn, config, split);
-  }
-  {
-    NaiveBayesClassifier nb;
-    lm[1] = HoldoutAccuracy(&nb, NaiveBayesClassifier::Space().DefaultConfig(),
-                            split);
-  }
+  ParamConfig one_nn;
+  one_nn.SetInt("k", 1);
+  lm[0] = holdout_accuracy(KnnClassifier(), one_nn);
+  lm[1] = holdout_accuracy(NaiveBayesClassifier(),
+                           NaiveBayesClassifier::Space().DefaultConfig());
   {
     // Decision stump: depth-1 tree built directly on the raw matrix.
     DecisionTree stump;
@@ -96,11 +83,8 @@ StatusOr<LandmarkVector> ExtractLandmarkers(const Dataset& dataset,
       lm[2] = Accuracy(split.validation.labels(), pred);
     }
   }
-  {
-    LdaClassifier lda;
-    lm[3] = HoldoutAccuracy(&lda, LdaClassifier::Space().DefaultConfig(),
-                            split);
-  }
+  lm[3] = holdout_accuracy(LdaClassifier(),
+                           LdaClassifier::Space().DefaultConfig());
   return lm;
 }
 

@@ -1,12 +1,34 @@
 #include "src/ml/classifier.h"
 
+#include "src/data/metrics.h"
+
 namespace smartml {
 
 StatusOr<std::vector<int>> Classifier::Predict(const Dataset& data) const {
-  SMARTML_ASSIGN_OR_RETURN(std::vector<std::vector<double>> proba,
-                           PredictProba(data));
+  SMARTML_ASSIGN_OR_RETURN(ProbaMatrix proba, PredictProba(data));
+  return ArgMaxRows(proba);
+}
+
+std::vector<int> ArgMaxRows(const ProbaMatrix& proba) {
   std::vector<int> out(proba.size());
   for (size_t i = 0; i < proba.size(); ++i) out[i] = ArgMax(proba[i]);
+  return out;
+}
+
+ValidatedModel FitAndValidate(const Classifier& prototype,
+                              const ParamConfig& config, const Dataset& train,
+                              const Dataset& validation) {
+  ValidatedModel out;
+  std::unique_ptr<Classifier> model = prototype.Clone();
+  out.fit_status = model->Fit(train, config);
+  if (!out.fit_status.ok()) return out;
+  auto proba = model->PredictProba(validation);
+  if (proba.ok()) {
+    out.validation_proba = std::move(*proba);
+    out.validation_accuracy =
+        Accuracy(validation.labels(), ArgMaxRows(out.validation_proba));
+  }
+  out.model = std::move(model);
   return out;
 }
 

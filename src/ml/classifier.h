@@ -45,8 +45,31 @@ class Classifier {
   virtual std::unique_ptr<Classifier> Clone() const = 0;
 };
 
+/// Per-row class probability vectors, as PredictProba returns them.
+using ProbaMatrix = std::vector<std::vector<double>>;
+
 /// Argmax helper shared by implementations.
 int ArgMax(const std::vector<double>& v);
+
+/// ArgMax of every row: the class predictions Predict derives from
+/// PredictProba.
+std::vector<int> ArgMaxRows(const ProbaMatrix& proba);
+
+/// One configuration fitted on a training split and scored on a validation
+/// split, with one Fit and one PredictProba: the holdout protocol shared by
+/// SmartML's tuning phase, the CASH baselines and landmarking.
+struct ValidatedModel {
+  std::shared_ptr<const Classifier> model;  ///< Null when Fit failed.
+  Status fit_status;
+  ProbaMatrix validation_proba;  ///< Empty when Fit or PredictProba failed.
+  double validation_accuracy = 0.0;  ///< 0 when either step failed.
+};
+
+/// Fits a fresh clone of `prototype` on `train` with `config`, then predicts
+/// `validation` once.
+ValidatedModel FitAndValidate(const Classifier& prototype,
+                              const ParamConfig& config, const Dataset& train,
+                              const Dataset& validation);
 
 /// Normalizes `v` to sum 1 (uniform if the sum is not positive).
 void NormalizeProba(std::vector<double>* v);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "src/core/ensemble.h"
 #include "src/data/metrics.h"
@@ -128,6 +130,79 @@ TEST(EnsembleTest, EnsembleAtLeastCompetitiveWithWeakestMember) {
   ASSERT_TRUE(pred.ok());
   const double ensemble_acc = Accuracy(test.labels(), *pred);
   EXPECT_GE(ensemble_acc, weakest - 0.05);
+}
+
+TEST(EnsembleTest, CombineOfStoredPredictionsEqualsPredictProba) {
+  const Dataset d = MakeData();
+  auto knn = std::make_shared<KnnClassifier>();
+  ASSERT_TRUE(knn->Fit(d, KnnClassifier::Space().DefaultConfig()).ok());
+  auto nb = std::make_shared<NaiveBayesClassifier>();
+  ASSERT_TRUE(nb->Fit(d, NaiveBayesClassifier::Space().DefaultConfig()).ok());
+  WeightedEnsemble ensemble;
+  ensemble.AddMember(knn, 0.7);
+  ensemble.AddMember(nb, 0.9);
+  EXPECT_EQ(ensemble.member(0).get(), knn.get());  // Shared, not copied.
+
+  auto knn_proba = knn->PredictProba(d);
+  auto nb_proba = nb->PredictProba(d);
+  auto proba = ensemble.PredictProba(d);
+  ASSERT_TRUE(knn_proba.ok() && nb_proba.ok() && proba.ok());
+  EXPECT_EQ(ensemble.Combine({&*knn_proba, &*nb_proba}), *proba);
+}
+
+// ---------------------------------------------------------------------------
+// EnsembleWeights on hand-built validation probabilities (no learners)
+// ---------------------------------------------------------------------------
+
+// Three validation rows with labels {0, 1, 1}. A is right on rows 0-1 and
+// wrong on row 2; B predicts class 1 everywhere; C is always wrong. Dyadic
+// values keep every running sum exact.
+const std::vector<int> kLabels = {0, 1, 1};
+const ProbaMatrix kA = {{0.75, 0.25}, {0.25, 0.75}, {0.625, 0.375}};
+const ProbaMatrix kB = {{0.375, 0.625}, {0.25, 0.75}, {0.125, 0.875}};
+const ProbaMatrix kC = {{0.25, 0.75}, {0.75, 0.25}, {0.75, 0.25}};
+
+TEST(EnsembleWeightsTest, GreedyWeightsAreSelectionCounts) {
+  const ProbaMatrix failed;  // This candidate's predict failed.
+  // Nine rounds (2 x 4 candidates + 1). A and B tie alone at 2/3 and the
+  // first wins; A + B gets every row right. From then on A is added unless
+  // that would tie row 2's sums, where the argmax takes class 0; B is added
+  // then. C never helps, and the failed candidate is never picked despite
+  // its accuracy.
+  const std::vector<double> weights = EnsembleWeights(
+      EnsembleStrategy::kGreedy, {2.0 / 3, 2.0 / 3, 0.0, 1.0},
+      {&kA, &kB, &kC, &failed}, kLabels, 2);
+  EXPECT_EQ(weights, (std::vector<double>{6.0, 3.0, 0.0, 0.0}));
+}
+
+TEST(EnsembleWeightsTest, GreedyFallsBackToAccuracyBelowTwoMembers) {
+  // D alone gets every row right and stays right however often it is
+  // added; listed first, it also wins every tie. Greedy picks only D, which
+  // is not an ensemble.
+  const ProbaMatrix d = {{0.625, 0.375}, {0.375, 0.625}, {0.375, 0.625}};
+  const std::vector<double> accuracy = {1.0, 2.0 / 3, 2.0 / 3};
+  EXPECT_EQ(EnsembleWeights(EnsembleStrategy::kGreedy, accuracy,
+                            {&d, &kA, &kB}, kLabels, 2),
+            accuracy);
+  // Nothing predicted at all: accuracy weights as well.
+  const ProbaMatrix failed;
+  EXPECT_EQ(EnsembleWeights(EnsembleStrategy::kGreedy, {0.5, 0.25},
+                            {&failed, &failed}, kLabels, 2),
+            (std::vector<double>{0.5, 0.25}));
+}
+
+TEST(EnsembleWeightsTest, SoftmaxSharpensTowardTheBestMember) {
+  // Temperature 0.05: the best member weighs 1, and each 0.05 of accuracy
+  // below it costs a factor of e.
+  const std::vector<double> weights = EnsembleWeights(
+      EnsembleStrategy::kSoftmax, {0.8, 0.9, 0.85}, {&kA, &kB, &kC}, kLabels,
+      2);
+  ASSERT_EQ(weights.size(), 3u);
+  EXPECT_EQ(weights[1], 1.0);
+  EXPECT_NEAR(weights[0], std::exp(-2.0), 1e-12);
+  EXPECT_NEAR(weights[2], std::exp(-1.0), 1e-12);
+  // Sharper than accuracy weighting: the best member's share grows.
+  EXPECT_GT(weights[1] / (weights[0] + weights[1] + weights[2]), 0.9 / 2.55);
 }
 
 }  // namespace

@@ -1,18 +1,24 @@
 // Fuzz-style hardening tests: truncated, garbage and structurally broken
 // inputs fed to every text parser that accepts external data (ARFF, CSV, KB
-// cache). Each case must come back as a Status error — never a crash, hang
-// or silent partial parse presented as success.
+// cache, HTTP request framing). Each case must come back as a Status error —
+// never a crash, hang or silent partial parse presented as success.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/api/rest.h"
 #include "src/common/fault_injection.h"
+#include "src/common/strings.h"
+#include "src/core/smartml.h"
 #include "src/data/arff.h"
 #include "src/data/csv.h"
 #include "src/kb/knowledge_base.h"
@@ -329,6 +335,100 @@ TEST_F(JournalHardeningTest, CheckpointCorruptFaultAlwaysFailsClosed) {
   auto clean = store.Get("job/state");
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(*clean, "tuner state");
+}
+
+// ---------------------------------------------------------------------------
+// HTTP request framing (RFC 9112 §6)
+// ---------------------------------------------------------------------------
+
+StatusOr<HttpRequest> ParseWithHeaders(const std::string& headers) {
+  return ParseHttpRequest("POST /v1/select HTTP/1.1\r\nHost: x\r\n" + headers +
+                          "\r\n");
+}
+
+TEST(HttpFramingTest, ContentLengthMustBeDigitsThatFitInt64) {
+  for (const char* bad :
+       {"-1", "5abc", "+5", "0x10", "1 2", "", "9223372036854775808",
+        "99999999999999999999999"}) {
+    auto parsed =
+        ParseWithHeaders(std::string("Content-Length: ") + bad + "\r\n");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(parsed.status().message().find("Content-Length"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  auto max = ParseWithHeaders("Content-Length: 9223372036854775807\r\n");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->headers.at("content-length"), "9223372036854775807");
+}
+
+TEST(HttpFramingTest, DuplicateContentLengthsMustAgree) {
+  auto conflicting =
+      ParseWithHeaders("Content-Length: 5\r\nContent-Length: 50\r\n");
+  ASSERT_FALSE(conflicting.ok());
+  EXPECT_EQ(conflicting.status().code(), StatusCode::kInvalidArgument);
+  // Repeats of one value (leading zeros included) frame the same body.
+  auto agreeing =
+      ParseWithHeaders("Content-Length: 5\r\ncontent-length: 005\r\n");
+  ASSERT_TRUE(agreeing.ok()) << agreeing.status().ToString();
+  EXPECT_EQ(agreeing->headers.at("content-length"), "5");
+}
+
+TEST(HttpFramingTest, AnyTransferEncodingIsNotImplemented) {
+  for (const char* coding : {"chunked", "gzip, chunked", "identity"}) {
+    auto parsed = ParseWithHeaders(std::string("Transfer-Encoding: ") +
+                                   coding + "\r\nContent-Length: 3\r\n");
+    ASSERT_FALSE(parsed.ok()) << coding;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kUnimplemented) << coding;
+  }
+}
+
+// A TE.CL smuggling attempt: a front end honouring Transfer-Encoding sees
+// one request whose chunk is a GET, while Content-Length framing would end
+// the body after the chunk-size line and run that GET as a second request.
+// The server must answer 501 once and close instead.
+TEST(HttpFramingTest, ChunkedBodyIsNotRunAsASecondRequest) {
+  SmartML framework;
+  RestService service(&framework);
+  HttpServer server(&service, HttpServerOptions());
+  auto port = server.Bind(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  std::thread serve([&] { EXPECT_TRUE(server.Serve().ok()); });
+
+  const std::string smuggled = "GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n";
+  const std::string size_line = StrFormat("%zx\r\n", smuggled.size());
+  const std::string wire =
+      StrFormat("POST /v1/algorithms HTTP/1.1\r\nHost: x\r\n"
+                "Content-Length: %zu\r\nTransfer-Encoding: chunked\r\n\r\n",
+                size_line.size()) +
+      size_line + smuggled + "\r\n0\r\n\r\n";
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  std::string reply;  // Read to EOF: the server must close the connection.
+  char buffer[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
+    reply.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  server.Stop();
+  serve.join();
+
+  EXPECT_EQ(reply.rfind("HTTP/1.1 501 Not Implemented\r\n", 0), 0u) << reply;
+  EXPECT_EQ(reply.find("HTTP/1.1", 1), std::string::npos)
+      << "a second response means the chunk ran as a request:\n" << reply;
+  EXPECT_NE(reply.find("Connection: close"), std::string::npos) << reply;
+  EXPECT_EQ(server.requests_served(), 1);
 }
 
 }  // namespace

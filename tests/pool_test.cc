@@ -252,7 +252,7 @@ TEST(ParallelDeterminismTest, RunIsIdenticalAtOneAndEightThreads) {
     options.cold_start_algorithms = {"knn", "naive_bayes", "rpart",
                                      "random_forest"};
     options.enable_ensembling = true;
-    options.enable_interpretability = false;
+    options.enable_interpretability = true;
     options.update_kb = false;
     options.num_threads = num_threads;
     SmartML framework(options);
@@ -283,6 +283,23 @@ TEST(ParallelDeterminismTest, RunIsIdenticalAtOneAndEightThreads) {
     for (size_t t = 0; t < a.trajectory.size(); ++t) {
       EXPECT_DOUBLE_EQ(a.trajectory[t], b.trajectory[t]) << i << ":" << t;
     }
+  }
+  // The output phase reuses the tune-phase models, so the ensemble and the
+  // importances inherit the same thread-count independence.
+  ASSERT_NE(sequential->ensemble, nullptr);
+  ASSERT_NE(parallel->ensemble, nullptr);
+  EXPECT_EQ(sequential->ensemble->weights(), parallel->ensemble->weights());
+  EXPECT_EQ(sequential->ensemble_validation_accuracy,
+            parallel->ensemble_validation_accuracy);
+  ASSERT_FALSE(sequential->importances.empty());
+  ASSERT_EQ(sequential->importances.size(), parallel->importances.size());
+  for (size_t i = 0; i < sequential->importances.size(); ++i) {
+    EXPECT_EQ(sequential->importances[i].feature,
+              parallel->importances[i].feature)
+        << i;
+    EXPECT_EQ(sequential->importances[i].importance,
+              parallel->importances[i].importance)
+        << i;
   }
 }
 

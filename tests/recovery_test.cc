@@ -6,14 +6,17 @@
 // incumbent (random search, genetic).
 //
 // ThreadSanitizer-friendly: one worker at most, and every cross-restart
-// assertion waits on JobManager::Wait rather than sleeping.
+// assertion waits on JobManager::Wait (or polls NumRunning) rather than
+// sleeping for a fixed time.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -77,6 +80,20 @@ JobRequest BlockerRequest(double budget_seconds = 1.5) {
   request.run_options.time_budget_seconds = budget_seconds;
   request.run_options.max_evaluations = 0;
   return request;
+}
+
+// Submits the blocker and waits until the worker has dispatched it. Until
+// then a manager torn down at the end of its scope would leave the blocker
+// queued, and the restart would re-queue it next to the jobs under test.
+void StartBlocker(JobManager& jobs) {
+  ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (jobs.NumRunning() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the blocker was never dispatched";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 // The bowl objective from tuning_test: deterministic per (config, fold), so
@@ -175,7 +192,7 @@ TEST(RecoveryTest, QueuedJobsReRunInSubmissionOrderAfterRestart) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(StartBlocker(jobs));
     for (int i = 0; i < 3; ++i) {
       auto submitted = jobs.Submit(FastRequest());
       ASSERT_TRUE(submitted.ok());
@@ -216,7 +233,7 @@ TEST(RecoveryTest, CancelledQueuedJobStaysCancelledAfterRestart) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(StartBlocker(jobs));
     auto submitted = jobs.Submit(FastRequest());
     ASSERT_TRUE(submitted.ok());
     id = *submitted;
@@ -239,7 +256,7 @@ TEST(RecoveryTest, CancelRequestWithoutTerminalLandsCancelled) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(StartBlocker(jobs));
     auto submitted = jobs.Submit(FastRequest());
     ASSERT_TRUE(submitted.ok());
     id = *submitted;
@@ -278,7 +295,7 @@ TEST(RecoveryTest, DispatchedJobReQueuesAndCompletesAfterRestart) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(StartBlocker(jobs));
     auto submitted = jobs.Submit(FastRequest());
     ASSERT_TRUE(submitted.ok());
     id = *submitted;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/stopwatch.h"
 #include "src/core/smartml.h"
@@ -274,6 +277,137 @@ TEST(SmartMlTest, DeterministicForSeed) {
     return result.ok() ? result->best_validation_accuracy : -1.0;
   };
   EXPECT_DOUBLE_EQ(run(5), run(5));
+}
+
+// ---------------------------------------------------------------------------
+// Output phase: the tuning phase's models are reused, not refitted
+// ---------------------------------------------------------------------------
+
+Dataset ParityData() {
+  SyntheticSpec spec;
+  spec.num_instances = 180;
+  spec.num_informative = 4;
+  spec.num_noise = 2;
+  spec.num_categorical = 1;
+  spec.num_classes = 3;
+  spec.class_sep = 1.0;
+  spec.seed = 11;
+  spec.name = "parity";
+  return GenerateSynthetic(spec);
+}
+
+SmartMlOptions ParityOptions(EnsembleStrategy strategy, int num_threads) {
+  SmartMlOptions options;
+  options.max_evaluations = 16;
+  options.time_budget_seconds = 60;
+  options.cv_folds = 2;
+  // Four candidates for a three-member pool: one model is released.
+  options.cold_start_algorithms = {"knn", "naive_bayes", "random_forest",
+                                   "lda"};
+  options.ensemble_size = 3;
+  options.ensemble_strategy = strategy;
+  options.update_kb = false;
+  options.num_threads = num_threads;
+  options.seed = 11;
+  return options;
+}
+
+struct ParityCase {
+  EnsembleStrategy strategy;
+  std::vector<double> weights;
+  double ensemble_accuracy;
+};
+
+class OutputParityTest : public testing::TestWithParam<ParityCase> {};
+
+// Expected values were recorded when the output phase still refitted the
+// winner and every ensemble member; reusing the tune-phase fits must give
+// the same bits at any thread count.
+TEST_P(OutputParityTest, MatchesTheRefittingOutputPhase) {
+  const ParityCase& expected = GetParam();
+  const std::vector<std::pair<std::string, double>> importances = {
+      {"inf3", 0.24444444444444441},
+      {"inf2", 0.16666666666666669},
+      {"inf1", 0.15555555555555556},
+      {"cat0", 0.15555555555555556},
+      {"noise0", 0.022222222222222254},
+  };
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    SmartML framework;
+    auto result =
+        framework.Run(ParityData(), ParityOptions(expected.strategy, threads));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->best_algorithm, "random_forest");
+    EXPECT_EQ(result->best_validation_accuracy, 0.91111111111111109);
+    ASSERT_NE(result->ensemble, nullptr);
+    EXPECT_EQ(result->ensemble->weights(), expected.weights);
+    EXPECT_EQ(result->ensemble_validation_accuracy, expected.ensemble_accuracy);
+    ASSERT_GE(result->importances.size(), importances.size());
+    for (size_t i = 0; i < importances.size(); ++i) {
+      EXPECT_EQ(result->importances[i].feature, importances[i].first) << i;
+      EXPECT_EQ(result->importances[i].importance, importances[i].second) << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, OutputParityTest,
+    testing::Values(
+        ParityCase{EnsembleStrategy::kAccuracyWeighted,
+                   {0.91111111111111109, 0.88888888888888884,
+                    0.8666666666666667},
+                   0.88888888888888884},
+        ParityCase{EnsembleStrategy::kSoftmax,
+                   {1.0, 0.64118038842995417, 0.41111229050718784},
+                   0.88888888888888884},
+        ParityCase{EnsembleStrategy::kGreedy, {5.0, 2.0},
+                   0.91111111111111109}),
+    [](const auto& info) {
+      switch (info.param.strategy) {
+        case EnsembleStrategy::kAccuracyWeighted:
+          return std::string("accuracy");
+        case EnsembleStrategy::kSoftmax:
+          return std::string("softmax");
+        case EnsembleStrategy::kGreedy:
+          break;
+      }
+      return std::string("greedy");
+    });
+
+TEST(SmartMlTest, WinnerIsSharedWithTheEnsembleNotRefitted) {
+  SmartML framework;
+  auto result = framework.Run(
+      ParityData(), ParityOptions(EnsembleStrategy::kAccuracyWeighted, 1));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->best_model, nullptr);
+  ASSERT_NE(result->ensemble, nullptr);
+  // Accuracy weighting keeps the pool order, so the winner is member 0.
+  EXPECT_EQ(result->ensemble->member(0).get(), result->best_model.get());
+  // The tune-phase model is the one handed out; the fourth-ranked
+  // candidate, outside the pool, had its model released.
+  size_t held = 0;
+  for (const AlgorithmRunResult& run : result->per_algorithm) {
+    if (run.algorithm == result->best_algorithm) {
+      EXPECT_EQ(run.model.get(), result->best_model.get());
+    }
+    if (run.model != nullptr) ++held;
+  }
+  EXPECT_EQ(held, 3u);
+}
+
+TEST(SmartMlTest, WithoutEnsemblingOnlyTheWinnerIsHeld) {
+  SmartMlOptions options =
+      ParityOptions(EnsembleStrategy::kAccuracyWeighted, 1);
+  options.enable_ensembling = false;
+  SmartML framework;
+  auto result = framework.Run(ParityData(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const AlgorithmRunResult& run : result->per_algorithm) {
+    const bool winner = run.algorithm == result->best_algorithm;
+    EXPECT_EQ(run.model != nullptr, winner) << run.algorithm;
+    EXPECT_EQ(run.validation_proba.empty(), !winner) << run.algorithm;
+  }
 }
 
 }  // namespace
