@@ -228,12 +228,11 @@ TreeOptions TreeBenchOptions() {
   return options;
 }
 
-// Exact split search: re-sorts (value, row) pairs per feature per node.
-// The correctness oracle and the A/B baseline for histogram growth.
+// Exact split search (no view): every node sorts its rows per feature and
+// makes each distinct value a bin. The A/B baseline for histogram growth.
 void BM_TreeGrowExact(benchmark::State& state) {
   const TreeBenchData& data = TreeBench(state.range(0));
-  TreeOptions options = TreeBenchOptions();
-  options.split_mode = TreeSplitMode::kExact;
+  const TreeOptions options = TreeBenchOptions();
   for (auto _ : state) {
     DecisionTree tree;
     benchmark::DoNotOptimize(
@@ -251,8 +250,7 @@ BENCHMARK(BM_TreeGrowExact)
 // is the tentpole acceptance signal, gated by scripts/bench_gate.py (>= 3x).
 void BM_TreeGrowHistogram(benchmark::State& state) {
   const TreeBenchData& data = TreeBench(state.range(0));
-  TreeOptions options = TreeBenchOptions();
-  options.split_mode = TreeSplitMode::kHistogram;
+  const TreeOptions options = TreeBenchOptions();
   for (auto _ : state) {
     DecisionTree tree;
     benchmark::DoNotOptimize(

@@ -42,8 +42,8 @@ void BinnedColumns::Builder::AddNumericColumn(const double* values,
   }
 
   if (runs.size() <= max_bins_) {
-    // Lossless: one bin per distinct value. Histogram split candidates are
-    // exactly the exact-mode candidate set (midpoints between adjacent
+    // Lossless: one bin per distinct value. The view's split candidates
+    // are exactly those of node-local bins (midpoints between adjacent
     // distinct values).
     col.lossless = true;
     col.num_bins = static_cast<uint16_t>(runs.size());

@@ -9,6 +9,8 @@
 // dataset (see Dataset::Binned()) and shared read-only by every tree grown
 // on that data — forests, bagging, boosting rounds, and PART's rule loop
 // all train on row-index subsets of the same view instead of copying rows.
+// The tree's split scan reads per-node histograms over these bins; a tree
+// given no view makes node-local bins instead (see ml/decision_tree.h).
 #ifndef SMARTML_DATA_BINNED_COLUMNS_H_
 #define SMARTML_DATA_BINNED_COLUMNS_H_
 
@@ -41,8 +43,8 @@ struct BinnedColumn {
   /// Declared category dictionary size (categorical only; may exceed
   /// kMaxBins, in which case the column is not histogram-safe).
   size_t cardinality = 0;
-  /// True when every distinct value got its own bin, so histogram split
-  /// candidates coincide with the exact-mode candidate set.
+  /// True when every distinct value got its own bin, so the view's split
+  /// candidates coincide with those of node-local bins (exact search).
   bool lossless = false;
   /// Numeric only, size max(num_bins - 1, 0): the split `code <= b` means
   /// `value <= thresholds[b]`, with thresholds[b] the clamped midpoint of
@@ -89,9 +91,9 @@ class BinnedColumns {
   const BinnedColumn& column(size_t f) const { return columns_[f]; }
 
   /// True when every categorical column's cardinality fits the bin range,
-  /// so histogram growth splits on the same categories as exact growth.
-  /// Columns with > kMaxBins categories would alias the missing bin; tree
-  /// training falls back to exact mode for such data.
+  /// so the view's bins split on the same categories as node-local bins.
+  /// Columns with > kMaxBins categories would alias the missing bin; a tree
+  /// handed such a view ignores it and grows from node-local bins.
   bool histogram_safe() const { return histogram_safe_; }
 
  private:

@@ -30,12 +30,15 @@ Matrix ApplyFeatureMask(const Matrix& x, const std::vector<bool>& active) {
 // DeepBoost complexity regularizer applied to each round's vote weight
 // (0 for plain C5.0 boosting). `logistic_weights` switches the sample
 // reweighting from exponential to logistic-style (bounded) updates.
+// `binned` is a view of the rows of `x`, shared by every round: only the
+// sample weights change between rounds, never the feature values.
 struct BoostResult {
   std::vector<DecisionTree> trees;
   std::vector<double> alphas;
 };
 
 Status RunSamme(const Matrix& x, const TreeSchema& schema,
+                std::shared_ptr<const BinnedColumns> binned,
                 const std::vector<int>& y, int num_classes, int rounds,
                 const TreeOptions& tree_options, bool early_stopping,
                 double beta, double lambda, bool logistic_weights,
@@ -48,14 +51,6 @@ Status RunSamme(const Matrix& x, const TreeSchema& schema,
   Rng rng(seed);
   const double k = std::max(2, num_classes);
   const double log_km1 = std::log(k - 1.0);
-
-  // Bin once, reuse across every round: only the sample weights change
-  // between rounds, never the feature values.
-  std::shared_ptr<const BinnedColumns> binned;
-  if (tree_options.split_mode == TreeSplitMode::kHistogram) {
-    binned = std::make_shared<const BinnedColumns>(BinnedColumns::FromMatrix(
-        x, schema.categorical, schema.cardinalities));
-  }
 
   for (int round = 0; round < rounds; ++round) {
     if (CancellationRequested()) {
@@ -145,31 +140,6 @@ Status RunSamme(const Matrix& x, const TreeSchema& schema,
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> BoostPredict(
-    const std::vector<DecisionTree>& trees, const std::vector<double>& alphas,
-    const Matrix& x, int num_classes) {
-  std::vector<std::vector<double>> out(
-      x.rows(), std::vector<double>(static_cast<size_t>(num_classes), 0.0));
-  SMARTML_RETURN_NOT_OK(ParallelForRanges(
-      x.rows(), /*grain=*/256,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          const double* row = x.RowPtr(r);
-          for (size_t t = 0; t < trees.size(); ++t) {
-            const std::vector<double> p = trees[t].PredictProbaRow(row);
-            for (int c = 0; c < num_classes; ++c) {
-              out[r][static_cast<size_t>(c)] +=
-                  alphas[t] * p[static_cast<size_t>(c)];
-            }
-          }
-          NormalizeProba(&out[r]);
-        }
-        return Status::OK();
-      },
-      CurrentCancelToken()));
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -212,15 +182,15 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   // Rules mode in C5.0 generalizes the tree into simpler overlapping rules;
   // we approximate its effect with shallower, more regular trees.
   options.max_depth = rules ? 8 : 30;
-  options.split_mode = TreeSplitMode::kHistogram;
 
+  std::shared_ptr<const BinnedColumns> binned = train.Binned();
   active_features_.assign(num_features_, true);
   if (winnow && num_features_ > 2) {
     // Screening pass: drop features that contribute no split gain to an
     // unboosted tree (C5.0's winnowing estimates predictive value upfront).
     DecisionTree probe;
     SMARTML_RETURN_NOT_OK(probe.Fit(x, schema, train.labels(), num_classes_,
-                                    {}, options));
+                                    {}, options, binned));
     const std::vector<double> imp = probe.FeatureImportances(num_features_);
     size_t kept = 0;
     for (size_t f = 0; f < num_features_; ++f) {
@@ -231,14 +201,16 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
       active_features_.assign(num_features_, true);
     } else if (kept < num_features_) {
       x = ApplyFeatureMask(x, active_features_);
+      binned = std::make_shared<const BinnedColumns>(BinnedColumns::FromMatrix(
+          x, schema.categorical, schema.cardinalities));
     }
   }
 
   BoostResult result;
-  SMARTML_RETURN_NOT_OK(RunSamme(x, schema, train.labels(), num_classes_,
-                                 trials, options, early, /*beta=*/0.0,
-                                 /*lambda=*/0.0, /*logistic_weights=*/false,
-                                 seed, &result));
+  SMARTML_RETURN_NOT_OK(RunSamme(x, schema, binned, train.labels(),
+                                 num_classes_, trials, options, early,
+                                 /*beta=*/0.0, /*lambda=*/0.0,
+                                 /*logistic_weights=*/false, seed, &result));
   trees_ = std::move(result.trees);
   alphas_ = std::move(result.alphas);
   return Status::OK();
@@ -252,7 +224,7 @@ StatusOr<std::vector<std::vector<double>>> C50Classifier::PredictProba(
   if (data.NumFeatures() != num_features_) {
     return Status::InvalidArgument("c50: schema mismatch");
   }
-  return BoostPredict(trees_, alphas_, data.ToRawMatrix(), num_classes_);
+  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes_);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,14 +265,12 @@ Status DeepBoostClassifier::Fit(const Dataset& train,
   options.max_depth = depth;
   options.min_leaf = 1;
   options.min_split = 2;
-  options.split_mode = TreeSplitMode::kHistogram;
 
   BoostResult result;
-  SMARTML_RETURN_NOT_OK(RunSamme(train.ToRawMatrix(),
-                                 TreeSchema::FromDataset(train),
-                                 train.labels(), num_classes_, rounds, options,
-                                 /*early_stopping=*/false, beta, lambda,
-                                 logistic, seed, &result));
+  SMARTML_RETURN_NOT_OK(RunSamme(
+      train.ToRawMatrix(), TreeSchema::FromDataset(train), train.Binned(),
+      train.labels(), num_classes_, rounds, options, /*early_stopping=*/false,
+      beta, lambda, logistic, seed, &result));
   trees_ = std::move(result.trees);
   alphas_ = std::move(result.alphas);
   return Status::OK();
@@ -314,7 +284,7 @@ StatusOr<std::vector<std::vector<double>>> DeepBoostClassifier::PredictProba(
   if (data.NumFeatures() != num_features_) {
     return Status::InvalidArgument("deepboost: schema mismatch");
   }
-  return BoostPredict(trees_, alphas_, data.ToRawMatrix(), num_classes_);
+  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes_);
 }
 
 }  // namespace smartml

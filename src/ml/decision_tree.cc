@@ -6,51 +6,133 @@
 #include <numeric>
 #include <utility>
 
+#include "src/common/cancellation.h"
 #include "src/common/distributions.h"
+#include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/common/strings.h"
+#include "src/common/thread_pool.h"
+#include "src/ml/classifier.h"
 
 namespace smartml {
 
 namespace {
 
-double GiniImpurity(const std::vector<double>& counts, double total) {
+double GiniImpurity(const double* counts, size_t num_k, double total) {
   if (total <= 0) return 0.0;
   double sum_sq = 0.0;
-  for (double c : counts) {
-    const double p = c / total;
+  for (size_t k = 0; k < num_k; ++k) {
+    const double p = counts[k] / total;
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
 }
 
-double EntropyImpurity(const std::vector<double>& counts, double total) {
+double EntropyImpurity(const double* counts, size_t num_k, double total) {
   if (total <= 0) return 0.0;
   double h = 0.0;
-  for (double c : counts) {
-    if (c <= 0) continue;
-    const double p = c / total;
+  for (size_t k = 0; k < num_k; ++k) {
+    if (counts[k] <= 0) continue;
+    const double p = counts[k] / total;
     h -= p * std::log2(p);
   }
   return h;
 }
 
-double Impurity(TreeCriterion criterion, const std::vector<double>& counts,
+double Impurity(TreeCriterion criterion, const double* counts, size_t num_k,
                 double total) {
-  return criterion == TreeCriterion::kGini ? GiniImpurity(counts, total)
-                                           : EntropyImpurity(counts, total);
+  return criterion == TreeCriterion::kGini
+             ? GiniImpurity(counts, num_k, total)
+             : EntropyImpurity(counts, num_k, total);
 }
+
+int ArgMaxCount(const double* counts, size_t num_k) {
+  int best = 0;
+  for (size_t i = 1; i < num_k; ++i) {
+    if (counts[i] > counts[static_cast<size_t>(best)]) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
+
+// One node's statistics for one feature: class-weight sums
+// wsum[b * K + k] and row counts cnt[b] for each bin b < num_bins, with
+// slot num_bins holding the rows whose value is missing. A numeric split
+// after bin b sends a row to child 0 iff its value <= thresholds[b].
+struct BinStats {
+  const double* wsum = nullptr;
+  const uint32_t* cnt = nullptr;
+  size_t num_bins = 0;
+  const double* thresholds = nullptr;
+};
 
 struct SplitCandidate {
   bool valid = false;
   int feature = -1;
   bool categorical = false;
-  bool multiway = false;
+  int num_children = 2;
   double threshold = 0.0;
-  int category = -1;
-  int bin = -1;  // Histogram mode: numeric rows go left iff code <= bin.
+  int category = -1;  // -1 on a multiway split.
   double score = -std::numeric_limits<double>::infinity();
   double gain = 0.0;  // Weighted impurity decrease (always entropy/gini gain).
+};
+
+// Per-tree layout of the flat histogram buffers: feature f's class-weight
+// sums occupy wsum[off_w[f] .. off_w[f] + (num_bins + 1) * K) and its row
+// counts cnt[off_n[f] .. off_n[f] + num_bins + 1), where slot num_bins is
+// the missing bin. One layout serves every node of a tree, so subtraction
+// and accumulation are plain flat-array loops.
+struct HistLayout {
+  std::vector<size_t> off_w;
+  std::vector<size_t> off_n;
+  size_t total_w = 0;
+  size_t total_n = 0;
+
+  static HistLayout For(const BinnedColumns& binned, size_t num_classes) {
+    HistLayout layout;
+    layout.off_w.reserve(binned.num_features());
+    layout.off_n.reserve(binned.num_features());
+    for (size_t f = 0; f < binned.num_features(); ++f) {
+      const size_t slots = binned.column(f).num_bins + size_t{1};
+      layout.off_w.push_back(layout.total_w);
+      layout.off_n.push_back(layout.total_n);
+      layout.total_w += slots * num_classes;
+      layout.total_n += slots;
+    }
+    return layout;
+  }
+};
+
+// One node's bin histograms over all features of the shared view. `valid`
+// marks a hist handed down by the parent (via the parent-minus-sibling
+// trick) as ready to use.
+struct NodeHist {
+  std::vector<double> wsum;
+  std::vector<uint32_t> cnt;
+  bool valid = false;
+
+  void AccumulateAll(const BinnedColumns& binned, const HistLayout& layout,
+                     const std::vector<size_t>& rows, const std::vector<int>& y,
+                     const std::vector<double>& w, size_t num_classes) {
+    wsum.assign(layout.total_w, 0.0);
+    cnt.assign(layout.total_n, 0);
+    for (size_t f = 0; f < binned.num_features(); ++f) {
+      const BinnedColumn& col = binned.column(f);
+      AccumulateBinHistogram(col.codes.data(), rows.data(), rows.size(),
+                             y.data(), w.data(), num_classes, col.num_bins,
+                             wsum.data() + layout.off_w[f],
+                             cnt.data() + layout.off_n[f]);
+    }
+    valid = true;
+  }
+
+  /// this -= other, elementwise. Turns a parent histogram into the larger
+  /// sibling's histogram once the smaller sibling has been accumulated.
+  void SubtractInPlace(const NodeHist& other) {
+    for (size_t i = 0; i < wsum.size(); ++i) wsum[i] -= other.wsum[i];
+    for (size_t i = 0; i < cnt.size(); ++i) cnt[i] -= other.cnt[i];
+  }
 };
 
 }  // namespace
@@ -90,61 +172,429 @@ std::string TreeCondition::ToString(const Dataset& schema_source) const {
   return "?";
 }
 
-// Per-tree layout of the flat histogram buffers: feature f's class-weight
-// sums occupy wsum[off_w[f] .. off_w[f] + (num_bins + 1) * K) and its row
-// counts cnt[off_n[f] .. off_n[f] + num_bins + 1), where slot num_bins is
-// the missing bin. One layout serves every node of a tree, so subtraction
-// and accumulation are plain flat-array loops.
-struct DecisionTree::HistLayout {
-  std::vector<size_t> off_w;
-  std::vector<size_t> off_n;
-  size_t total_w = 0;
-  size_t total_n = 0;
-
-  static HistLayout For(const BinnedColumns& binned, size_t num_classes) {
-    HistLayout layout;
-    layout.off_w.reserve(binned.num_features());
-    layout.off_n.reserve(binned.num_features());
-    for (size_t f = 0; f < binned.num_features(); ++f) {
-      const size_t slots = binned.column(f).num_bins + size_t{1};
-      layout.off_w.push_back(layout.total_w);
-      layout.off_n.push_back(layout.total_n);
-      layout.total_w += slots * num_classes;
-      layout.total_n += slots;
-    }
-    return layout;
+// Grows one tree: one recursive node builder over one split scan. The bin
+// statistics the scan reads come from the shared view when there is one
+// (histograms, with the larger child of a binary split derived as parent
+// minus the smaller sibling) and from node-local bins otherwise (each
+// distinct value at the node a bin, thresholds the node-local midpoints).
+//
+// With lossless view columns and integral weights both sources give the
+// same candidates and bit-equal gains (integer sums are exact in doubles),
+// so they grow the same partitions. The view's thresholds are global bin
+// midpoints, so rows a tree never trained on may route differently.
+class DecisionTree::Grower {
+ public:
+  Grower(DecisionTree* tree, const Matrix& x, const std::vector<int>& y,
+         const std::vector<double>& w, const BinnedColumns* view)
+      : tree_(*tree),
+        options_(tree->options_),
+        x_(x),
+        y_(y),
+        w_(w),
+        view_(view),
+        num_k_(static_cast<size_t>(tree->num_classes_)),
+        rng_(tree->options_.seed),
+        criterion_(options_.criterion == TreeCriterion::kGainRatio
+                       ? TreeCriterion::kEntropy
+                       : options_.criterion),
+        left_(num_k_),
+        right_(num_k_),
+        total_(num_k_) {
+    if (view_ != nullptr) layout_ = HistLayout::For(*view_, num_k_);
   }
+
+  // Grows the subtree rooted at the already allocated node `index` from the
+  // training rows that reach it. `inherited` is a view histogram the parent
+  // derived for this node, or null.
+  void Grow(int index, const std::vector<size_t>& rows, int depth,
+            NodeHist* inherited);
+
+ private:
+  BinStats LocalBins(size_t f, const std::vector<size_t>& rows);
+  void Scan(size_t f, const BinStats& s, double parent_weight,
+            SplitCandidate* best);
+
+  DecisionTree& tree_;
+  const TreeOptions& options_;
+  const Matrix& x_;
+  const std::vector<int>& y_;
+  const std::vector<double>& w_;
+  const BinnedColumns* view_;  // Null: node-local bins.
+  const size_t num_k_;
+  Rng rng_;
+  const TreeCriterion criterion_;  // Gain ratio scores entropy gain.
+  HistLayout layout_;
+  // Scratch reused by every node (a node's scan ends before its children
+  // grow).
+  std::vector<double> left_, right_, total_;
+  std::vector<std::pair<double, size_t>> present_;
+  std::vector<double> bin_w_, thresholds_;
+  std::vector<uint32_t> bin_n_;
 };
 
-// One node's bin histograms over all features. `valid` marks a hist handed
-// down by the parent (via the parent-minus-sibling trick) as ready to use.
-struct DecisionTree::NodeHist {
-  std::vector<double> wsum;
-  std::vector<uint32_t> cnt;
-  bool valid = false;
-
-  void AccumulateAll(const BinnedColumns& binned, const HistLayout& layout,
-                     const std::vector<size_t>& rows, const std::vector<int>& y,
-                     const std::vector<double>& w, size_t num_classes) {
-    wsum.assign(layout.total_w, 0.0);
-    cnt.assign(layout.total_n, 0);
-    for (size_t f = 0; f < binned.num_features(); ++f) {
-      const BinnedColumn& col = binned.column(f);
-      AccumulateBinHistogram(col.codes.data(), rows.data(), rows.size(),
-                             y.data(), w.data(), num_classes, col.num_bins,
-                             wsum.data() + layout.off_w[f],
-                             cnt.data() + layout.off_n[f]);
+void DecisionTree::Grower::Grow(int index, const std::vector<size_t>& rows,
+                                int depth, NodeHist* inherited) {
+  const size_t num_k = num_k_;
+  double weight = 0.0;
+  int majority;
+  double parent_impurity;
+  {
+    double* counts = tree_.counts_.data() + static_cast<size_t>(index) * num_k;
+    for (size_t r : rows) {
+      counts[static_cast<size_t>(y_[r])] += w_[r];
+      weight += w_[r];
     }
-    valid = true;
+    majority = ArgMaxCount(counts, num_k);
+    Node& node = tree_.nodes_[static_cast<size_t>(index)];
+    node.depth = depth;
+    node.weight = weight;
+    node.majority = majority;
+    if (depth >= options_.max_depth || rows.size() < options_.min_split ||
+        counts[static_cast<size_t>(majority)] >= weight - 1e-12) {
+      return;
+    }
+    parent_impurity = Impurity(criterion_, counts, num_k, weight);
+    if (parent_impurity <= 1e-12) return;
   }
 
-  /// this -= other, elementwise. Turns a parent histogram into the larger
-  /// sibling's histogram once the smaller sibling has been accumulated.
-  void SubtractInPlace(const NodeHist& other) {
-    for (size_t i = 0; i < wsum.size(); ++i) wsum[i] -= other.wsum[i];
-    for (size_t i = 0; i < cnt.size(); ++i) cnt[i] -= other.cnt[i];
+  // Feature subset (mtry).
+  const size_t d = x_.cols();
+  std::vector<size_t> features(d);
+  std::iota(features.begin(), features.end(), size_t{0});
+  if (options_.mtry > 0 && static_cast<size_t>(options_.mtry) < d) {
+    rng_.Shuffle(&features);
+    features.resize(static_cast<size_t>(options_.mtry));
   }
-};
+
+  // Full-feature nodes keep one view histogram spanning all features so a
+  // binary split can hand the larger child `parent - smaller sibling`
+  // instead of rescanning its rows; mtry nodes sample different features at
+  // every node, so they accumulate just the sampled columns into scratch
+  // and retain nothing.
+  const bool full_features = features.size() == d;
+  NodeHist own;
+  if (view_ != nullptr && full_features) {
+    if (inherited != nullptr && inherited->valid) {
+      own = std::move(*inherited);
+      inherited->valid = false;
+    } else {
+      own.AccumulateAll(*view_, layout_, rows, y_, w_, num_k);
+    }
+  }
+
+  SplitCandidate best;
+  for (size_t f : features) {
+    BinStats s;
+    if (view_ == nullptr) {
+      s = LocalBins(f, rows);
+    } else {
+      const BinnedColumn& col = view_->column(f);
+      s.num_bins = col.num_bins;
+      s.thresholds = col.thresholds.data();
+      if (full_features) {
+        s.wsum = own.wsum.data() + layout_.off_w[f];
+        s.cnt = own.cnt.data() + layout_.off_n[f];
+      } else {
+        bin_w_.assign((s.num_bins + 1) * num_k, 0.0);
+        bin_n_.assign(s.num_bins + 1, 0);
+        AccumulateBinHistogram(col.codes.data(), rows.data(), rows.size(),
+                               y_.data(), w_.data(), num_k, s.num_bins,
+                               bin_w_.data(), bin_n_.data());
+        s.wsum = bin_w_.data();
+        s.cnt = bin_n_.data();
+      }
+    }
+    Scan(f, s, weight, &best);
+  }
+
+  if (!best.valid) return;
+  // rpart-style complexity gate: the split must remove at least
+  // min_impurity_decrease of the node's own weighted impurity.
+  if (best.gain <
+      options_.min_impurity_decrease * weight * parent_impurity + 1e-15) {
+    return;
+  }
+
+  // Partition rows by raw value. For a view this is the partition its codes
+  // induce: every value in bins <= b is <= thresholds[b] by construction.
+  Node split = tree_.nodes_[static_cast<size_t>(index)];
+  split.feature = best.feature;
+  split.categorical_split = best.categorical;
+  split.threshold = best.threshold;
+  split.category = best.category;
+  split.split_gain = best.gain;
+  split.num_children = best.num_children;
+  const auto f = static_cast<size_t>(best.feature);
+  std::vector<std::vector<size_t>> parts(
+      static_cast<size_t>(best.num_children));
+  std::vector<size_t> missing;
+  for (size_t r : rows) {
+    const int branch = Branch(split, x_(r, f));
+    if (branch < 0) {
+      missing.push_back(r);
+    } else {
+      parts[static_cast<size_t>(branch)].push_back(r);
+    }
+  }
+  // Missing rows join the most populated branch.
+  size_t heaviest = 0;
+  for (size_t c = 1; c < parts.size(); ++c) {
+    if (parts[c].size() > parts[heaviest].size()) heaviest = c;
+  }
+  for (size_t r : missing) parts[heaviest].push_back(r);
+
+  // Degenerate partitions can occur after missing-value routing.
+  size_t populated = 0;
+  for (const auto& p : parts) {
+    if (!p.empty()) ++populated;
+  }
+  if (populated < 2) return;
+
+  // Parent-minus-sibling: scan only the smaller child, derive the larger
+  // one by subtracting in place. Multiway children (and mtry nodes, which
+  // have no full parent hist) recompute from their rows.
+  const bool multiway = best.categorical && best.category < 0;
+  NodeHist child_hist[2];
+  bool have_child_hist = false;
+  if (view_ != nullptr && full_features && !multiway) {
+    const size_t small = parts[0].size() <= parts[1].size() ? 0 : 1;
+    child_hist[small].AccumulateAll(*view_, layout_, parts[small], y_, w_,
+                                    num_k);
+    own.SubtractInPlace(child_hist[small]);
+    child_hist[1 - small] = std::move(own);
+    child_hist[1 - small].valid = true;
+    have_child_hist = true;
+  }
+  own = NodeHist{};
+
+  // Children are allocated contiguously before any of them grows; an empty
+  // multiway branch stays a leaf that inherits the parent distribution.
+  const size_t first = tree_.nodes_.size();
+  split.first_child = static_cast<int>(first);
+  tree_.nodes_[static_cast<size_t>(index)] = split;
+  tree_.nodes_.resize(first + parts.size());
+  tree_.counts_.resize((first + parts.size()) * num_k, 0.0);
+  int majority_child = 0;
+  double heaviest_weight = -1.0;
+  for (size_t c = 0; c < parts.size(); ++c) {
+    const int child = static_cast<int>(first + c);
+    if (parts[c].empty()) {
+      Node& leaf = tree_.nodes_[first + c];
+      leaf.depth = depth + 1;
+      leaf.majority = majority;
+      std::copy_n(tree_.counts_.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          static_cast<size_t>(index) * num_k),
+                  num_k,
+                  tree_.counts_.begin() +
+                      static_cast<std::ptrdiff_t>((first + c) * num_k));
+    } else {
+      Grow(child, parts[c], depth + 1,
+           have_child_hist ? &child_hist[c] : nullptr);
+    }
+    const double cw = tree_.nodes_[first + c].weight;
+    if (cw > heaviest_weight) {
+      heaviest_weight = cw;
+      majority_child = static_cast<int>(c);
+    }
+  }
+  tree_.nodes_[static_cast<size_t>(index)].majority_child = majority_child;
+}
+
+// Node-local bins: the node's present rows sorted by value, one bin per
+// distinct value (numeric), or one bin per category code (categorical;
+// codes past the cardinality count as missing).
+BinStats DecisionTree::Grower::LocalBins(size_t f,
+                                         const std::vector<size_t>& rows) {
+  const size_t num_k = num_k_;
+  const bool categorical = tree_.schema_.categorical[f];
+  const size_t cardinality = tree_.schema_.cardinalities[f];
+  std::fill(total_.begin(), total_.end(), 0.0);  // Missing-slot sums.
+  uint32_t missing_n = 0;
+  present_.clear();
+  for (size_t r : rows) {
+    const double v = x_(r, f);
+    if (IsMissing(v) ||
+        (categorical && static_cast<size_t>(v) >= cardinality)) {
+      total_[static_cast<size_t>(y_[r])] += w_[r];
+      ++missing_n;
+    } else {
+      present_.emplace_back(v, r);
+    }
+  }
+  size_t num_bins = cardinality;
+  if (!categorical) {
+    std::sort(present_.begin(), present_.end());
+    thresholds_.clear();
+    for (size_t i = 1; i < present_.size(); ++i) {
+      if (present_[i].first != present_[i - 1].first) {
+        thresholds_.push_back(
+            SplitMidpoint(present_[i - 1].first, present_[i].first));
+      }
+    }
+    num_bins = present_.empty() ? 0 : thresholds_.size() + 1;
+  }
+  bin_w_.assign((num_bins + 1) * num_k, 0.0);
+  bin_n_.assign(num_bins + 1, 0);
+  size_t b = 0;
+  for (size_t i = 0; i < present_.size(); ++i) {
+    const auto& [v, r] = present_[i];
+    if (categorical) {
+      b = static_cast<size_t>(v);
+    } else if (i > 0 && v != present_[i - 1].first) {
+      ++b;
+    }
+    bin_w_[b * num_k + static_cast<size_t>(y_[r])] += w_[r];
+    ++bin_n_[b];
+  }
+  std::copy(total_.begin(), total_.end(),
+            bin_w_.begin() + static_cast<std::ptrdiff_t>(num_bins * num_k));
+  bin_n_[num_bins] = missing_n;
+  BinStats s;
+  s.wsum = bin_w_.data();
+  s.cnt = bin_n_.data();
+  s.num_bins = num_bins;
+  s.thresholds = thresholds_.data();
+  return s;
+}
+
+// The one split scan: numeric boundaries between bins, one multiway split,
+// or one-vs-rest category splits, scored from per-bin class sums.
+void DecisionTree::Grower::Scan(size_t f, const BinStats& s,
+                                double parent_weight, SplitCandidate* best) {
+  const size_t num_k = num_k_;
+  const size_t nb = s.num_bins;
+  if (nb == 0) return;
+  const double* wsum = s.wsum;
+  const uint32_t* cnt = s.cnt;
+
+  // Present/missing totals straight from the bin slots.
+  size_t present_n = 0;
+  std::fill(total_.begin(), total_.end(), 0.0);
+  for (size_t b = 0; b < nb; ++b) {
+    present_n += cnt[b];
+    for (size_t k = 0; k < num_k; ++k) total_[k] += wsum[b * num_k + k];
+  }
+  if (present_n < 2 * options_.min_leaf) return;
+  double present_weight = 0.0;
+  for (size_t k = 0; k < num_k; ++k) present_weight += total_[k];
+  if (present_weight <= 0) return;
+  double missing_weight = 0.0;
+  for (size_t k = 0; k < num_k; ++k) missing_weight += wsum[nb * num_k + k];
+  // C4.5-style penalty: scale gain by the fraction of known values.
+  const double known_fraction =
+      present_weight / (present_weight + missing_weight);
+  const double total_impurity =
+      Impurity(criterion_, total_.data(), num_k, present_weight);
+  const bool gain_ratio = options_.criterion == TreeCriterion::kGainRatio;
+
+  // Scores sending left_ (weight left_weight) to child 0 and the rest of the
+  // present rows to child 1; false when the split does not qualify.
+  auto score_binary = [&](double left_weight, double* gain, double* score) {
+    const double right_weight = present_weight - left_weight;
+    for (size_t k = 0; k < num_k; ++k) right_[k] = total_[k] - left_[k];
+    const double child_impurity =
+        (left_weight *
+             Impurity(criterion_, left_.data(), num_k, left_weight) +
+         right_weight *
+             Impurity(criterion_, right_.data(), num_k, right_weight)) /
+        present_weight;
+    *gain = (total_impurity - child_impurity) * known_fraction;
+    if (*gain <= 0) return false;
+    *score = *gain;
+    if (gain_ratio) {
+      const double pl = left_weight / present_weight;
+      const double pr = right_weight / present_weight;
+      const double split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
+      if (split_info < 1e-9) return false;
+      *score = *gain / split_info;
+    }
+    return true;
+  };
+  auto take = [&](double score, double gain, int num_children,
+                  double threshold, int category) {
+    if (!(score > best->score)) return;
+    best->valid = true;
+    best->feature = static_cast<int>(f);
+    best->categorical = tree_.schema_.categorical[f];
+    best->num_children = num_children;
+    best->threshold = threshold;
+    best->category = category;
+    best->score = score;
+    best->gain = gain * parent_weight;
+  };
+
+  double gain = 0.0;
+  double score = 0.0;
+  if (!tree_.schema_.categorical[f]) {
+    std::fill(left_.begin(), left_.end(), 0.0);
+    double left_weight = 0.0;
+    size_t left_n = 0;
+    for (size_t b = 0; b + 1 < nb; ++b) {
+      for (size_t k = 0; k < num_k; ++k) {
+        const double c = wsum[b * num_k + k];
+        left_[k] += c;
+        left_weight += c;
+      }
+      left_n += cnt[b];
+      // An empty bin leaves the partition identical to the previous
+      // boundary's, so only the first boundary of each run is a candidate.
+      if (cnt[b] == 0) continue;
+      if (left_n < options_.min_leaf ||
+          present_n - left_n < options_.min_leaf) {
+        continue;
+      }
+      if (score_binary(left_weight, &gain, &score)) {
+        take(score, gain, 2, s.thresholds[b], -1);
+      }
+    }
+  } else if (options_.multiway_categorical && nb >= 2) {
+    // One child per category (bin code == category code).
+    size_t populated = 0;
+    double child_impurity = 0.0;
+    double split_info = 0.0;
+    bool leaf_ok = true;
+    for (size_t c = 0; c < nb; ++c) {
+      if (cnt[c] == 0) continue;
+      ++populated;
+      if (cnt[c] < options_.min_leaf) leaf_ok = false;
+      double cw = 0.0;
+      for (size_t k = 0; k < num_k; ++k) {
+        left_[k] = wsum[c * num_k + k];
+        cw += left_[k];
+      }
+      child_impurity += cw * Impurity(criterion_, left_.data(), num_k, cw);
+      const double p = cw / present_weight;
+      if (p > 0) split_info -= p * std::log2(p);
+    }
+    child_impurity /= present_weight;
+    if (populated < 2 || !leaf_ok) return;
+    gain = (total_impurity - child_impurity) * known_fraction;
+    if (gain <= 0) return;
+    score = gain;
+    if (gain_ratio) {
+      score = split_info >= 1e-9 ? gain / split_info
+                                 : -std::numeric_limits<double>::infinity();
+    }
+    take(score, gain, static_cast<int>(nb), 0.0, -1);
+  } else {
+    // Binary one-vs-rest categorical splits.
+    for (size_t c = 0; c < nb; ++c) {
+      if (cnt[c] < options_.min_leaf ||
+          present_n - cnt[c] < options_.min_leaf) {
+        continue;
+      }
+      double left_weight = 0.0;
+      for (size_t k = 0; k < num_k; ++k) {
+        left_[k] = wsum[c * num_k + k];
+        left_weight += left_[k];
+      }
+      if (score_binary(left_weight, &gain, &score)) {
+        take(score, gain, 2, 0.0, static_cast<int>(c));
+      }
+    }
+  }
+}
 
 Status DecisionTree::Fit(const Matrix& x, const TreeSchema& schema,
                          const std::vector<int>& y, int num_classes,
@@ -160,7 +610,13 @@ Status DecisionTree::Fit(const Matrix& x, const TreeSchema& schema,
   if (num_classes < 1) {
     return Status::InvalidArgument("DecisionTree: need >= 1 class");
   }
+  if (binned != nullptr && (binned->num_rows() != x.rows() ||
+                            binned->num_features() != x.cols())) {
+    return Status::InvalidArgument(
+        "DecisionTree: binned view does not match the training matrix");
+  }
   nodes_.clear();
+  counts_.clear();
   schema_ = schema;
   options_ = options;
   num_classes_ = num_classes;
@@ -181,751 +637,23 @@ Status DecisionTree::Fit(const Matrix& x, const TreeSchema& schema,
   if (rows.empty()) {
     return Status::InvalidArgument("DecisionTree: all weights are zero");
   }
-  Rng rng(options.seed);
 
-  bool histogram = options.split_mode == TreeSplitMode::kHistogram;
-  if (histogram) {
-    if (!binned) {
-      binned = std::make_shared<const BinnedColumns>(BinnedColumns::FromMatrix(
-          x, schema.categorical, schema.cardinalities));
-    } else if (binned->num_rows() != x.rows() ||
-               binned->num_features() != x.cols()) {
-      return Status::InvalidArgument(
-          "DecisionTree: binned view does not match the training matrix");
-    }
-    // Categorical columns wider than the bin range would alias the missing
-    // bin; exact mode handles them correctly, so fall back.
-    if (!binned->histogram_safe()) histogram = false;
-  }
-
-  if (histogram) {
-    const HistLayout layout = HistLayout::For(*binned, size_t(num_classes_));
-    BuildNodeHist(*binned, layout, y, w, rows, 0, &rng, nullptr);
-  } else {
-    BuildNode(x, y, w, rows, 0, &rng);
-  }
+  // Categorical columns wider than the bin range alias the missing bin in
+  // a view; node-local bins handle them.
+  const BinnedColumns* view =
+      binned != nullptr && binned->histogram_safe() ? binned.get() : nullptr;
+  nodes_.resize(1);
+  counts_.assign(static_cast<size_t>(num_classes_), 0.0);
+  Grower(this, x, y, w, view).Grow(0, rows, 0, nullptr);
   if (options_.confidence_factor > 0) Prune(0);
   return Status::OK();
 }
 
-int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
-                            const std::vector<double>& w,
-                            const std::vector<size_t>& rows, int depth,
-                            Rng* rng) {
-  const int index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  {
-    Node& node = nodes_.back();
-    node.depth = depth;
-    node.class_counts.assign(static_cast<size_t>(num_classes_), 0.0);
-    for (size_t r : rows) {
-      node.class_counts[static_cast<size_t>(y[r])] += w[r];
-      node.weight += w[r];
-    }
-    node.majority = ArgMaxCount(node.class_counts);
-  }
-
-  auto is_pure = [&]() {
-    const Node& node = nodes_[static_cast<size_t>(index)];
-    return node.class_counts[static_cast<size_t>(node.majority)] >=
-           node.weight - 1e-12;
-  };
-
-  if (depth >= options_.max_depth || rows.size() < options_.min_split ||
-      is_pure()) {
-    return index;
-  }
-
-  const double parent_weight = nodes_[static_cast<size_t>(index)].weight;
-  const double parent_impurity =
-      Impurity(options_.criterion == TreeCriterion::kGainRatio
-                   ? TreeCriterion::kEntropy
-                   : options_.criterion,
-               nodes_[static_cast<size_t>(index)].class_counts, parent_weight);
-  if (parent_impurity <= 1e-12) return index;
-
-  // Feature subset (mtry).
-  const size_t d = x.cols();
-  std::vector<size_t> features(d);
-  std::iota(features.begin(), features.end(), size_t{0});
-  if (options_.mtry > 0 && static_cast<size_t>(options_.mtry) < d) {
-    rng->Shuffle(&features);
-    features.resize(static_cast<size_t>(options_.mtry));
-  }
-
-  SplitCandidate best;
-  std::vector<double> left_counts(static_cast<size_t>(num_classes_));
-  std::vector<double> right_counts(static_cast<size_t>(num_classes_));
-
-  const TreeCriterion impurity_criterion =
-      options_.criterion == TreeCriterion::kGainRatio ? TreeCriterion::kEntropy
-                                                      : options_.criterion;
-
-  for (size_t f : features) {
-    // Collect non-missing (value, row) pairs for this feature.
-    std::vector<std::pair<double, size_t>> present;
-    present.reserve(rows.size());
-    double missing_weight = 0.0;
-    for (size_t r : rows) {
-      const double v = x(r, f);
-      if (IsMissing(v)) {
-        missing_weight += w[r];
-      } else {
-        present.emplace_back(v, r);
-      }
-    }
-    if (present.size() < 2 * options_.min_leaf) continue;
-    double present_weight = 0.0;
-    for (const auto& [v, r] : present) present_weight += w[r];
-    if (present_weight <= 0) continue;
-    // C4.5-style penalty: scale gain by the fraction of known values.
-    const double known_fraction =
-        present_weight / (present_weight + missing_weight);
-
-    if (!schema_.categorical[f]) {
-      std::sort(present.begin(), present.end());
-      std::fill(left_counts.begin(), left_counts.end(), 0.0);
-      std::vector<double> total_counts(static_cast<size_t>(num_classes_), 0.0);
-      for (const auto& [v, r] : present) {
-        total_counts[static_cast<size_t>(y[r])] += w[r];
-      }
-      double left_weight = 0.0;
-      const double total_impurity =
-          Impurity(impurity_criterion, total_counts, present_weight);
-      for (size_t i = 0; i + 1 < present.size(); ++i) {
-        const size_t r = present[i].second;
-        left_counts[static_cast<size_t>(y[r])] += w[r];
-        left_weight += w[r];
-        // Only boundaries between distinct values are candidates. Exact
-        // equality is the right test: any two representable doubles that
-        // differ admit a threshold strictly between or equal to the lower
-        // one (see SplitMidpoint), so there is no "too close" case to
-        // guard against.
-        if (present[i].first == present[i + 1].first) continue;
-        const size_t left_n = i + 1;
-        const size_t right_n = present.size() - left_n;
-        if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-          continue;
-        }
-        const double right_weight = present_weight - left_weight;
-        for (int k = 0; k < num_classes_; ++k) {
-          right_counts[static_cast<size_t>(k)] =
-              total_counts[static_cast<size_t>(k)] -
-              left_counts[static_cast<size_t>(k)];
-        }
-        const double child_impurity =
-            (left_weight * Impurity(impurity_criterion, left_counts,
-                                    left_weight) +
-             right_weight * Impurity(impurity_criterion, right_counts,
-                                     right_weight)) /
-            present_weight;
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain <= 0) continue;
-        double score = gain;
-        if (options_.criterion == TreeCriterion::kGainRatio) {
-          const double pl = left_weight / present_weight;
-          const double pr = right_weight / present_weight;
-          const double split_info =
-              -(pl * std::log2(pl) + pr * std::log2(pr));
-          if (split_info < 1e-9) continue;
-          score = gain / split_info;
-        }
-        if (score > best.score) {
-          best.valid = true;
-          best.feature = static_cast<int>(f);
-          best.categorical = false;
-          best.multiway = false;
-          best.threshold =
-              SplitMidpoint(present[i].first, present[i + 1].first);
-          best.score = score;
-          best.gain = gain * parent_weight;
-        }
-      }
-    } else {
-      const size_t k_cats = std::max<size_t>(schema_.cardinalities[f], 1);
-      // Per-category class counts.
-      std::vector<std::vector<double>> cat_counts(
-          k_cats, std::vector<double>(static_cast<size_t>(num_classes_), 0.0));
-      std::vector<double> cat_weight(k_cats, 0.0);
-      std::vector<size_t> cat_n(k_cats, 0);
-      std::vector<double> total_counts(static_cast<size_t>(num_classes_), 0.0);
-      for (const auto& [v, r] : present) {
-        const auto code = static_cast<size_t>(v);
-        if (code >= k_cats) continue;
-        cat_counts[code][static_cast<size_t>(y[r])] += w[r];
-        cat_weight[code] += w[r];
-        cat_n[code] += 1;
-        total_counts[static_cast<size_t>(y[r])] += w[r];
-      }
-      const double total_impurity =
-          Impurity(impurity_criterion, total_counts, present_weight);
-
-      if (options_.multiway_categorical && k_cats >= 2) {
-        // One child per category.
-        size_t populated = 0;
-        double child_impurity = 0.0;
-        double split_info = 0.0;
-        bool leaf_ok = true;
-        for (size_t c = 0; c < k_cats; ++c) {
-          if (cat_n[c] == 0) continue;
-          ++populated;
-          if (cat_n[c] < options_.min_leaf) leaf_ok = false;
-          child_impurity += cat_weight[c] * Impurity(impurity_criterion,
-                                                     cat_counts[c],
-                                                     cat_weight[c]);
-          const double p = cat_weight[c] / present_weight;
-          if (p > 0) split_info -= p * std::log2(p);
-        }
-        child_impurity /= present_weight;
-        if (populated >= 2 && leaf_ok) {
-          double gain = (total_impurity - child_impurity) * known_fraction;
-          if (gain > 0) {
-            double score = gain;
-            if (options_.criterion == TreeCriterion::kGainRatio) {
-              if (split_info >= 1e-9) {
-                score = gain / split_info;
-              } else {
-                score = -std::numeric_limits<double>::infinity();
-              }
-            }
-            if (score > best.score) {
-              best.valid = true;
-              best.feature = static_cast<int>(f);
-              best.categorical = true;
-              best.multiway = true;
-              best.score = score;
-              best.gain = gain * parent_weight;
-            }
-          }
-        }
-      } else {
-        // Binary one-vs-rest splits.
-        for (size_t c = 0; c < k_cats; ++c) {
-          const size_t left_n = cat_n[c];
-          const size_t right_n = present.size() - left_n;
-          if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-            continue;
-          }
-          const double left_weight = cat_weight[c];
-          const double right_weight = present_weight - left_weight;
-          for (int k = 0; k < num_classes_; ++k) {
-            left_counts[static_cast<size_t>(k)] =
-                cat_counts[c][static_cast<size_t>(k)];
-            right_counts[static_cast<size_t>(k)] =
-                total_counts[static_cast<size_t>(k)] -
-                left_counts[static_cast<size_t>(k)];
-          }
-          const double child_impurity =
-              (left_weight * Impurity(impurity_criterion, left_counts,
-                                      left_weight) +
-               right_weight * Impurity(impurity_criterion, right_counts,
-                                       right_weight)) /
-              present_weight;
-          double gain = (total_impurity - child_impurity) * known_fraction;
-          if (gain <= 0) continue;
-          double score = gain;
-          if (options_.criterion == TreeCriterion::kGainRatio) {
-            const double pl = left_weight / present_weight;
-            const double pr = right_weight / present_weight;
-            const double split_info =
-                -(pl * std::log2(pl) + pr * std::log2(pr));
-            if (split_info < 1e-9) continue;
-            score = gain / split_info;
-          }
-          if (score > best.score) {
-            best.valid = true;
-            best.feature = static_cast<int>(f);
-            best.categorical = true;
-            best.multiway = false;
-            best.category = static_cast<int>(c);
-            best.score = score;
-            best.gain = gain * parent_weight;
-          }
-        }
-      }
-    }
-  }
-
-  if (!best.valid) return index;
-  // rpart-style complexity gate: the split must remove at least
-  // min_impurity_decrease of the node's own weighted impurity.
-  if (best.gain <
-      options_.min_impurity_decrease * parent_weight * parent_impurity +
-          1e-15) {
-    return index;
-  }
-
-  // Partition rows.
-  const auto f = static_cast<size_t>(best.feature);
-  std::vector<std::vector<size_t>> parts;
-  if (best.multiway) {
-    const size_t k_cats = std::max<size_t>(schema_.cardinalities[f], 1);
-    parts.assign(k_cats, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const double v = x(r, f);
-      if (IsMissing(v) || static_cast<size_t>(v) >= k_cats) {
-        missing.push_back(r);
-      } else {
-        parts[static_cast<size_t>(v)].push_back(r);
-      }
-    }
-    // Missing rows join the most populated branch.
-    size_t heaviest = 0;
-    for (size_t c = 1; c < parts.size(); ++c) {
-      if (parts[c].size() > parts[heaviest].size()) heaviest = c;
-    }
-    for (size_t r : missing) parts[heaviest].push_back(r);
-  } else {
-    parts.assign(2, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const double v = x(r, f);
-      if (IsMissing(v)) {
-        missing.push_back(r);
-        continue;
-      }
-      const bool left = best.categorical
-                            ? static_cast<int>(v) == best.category
-                            : v <= best.threshold;
-      parts[left ? 0 : 1].push_back(r);
-    }
-    const size_t heavier = parts[0].size() >= parts[1].size() ? 0 : 1;
-    for (size_t r : missing) parts[heavier].push_back(r);
-  }
-
-  // Degenerate partitions can occur after missing-value routing.
-  size_t populated = 0;
-  for (const auto& p : parts) {
-    if (!p.empty()) ++populated;
-  }
-  if (populated < 2) return index;
-
-  // Fill in the split; children are built recursively afterwards so the
-  // nodes_ vector may reallocate (take care not to hold references).
-  {
-    Node& node = nodes_[static_cast<size_t>(index)];
-    node.leaf = false;
-    node.feature = best.feature;
-    node.categorical_split = best.categorical;
-    node.threshold = best.threshold;
-    node.category = best.category;
-    node.split_gain = best.gain;
-  }
-  std::vector<int> children;
-  children.reserve(parts.size());
-  int majority_child = 0;
-  double heaviest_weight = -1.0;
-  for (size_t c = 0; c < parts.size(); ++c) {
-    int child;
-    if (parts[c].empty()) {
-      // Empty multiway branch: a leaf that inherits the parent distribution.
-      child = static_cast<int>(nodes_.size());
-      nodes_.emplace_back();
-      Node& leaf_node = nodes_.back();
-      leaf_node.depth = depth + 1;
-      leaf_node.class_counts = nodes_[static_cast<size_t>(index)].class_counts;
-      leaf_node.weight = 0.0;
-      leaf_node.majority = nodes_[static_cast<size_t>(index)].majority;
-    } else {
-      child = BuildNode(x, y, w, parts[c], depth + 1, rng);
-    }
-    children.push_back(child);
-    const double cw = nodes_[static_cast<size_t>(child)].weight;
-    if (cw > heaviest_weight) {
-      heaviest_weight = cw;
-      majority_child = static_cast<int>(c);
-    }
-  }
-  Node& node = nodes_[static_cast<size_t>(index)];
-  node.children = std::move(children);
-  node.majority_child = majority_child;
-  return index;
-}
-
-// Histogram-mode growth. Mirrors BuildNode's structure (stopping rules,
-// gates, missing-value routing) but searches bin boundaries of the shared
-// binned view instead of re-sorting rows: each candidate's class counts come
-// from a prefix scan over per-bin histograms, so a node costs
-// O(rows + bins * classes) per feature instead of O(rows log rows). With
-// lossless binning and integral weights the candidate set and row partition
-// are identical to exact mode; thresholds come from the global bin edges, so
-// held-out rows falling between two training values may route differently
-// (both routings are consistent with the training data).
-int DecisionTree::BuildNodeHist(const BinnedColumns& binned,
-                                const HistLayout& layout,
-                                const std::vector<int>& y,
-                                const std::vector<double>& w,
-                                const std::vector<size_t>& rows, int depth,
-                                Rng* rng, NodeHist* inherited) {
-  const int index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  {
-    Node& node = nodes_.back();
-    node.depth = depth;
-    node.class_counts.assign(static_cast<size_t>(num_classes_), 0.0);
-    for (size_t r : rows) {
-      node.class_counts[static_cast<size_t>(y[r])] += w[r];
-      node.weight += w[r];
-    }
-    node.majority = ArgMaxCount(node.class_counts);
-  }
-
-  auto is_pure = [&]() {
-    const Node& node = nodes_[static_cast<size_t>(index)];
-    return node.class_counts[static_cast<size_t>(node.majority)] >=
-           node.weight - 1e-12;
-  };
-
-  if (depth >= options_.max_depth || rows.size() < options_.min_split ||
-      is_pure()) {
-    return index;
-  }
-
-  const double parent_weight = nodes_[static_cast<size_t>(index)].weight;
-  const double parent_impurity =
-      Impurity(options_.criterion == TreeCriterion::kGainRatio
-                   ? TreeCriterion::kEntropy
-                   : options_.criterion,
-               nodes_[static_cast<size_t>(index)].class_counts, parent_weight);
-  if (parent_impurity <= 1e-12) return index;
-
-  const size_t d = binned.num_features();
-  const size_t num_k = static_cast<size_t>(num_classes_);
-  std::vector<size_t> features(d);
-  std::iota(features.begin(), features.end(), size_t{0});
-  if (options_.mtry > 0 && static_cast<size_t>(options_.mtry) < d) {
-    rng->Shuffle(&features);
-    features.resize(static_cast<size_t>(options_.mtry));
-  }
-
-  // Full-feature nodes keep one histogram spanning all features so a binary
-  // split can hand the larger child `parent - smaller sibling` instead of
-  // rescanning its rows; mtry nodes sample different features at every node,
-  // so they accumulate just the sampled columns into scratch and retain
-  // nothing.
-  const bool full_features = features.size() == d;
-  NodeHist own;
-  if (full_features) {
-    if (inherited && inherited->valid) {
-      own = std::move(*inherited);
-      inherited->valid = false;
-    } else {
-      own.AccumulateAll(binned, layout, rows, y, w, num_k);
-    }
-  }
-  std::vector<double> scratch_w;
-  std::vector<uint32_t> scratch_n;
-
-  SplitCandidate best;
-  std::vector<double> left_counts(num_k);
-  std::vector<double> right_counts(num_k);
-  std::vector<double> total_counts(num_k);
-
-  const TreeCriterion impurity_criterion =
-      options_.criterion == TreeCriterion::kGainRatio ? TreeCriterion::kEntropy
-                                                      : options_.criterion;
-
-  for (size_t f : features) {
-    const BinnedColumn& col = binned.column(f);
-    const size_t nb = col.num_bins;
-    if (nb == 0) continue;
-    const double* wsum;
-    const uint32_t* cnt;
-    if (full_features) {
-      wsum = own.wsum.data() + layout.off_w[f];
-      cnt = own.cnt.data() + layout.off_n[f];
-    } else {
-      scratch_w.assign((nb + 1) * num_k, 0.0);
-      scratch_n.assign(nb + 1, 0);
-      AccumulateBinHistogram(col.codes.data(), rows.data(), rows.size(),
-                             y.data(), w.data(), num_k, nb, scratch_w.data(),
-                             scratch_n.data());
-      wsum = scratch_w.data();
-      cnt = scratch_n.data();
-    }
-
-    // Present/missing totals straight from the bin slots (slot nb holds the
-    // missing rows).
-    size_t present_n = 0;
-    std::fill(total_counts.begin(), total_counts.end(), 0.0);
-    for (size_t b = 0; b < nb; ++b) {
-      present_n += cnt[b];
-      for (size_t k = 0; k < num_k; ++k) {
-        total_counts[k] += wsum[b * num_k + k];
-      }
-    }
-    if (present_n < 2 * options_.min_leaf) continue;
-    double present_weight = 0.0;
-    for (size_t k = 0; k < num_k; ++k) present_weight += total_counts[k];
-    if (present_weight <= 0) continue;
-    double missing_weight = 0.0;
-    for (size_t k = 0; k < num_k; ++k) missing_weight += wsum[nb * num_k + k];
-    const double known_fraction =
-        present_weight / (present_weight + missing_weight);
-    const double total_impurity =
-        Impurity(impurity_criterion, total_counts, present_weight);
-
-    if (!col.categorical) {
-      std::fill(left_counts.begin(), left_counts.end(), 0.0);
-      double left_weight = 0.0;
-      size_t left_n = 0;
-      for (size_t b = 0; b + 1 < nb; ++b) {
-        for (size_t k = 0; k < num_k; ++k) {
-          const double c = wsum[b * num_k + k];
-          left_counts[k] += c;
-          left_weight += c;
-        }
-        left_n += cnt[b];
-        // An empty bin leaves the partition identical to the previous
-        // boundary's, so only the first boundary of each run is a candidate.
-        if (cnt[b] == 0) continue;
-        const size_t right_n = present_n - left_n;
-        if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-          continue;
-        }
-        const double right_weight = present_weight - left_weight;
-        for (size_t k = 0; k < num_k; ++k) {
-          right_counts[k] = total_counts[k] - left_counts[k];
-        }
-        const double child_impurity =
-            (left_weight *
-                 Impurity(impurity_criterion, left_counts, left_weight) +
-             right_weight *
-                 Impurity(impurity_criterion, right_counts, right_weight)) /
-            present_weight;
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain <= 0) continue;
-        double score = gain;
-        if (options_.criterion == TreeCriterion::kGainRatio) {
-          const double pl = left_weight / present_weight;
-          const double pr = right_weight / present_weight;
-          const double split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
-          if (split_info < 1e-9) continue;
-          score = gain / split_info;
-        }
-        if (score > best.score) {
-          best.valid = true;
-          best.feature = static_cast<int>(f);
-          best.categorical = false;
-          best.multiway = false;
-          best.threshold = col.thresholds[b];
-          best.bin = static_cast<int>(b);
-          best.score = score;
-          best.gain = gain * parent_weight;
-        }
-      }
-    } else if (options_.multiway_categorical && nb >= 2) {
-      // One child per category (bin code == category code).
-      size_t populated = 0;
-      double child_impurity = 0.0;
-      double split_info = 0.0;
-      bool leaf_ok = true;
-      for (size_t c = 0; c < nb; ++c) {
-        if (cnt[c] == 0) continue;
-        ++populated;
-        if (cnt[c] < options_.min_leaf) leaf_ok = false;
-        double cw = 0.0;
-        for (size_t k = 0; k < num_k; ++k) {
-          left_counts[k] = wsum[c * num_k + k];
-          cw += left_counts[k];
-        }
-        child_impurity +=
-            cw * Impurity(impurity_criterion, left_counts, cw);
-        const double p = cw / present_weight;
-        if (p > 0) split_info -= p * std::log2(p);
-      }
-      child_impurity /= present_weight;
-      if (populated >= 2 && leaf_ok) {
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain > 0) {
-          double score = gain;
-          if (options_.criterion == TreeCriterion::kGainRatio) {
-            if (split_info >= 1e-9) {
-              score = gain / split_info;
-            } else {
-              score = -std::numeric_limits<double>::infinity();
-            }
-          }
-          if (score > best.score) {
-            best.valid = true;
-            best.feature = static_cast<int>(f);
-            best.categorical = true;
-            best.multiway = true;
-            best.score = score;
-            best.gain = gain * parent_weight;
-          }
-        }
-      }
-    } else {
-      // Binary one-vs-rest categorical splits.
-      for (size_t c = 0; c < nb; ++c) {
-        const size_t left_n = cnt[c];
-        const size_t right_n = present_n - left_n;
-        if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-          continue;
-        }
-        double left_weight = 0.0;
-        for (size_t k = 0; k < num_k; ++k) {
-          left_counts[k] = wsum[c * num_k + k];
-          left_weight += left_counts[k];
-          right_counts[k] = total_counts[k] - left_counts[k];
-        }
-        const double right_weight = present_weight - left_weight;
-        const double child_impurity =
-            (left_weight *
-                 Impurity(impurity_criterion, left_counts, left_weight) +
-             right_weight *
-                 Impurity(impurity_criterion, right_counts, right_weight)) /
-            present_weight;
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain <= 0) continue;
-        double score = gain;
-        if (options_.criterion == TreeCriterion::kGainRatio) {
-          const double pl = left_weight / present_weight;
-          const double pr = right_weight / present_weight;
-          const double split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
-          if (split_info < 1e-9) continue;
-          score = gain / split_info;
-        }
-        if (score > best.score) {
-          best.valid = true;
-          best.feature = static_cast<int>(f);
-          best.categorical = true;
-          best.multiway = false;
-          best.category = static_cast<int>(c);
-          best.score = score;
-          best.gain = gain * parent_weight;
-        }
-      }
-    }
-  }
-
-  if (!best.valid) return index;
-  if (best.gain <
-      options_.min_impurity_decrease * parent_weight * parent_impurity +
-          1e-15) {
-    return index;
-  }
-
-  // Partition rows by bin code (codes and raw values induce the same
-  // partition: every value in bins <= b is <= thresholds[b] by
-  // construction). Codes at or past num_bins are the missing bin.
-  const auto f = static_cast<size_t>(best.feature);
-  const BinnedColumn& split_col = binned.column(f);
-  const uint8_t* codes = split_col.codes.data();
-  std::vector<std::vector<size_t>> parts;
-  if (best.multiway) {
-    const size_t k_cats = std::max<size_t>(schema_.cardinalities[f], 1);
-    parts.assign(k_cats, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const size_t code = codes[r];
-      if (code >= split_col.num_bins) {
-        missing.push_back(r);
-      } else {
-        parts[code].push_back(r);
-      }
-    }
-    size_t heaviest = 0;
-    for (size_t c = 1; c < parts.size(); ++c) {
-      if (parts[c].size() > parts[heaviest].size()) heaviest = c;
-    }
-    for (size_t r : missing) parts[heaviest].push_back(r);
-  } else {
-    parts.assign(2, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const size_t code = codes[r];
-      if (code >= split_col.num_bins) {
-        missing.push_back(r);
-        continue;
-      }
-      const bool left = best.categorical
-                            ? static_cast<int>(code) == best.category
-                            : static_cast<int>(code) <= best.bin;
-      parts[left ? 0 : 1].push_back(r);
-    }
-    const size_t heavier = parts[0].size() >= parts[1].size() ? 0 : 1;
-    for (size_t r : missing) parts[heavier].push_back(r);
-  }
-
-  size_t populated = 0;
-  for (const auto& p : parts) {
-    if (!p.empty()) ++populated;
-  }
-  if (populated < 2) return index;
-
-  {
-    Node& node = nodes_[static_cast<size_t>(index)];
-    node.leaf = false;
-    node.feature = best.feature;
-    node.categorical_split = best.categorical;
-    node.threshold = best.threshold;
-    node.category = best.category;
-    node.split_gain = best.gain;
-  }
-
-  // Parent-minus-sibling: scan only the smaller child, derive the larger
-  // one by subtracting in place. Multiway children (and mtry nodes, which
-  // have no full parent hist) recompute from their rows.
-  NodeHist child_hist[2];
-  bool have_child_hist = false;
-  if (full_features && !best.multiway) {
-    const size_t small = parts[0].size() <= parts[1].size() ? 0 : 1;
-    child_hist[small].AccumulateAll(binned, layout, parts[small], y, w, num_k);
-    own.SubtractInPlace(child_hist[small]);
-    child_hist[1 - small] = std::move(own);
-    child_hist[1 - small].valid = true;
-    have_child_hist = true;
-  }
-  own = NodeHist{};
-
-  std::vector<int> children;
-  children.reserve(parts.size());
-  int majority_child = 0;
-  double heaviest_weight = -1.0;
-  for (size_t c = 0; c < parts.size(); ++c) {
-    int child;
-    if (parts[c].empty()) {
-      child = static_cast<int>(nodes_.size());
-      nodes_.emplace_back();
-      Node& leaf_node = nodes_.back();
-      leaf_node.depth = depth + 1;
-      leaf_node.class_counts = nodes_[static_cast<size_t>(index)].class_counts;
-      leaf_node.weight = 0.0;
-      leaf_node.majority = nodes_[static_cast<size_t>(index)].majority;
-    } else {
-      child = BuildNodeHist(binned, layout, y, w, parts[c], depth + 1, rng,
-                            have_child_hist ? &child_hist[c] : nullptr);
-    }
-    children.push_back(child);
-    const double cw = nodes_[static_cast<size_t>(child)].weight;
-    if (cw > heaviest_weight) {
-      heaviest_weight = cw;
-      majority_child = static_cast<int>(c);
-    }
-  }
-  Node& node = nodes_[static_cast<size_t>(index)];
-  node.children = std::move(children);
-  node.majority_child = majority_child;
-  return index;
-}
-
-int DecisionTree::ArgMaxCount(const std::vector<double>& counts) {
-  int best = 0;
-  for (size_t i = 1; i < counts.size(); ++i) {
-    if (counts[i] > counts[static_cast<size_t>(best)]) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
-double DecisionTree::LeafErrorUpperBound(const Node& node) const {
+double DecisionTree::LeafErrorUpperBound(int node_index) const {
+  const Node& node = nodes_[static_cast<size_t>(node_index)];
   const double n = std::max(node.weight, 1e-9);
   const double errors =
-      node.weight - node.class_counts[static_cast<size_t>(node.majority)];
+      node.weight - ClassCounts(node_index)[static_cast<size_t>(node.majority)];
   if (options_.confidence_factor <= 0) return errors;
   // C4.5's pessimistic estimate: binomial upper confidence limit at CF.
   return n * BinomialUpperConfidence(errors, n, options_.confidence_factor);
@@ -933,139 +661,82 @@ double DecisionTree::LeafErrorUpperBound(const Node& node) const {
 
 double DecisionTree::SubtreeError(int node_index) const {
   const Node& node = nodes_[static_cast<size_t>(node_index)];
-  if (node.leaf) return LeafErrorUpperBound(node);
+  if (node.leaf()) return LeafErrorUpperBound(node_index);
   double total = 0.0;
-  for (int child : node.children) total += SubtreeError(child);
+  for (int c = 0; c < node.num_children; ++c) {
+    total += SubtreeError(node.first_child + c);
+  }
   return total;
 }
 
 void DecisionTree::Prune(int node_index) {
   Node& node = nodes_[static_cast<size_t>(node_index)];
-  if (node.leaf) return;
-  for (int child : node.children) Prune(child);
-  const double as_leaf = LeafErrorUpperBound(node);
+  if (node.leaf()) return;
+  for (int c = 0; c < node.num_children; ++c) Prune(node.first_child + c);
+  const double as_leaf = LeafErrorUpperBound(node_index);
   const double as_subtree = SubtreeError(node_index);
-  if (as_leaf <= as_subtree + 0.1) {
-    node.leaf = true;
-    node.children.clear();
-  }
+  if (as_leaf <= as_subtree + 0.1) node.num_children = 0;
 }
 
-std::vector<double> DecisionTree::PredictProbaRow(const double* row) const {
-  std::vector<double> proba(static_cast<size_t>(num_classes_),
-                            1.0 / std::max(1, num_classes_));
-  if (nodes_.empty()) return proba;
-  size_t index = 0;
-  while (!nodes_[index].leaf) {
-    const Node& node = nodes_[index];
-    const double v = row[node.feature];
-    int branch;
-    if (IsMissing(v)) {
-      branch = node.majority_child;
-    } else if (node.categorical_split) {
-      if (node.children.size() > 2 || node.category < 0) {
-        // Multiway.
-        const auto code = static_cast<size_t>(v);
-        branch = code < node.children.size() ? static_cast<int>(code)
-                                             : node.majority_child;
-      } else {
-        branch = static_cast<int>(v) == node.category ? 0 : 1;
-      }
-    } else {
-      branch = v <= node.threshold ? 0 : 1;
-    }
-    index = static_cast<size_t>(node.children[static_cast<size_t>(branch)]);
-  }
-  // Laplace-smoothed leaf frequencies.
-  const Node& leaf = nodes_[index];
-  double total = leaf.weight + num_classes_;
-  for (int k = 0; k < num_classes_; ++k) {
-    proba[static_cast<size_t>(k)] =
-        (leaf.class_counts[static_cast<size_t>(k)] + 1.0) / total;
-  }
-  return proba;
-}
-
-int DecisionTree::PredictRow(const double* row) const {
-  if (nodes_.empty()) return 0;
-  size_t index = 0;
-  while (!nodes_[index].leaf) {
-    const Node& node = nodes_[index];
-    const double v = row[node.feature];
-    int branch;
-    if (IsMissing(v)) {
-      branch = node.majority_child;
-    } else if (node.categorical_split) {
-      if (node.children.size() > 2 || node.category < 0) {
-        const auto code = static_cast<size_t>(v);
-        branch = code < node.children.size() ? static_cast<int>(code)
-                                             : node.majority_child;
-      } else {
-        branch = static_cast<int>(v) == node.category ? 0 : 1;
-      }
-    } else {
-      branch = v <= node.threshold ? 0 : 1;
-    }
-    index = static_cast<size_t>(node.children[static_cast<size_t>(branch)]);
-  }
-  return nodes_[index].majority;
+int DecisionTree::Branch(const Node& node, double v) {
+  if (IsMissing(v)) return -1;
+  if (!node.categorical_split) return v <= node.threshold ? 0 : 1;
+  if (node.category >= 0) return static_cast<int>(v) == node.category ? 0 : 1;
+  const auto code = static_cast<size_t>(v);
+  return code < static_cast<size_t>(node.num_children) ? static_cast<int>(code)
+                                                       : -1;
 }
 
 int DecisionTree::LeafIndexForRow(const double* row) const {
   if (nodes_.empty()) return -1;
   size_t index = 0;
-  while (!nodes_[index].leaf) {
+  while (!nodes_[index].leaf()) {
     const Node& node = nodes_[index];
-    const double v = row[node.feature];
-    int branch;
-    if (IsMissing(v)) {
-      branch = node.majority_child;
-    } else if (node.categorical_split) {
-      if (node.children.size() > 2 || node.category < 0) {
-        const auto code = static_cast<size_t>(v);
-        branch = code < node.children.size() ? static_cast<int>(code)
-                                             : node.majority_child;
-      } else {
-        branch = static_cast<int>(v) == node.category ? 0 : 1;
-      }
-    } else {
-      branch = v <= node.threshold ? 0 : 1;
-    }
-    index = static_cast<size_t>(node.children[static_cast<size_t>(branch)]);
+    const int branch = Branch(node, row[node.feature]);
+    index = static_cast<size_t>(node.first_child +
+                                (branch < 0 ? node.majority_child : branch));
   }
   return static_cast<int>(index);
 }
 
-size_t DecisionTree::NumLeaves() const {
-  // Traverse from the root: pruning detaches subtrees whose nodes remain in
-  // the flat vector, so a plain scan would overcount.
+void DecisionTree::AddLeafProba(int leaf, double scale, double* out) const {
+  // Laplace-smoothed leaf frequencies.
+  const double* counts = ClassCounts(leaf);
+  const double total = nodes_[static_cast<size_t>(leaf)].weight + num_classes_;
+  for (size_t k = 0; k < static_cast<size_t>(num_classes_); ++k) {
+    out[k] += scale * ((counts[k] + 1.0) / total);
+  }
+}
+
+int DecisionTree::PredictRow(const double* row) const {
   if (nodes_.empty()) return 0;
-  size_t n = 0;
+  return nodes_[static_cast<size_t>(LeafIndexForRow(row))].majority;
+}
+
+template <typename Visit>
+void DecisionTree::ForEachReachable(Visit visit) const {
+  if (nodes_.empty()) return;
   std::vector<int> stack = {0};
   while (!stack.empty()) {
     const Node& node = nodes_[static_cast<size_t>(stack.back())];
     stack.pop_back();
-    if (node.leaf) {
-      ++n;
-    } else {
-      stack.insert(stack.end(), node.children.begin(), node.children.end());
+    visit(node);
+    for (int c = 0; c < node.num_children; ++c) {
+      stack.push_back(node.first_child + c);
     }
   }
+}
+
+size_t DecisionTree::NumLeaves() const {
+  size_t n = 0;
+  ForEachReachable([&](const Node& node) { n += node.leaf(); });
   return n;
 }
 
 int DecisionTree::Depth() const {
-  if (nodes_.empty()) return 0;
   int depth = 0;
-  std::vector<int> stack = {0};
-  while (!stack.empty()) {
-    const Node& node = nodes_[static_cast<size_t>(stack.back())];
-    stack.pop_back();
-    depth = std::max(depth, node.depth);
-    if (!node.leaf) {
-      stack.insert(stack.end(), node.children.begin(), node.children.end());
-    }
-  }
+  ForEachReachable(
+      [&](const Node& node) { depth = std::max(depth, node.depth); });
   return depth;
 }
 
@@ -1073,34 +744,33 @@ void DecisionTree::CollectLeafRules(int node_index,
                                     std::vector<TreeCondition>* path,
                                     std::vector<LeafRule>* out) const {
   const Node& node = nodes_[static_cast<size_t>(node_index)];
-  if (node.leaf) {
+  if (node.leaf()) {
     LeafRule rule;
     rule.conditions = *path;
     rule.weight = node.weight;
-    rule.class_counts = node.class_counts;
+    const double* counts = ClassCounts(node_index);
+    rule.class_counts.assign(counts, counts + num_classes_);
     rule.majority = node.majority;
     out->push_back(std::move(rule));
     return;
   }
-  for (size_t c = 0; c < node.children.size(); ++c) {
+  for (int c = 0; c < node.num_children; ++c) {
     TreeCondition cond;
     cond.feature = node.feature;
-    if (node.categorical_split) {
-      if (node.children.size() > 2 || node.category < 0) {
-        cond.op = TreeCondition::Op::kEquals;
-        cond.value = static_cast<double>(c);
-      } else {
-        cond.op = c == 0 ? TreeCondition::Op::kEquals
-                         : TreeCondition::Op::kNotEquals;
-        cond.value = static_cast<double>(node.category);
-      }
-    } else {
+    if (!node.categorical_split) {
       cond.op =
           c == 0 ? TreeCondition::Op::kLessEq : TreeCondition::Op::kGreater;
       cond.value = node.threshold;
+    } else if (node.category < 0) {
+      cond.op = TreeCondition::Op::kEquals;
+      cond.value = static_cast<double>(c);
+    } else {
+      cond.op = c == 0 ? TreeCondition::Op::kEquals
+                       : TreeCondition::Op::kNotEquals;
+      cond.value = static_cast<double>(node.category);
     }
     path->push_back(cond);
-    CollectLeafRules(node.children[c], path, out);
+    CollectLeafRules(node.first_child + c, path, out);
     path->pop_back();
   }
 }
@@ -1119,19 +789,37 @@ std::vector<DecisionTree::LeafRule> DecisionTree::ExtractLeafRules() const {
 std::vector<double> DecisionTree::FeatureImportances(
     size_t num_features) const {
   std::vector<double> imp(num_features, 0.0);
-  if (nodes_.empty()) return imp;
-  // Root traversal so pruned-away subtrees contribute nothing.
-  std::vector<int> stack = {0};
-  while (!stack.empty()) {
-    const Node& node = nodes_[static_cast<size_t>(stack.back())];
-    stack.pop_back();
-    if (node.leaf) continue;
-    if (node.feature >= 0 && static_cast<size_t>(node.feature) < num_features) {
+  ForEachReachable([&](const Node& node) {
+    if (!node.leaf() && node.feature >= 0 &&
+        static_cast<size_t>(node.feature) < num_features) {
       imp[static_cast<size_t>(node.feature)] += node.split_gain;
     }
-    stack.insert(stack.end(), node.children.begin(), node.children.end());
-  }
+  });
   return imp;
+}
+
+StatusOr<std::vector<std::vector<double>>> VoteTrees(
+    const std::vector<DecisionTree>& trees, const std::vector<double>& weights,
+    const Matrix& x, int num_classes) {
+  std::vector<std::vector<double>> out(
+      x.rows(), std::vector<double>(static_cast<size_t>(num_classes), 0.0));
+  // Rows are independent; chunked so per-task overhead stays negligible.
+  SMARTML_RETURN_NOT_OK(ParallelForRanges(
+      x.rows(), /*grain=*/256,
+      [&](size_t begin, size_t end) -> Status {
+        for (size_t r = begin; r < end; ++r) {
+          const double* row = x.RowPtr(r);
+          for (size_t t = 0; t < trees.size(); ++t) {
+            trees[t].AddLeafProba(trees[t].LeafIndexForRow(row),
+                                  weights.empty() ? 1.0 : weights[t],
+                                  out[r].data());
+          }
+          NormalizeProba(&out[r]);
+        }
+        return Status::OK();
+      },
+      CurrentCancelToken()));
+  return out;
 }
 
 }  // namespace smartml

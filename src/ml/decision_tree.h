@@ -5,6 +5,14 @@
 // and multiway categorical splits; rpart/Bagging/RandomForest use Gini with
 // binary splits; LMT grows small trees with logistic leaves; DeepBoost
 // reweights samples between depth-limited trees.
+//
+// Growth is one recursive node builder over one split scan. The scan reads
+// per-node bin statistics (class-weight sums and row counts per bin, plus a
+// missing slot) from one of two sources: a shared BinnedColumns view
+// (histograms, with parent-minus-sibling reuse), or node-local bins made by
+// sorting the node's rows, one bin per distinct value (exact split search).
+// Nodes are stored flat: contiguous children and one class-count buffer
+// per tree, so prediction is one leaf lookup with no allocation.
 #ifndef SMARTML_ML_DECISION_TREE_H_
 #define SMARTML_ML_DECISION_TREE_H_
 
@@ -13,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/data/binned_columns.h"
 #include "src/data/dataset.h"
@@ -23,17 +30,6 @@ namespace smartml {
 
 /// Split-quality criterion.
 enum class TreeCriterion { kGini, kEntropy, kGainRatio };
-
-/// How split candidates are searched.
-///
-/// kExact re-sorts (value, row) pairs per feature per node and walks every
-/// boundary between distinct values — the correctness oracle. kHistogram
-/// accumulates per-bin class histograms over a BinnedColumns view and walks
-/// bin boundaries instead; when the binning is lossless (every distinct
-/// value gets its own bin) and weights are integral, it partitions training
-/// rows identically to exact mode, and it falls back to exact mode when the
-/// view is not histogram-safe (categorical cardinality > 255).
-enum class TreeSplitMode { kExact, kHistogram };
 
 struct TreeOptions {
   TreeCriterion criterion = TreeCriterion::kGini;
@@ -50,10 +46,6 @@ struct TreeOptions {
   /// Multiway splits on categorical features (C4.5 style); false gives
   /// binary one-category-vs-rest splits (CART style).
   bool multiway_categorical = false;
-  /// Split search strategy. Defaults to exact so meta-feature landmarkers
-  /// and KB-facing learners keep bit-stable behavior; the production tree
-  /// ensembles opt into kHistogram.
-  TreeSplitMode split_mode = TreeSplitMode::kExact;
   uint64_t seed = 1;
 };
 
@@ -79,29 +71,58 @@ struct TreeCondition {
 class DecisionTree {
  public:
   /// Trains the tree. `weights` may be empty (all ones). `x` is the
-  /// ToRawMatrix() encoding of the training data. In histogram mode,
-  /// `binned` may supply a pre-built binned view of the SAME rows (e.g.
-  /// Dataset::Binned(), shared across a whole forest); when null, the view
-  /// is built from `x` on the fly. Exact mode ignores `binned`.
+  /// ToRawMatrix() encoding of the training data. `binned`, when given, is
+  /// a binned view of the SAME rows (e.g. Dataset::Binned(), shared across
+  /// a whole forest): split search then reads per-node class histograms
+  /// over the view's bins. Without a view, or when the view is not
+  /// histogram_safe(), each node sorts its rows per feature and makes every
+  /// distinct value a bin of its own. Both feed the same split scan.
   Status Fit(const Matrix& x, const TreeSchema& schema,
              const std::vector<int>& y, int num_classes,
              const std::vector<double>& weights, const TreeOptions& options,
              std::shared_ptr<const BinnedColumns> binned = nullptr);
 
-  /// Class-probability estimate for one raw-encoded row (Laplace-smoothed
-  /// leaf frequencies).
-  std::vector<double> PredictProbaRow(const double* row) const;
+  /// One stored node. The children of an internal node are the contiguous
+  /// nodes [first_child, first_child + num_children); a leaf has none.
+  struct Node {
+    int feature = -1;
+    bool categorical_split = false;
+    double threshold = 0.0;  ///< Numeric: child 0 iff value <= threshold.
+    /// Binary categorical: child 0 iff code == category. -1 on a multiway
+    /// split, whose child index is the category code.
+    int category = -1;
+    int first_child = 0;
+    int num_children = 0;
+    int majority_child = 0;  ///< Missing values follow this child.
+    double weight = 0.0;
+    int majority = 0;
+    int depth = 0;
+    double split_gain = 0.0;  ///< Weighted impurity decrease of the split.
 
-  int PredictRow(const double* row) const;
+    bool leaf() const { return num_children == 0; }
+  };
 
-  /// Index of the leaf a row lands in (for LMT leaf models).
+  /// The child of `node` a value goes to, or -1 when the value is missing
+  /// (or a category code the multiway split has no child for).
+  static int Branch(const Node& node, double v);
+
+  /// Index of the leaf a raw-encoded row lands in (-1 when unfitted).
   int LeafIndexForRow(const double* row) const;
+
+  /// Adds `scale` times the leaf's Laplace-smoothed class frequencies to
+  /// out[0, num_classes).
+  void AddLeafProba(int leaf, double scale, double* out) const;
+
+  /// Majority class of the leaf a row lands in.
+  int PredictRow(const double* row) const;
 
   bool fitted() const { return !nodes_.empty(); }
   int num_classes() const { return num_classes_; }
+  /// Every node grown, including subtrees that pruning detached.
   size_t NumNodes() const { return nodes_.size(); }
   size_t NumLeaves() const;
   int Depth() const;
+  const std::vector<Node>& nodes() const { return nodes_; }
 
   /// Leaves as (path conditions, weight, class counts), heaviest first —
   /// PART picks the best-covering leaf as its next rule.
@@ -118,45 +139,37 @@ class DecisionTree {
   std::vector<double> FeatureImportances(size_t num_features) const;
 
  private:
-  struct Node {
-    bool leaf = true;
-    int feature = -1;
-    bool categorical_split = false;
-    double threshold = 0.0;      // Numeric: left iff value <= threshold.
-    int category = -1;           // Binary categorical: left iff code == category.
-    std::vector<int> children;   // 2 for binary, k for multiway.
-    int majority_child = 0;      // Missing values follow this child.
-    std::vector<double> class_counts;
-    double weight = 0.0;
-    int majority = 0;
-    int depth = 0;
-    double split_gain = 0.0;     // Weighted impurity decrease of the split.
-  };
+  class Grower;  // Split search and recursive growth (decision_tree.cc).
 
-  // Histogram-growth scratch (defined in the .cc): per-node bin histograms
-  // laid out per HistLayout, reused via the parent-minus-sibling trick.
-  struct HistLayout;
-  struct NodeHist;
-
-  static int ArgMaxCount(const std::vector<double>& counts);
-  int BuildNode(const Matrix& x, const std::vector<int>& y,
-                const std::vector<double>& w,
-                const std::vector<size_t>& rows, int depth, Rng* rng);
-  int BuildNodeHist(const BinnedColumns& binned, const HistLayout& layout,
-                    const std::vector<int>& y, const std::vector<double>& w,
-                    const std::vector<size_t>& rows, int depth, Rng* rng,
-                    NodeHist* inherited);
+  /// Calls visit(node) for every node reachable from the root, so subtrees
+  /// that pruning detached are skipped.
+  template <typename Visit>
+  void ForEachReachable(Visit visit) const;
+  /// The training class weights that reached `node`.
+  const double* ClassCounts(int node) const {
+    return counts_.data() +
+           static_cast<size_t>(node) * static_cast<size_t>(num_classes_);
+  }
   void Prune(int node_index);
   double SubtreeError(int node_index) const;
-  double LeafErrorUpperBound(const Node& node) const;
+  double LeafErrorUpperBound(int node_index) const;
   void CollectLeafRules(int node_index, std::vector<TreeCondition>* path,
                         std::vector<LeafRule>* out) const;
 
   std::vector<Node> nodes_;
+  std::vector<double> counts_;  // num_classes_ entries per node.
   TreeSchema schema_;
   TreeOptions options_;
   int num_classes_ = 0;
 };
+
+/// Weighted vote of `trees` on every row of the raw matrix `x`: sums
+/// weights[t] times each tree's leaf probabilities (weight 1 when `weights`
+/// is empty; multiplying by exactly 1 leaves the bits unchanged), then
+/// normalizes each row. Rows run in parallel on the current pool.
+StatusOr<std::vector<std::vector<double>>> VoteTrees(
+    const std::vector<DecisionTree>& trees, const std::vector<double>& weights,
+    const Matrix& x, int num_classes);
 
 }  // namespace smartml
 

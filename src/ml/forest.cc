@@ -36,27 +36,7 @@ StatusOr<std::vector<std::vector<double>>> ForestPredict(
   if (data.NumFeatures() != num_features) {
     return Status::InvalidArgument("forest: schema mismatch");
   }
-  const Matrix x = data.ToRawMatrix();
-  std::vector<std::vector<double>> out(
-      x.rows(), std::vector<double>(static_cast<size_t>(num_classes), 0.0));
-  // Rows are independent; chunked so per-task overhead stays negligible.
-  SMARTML_RETURN_NOT_OK(ParallelForRanges(
-      x.rows(), /*grain=*/256,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          const double* row = x.RowPtr(r);
-          for (const auto& tree : trees) {
-            const std::vector<double> p = tree.PredictProbaRow(row);
-            for (int k = 0; k < num_classes; ++k) {
-              out[r][static_cast<size_t>(k)] += p[static_cast<size_t>(k)];
-            }
-          }
-          NormalizeProba(&out[r]);
-        }
-        return Status::OK();
-      },
-      CurrentCancelToken()));
-  return out;
+  return VoteTrees(trees, /*weights=*/{}, data.ToRawMatrix(), num_classes);
 }
 
 }  // namespace
@@ -103,7 +83,6 @@ Status RandomForestClassifier::Fit(const Dataset& train,
   options.min_split = std::max<size_t>(2, 2 * nodesize);
   options.max_depth = 40;
   options.mtry = mtry;
-  options.split_mode = TreeSplitMode::kHistogram;
 
   // One binned view of the training table, built once and shared read-only
   // by every tree worker (bootstraps are per-row weights, so all trees see
@@ -192,7 +171,6 @@ Status BaggingClassifier::Fit(const Dataset& train, const ParamConfig& config) {
       std::clamp<int64_t>(config.GetInt("maxdepth", 30), 1, 60));
   options.min_impurity_decrease =
       std::clamp(config.GetDouble("cp", 0.01), 0.0, 1.0);
-  options.split_mode = TreeSplitMode::kHistogram;
 
   const std::shared_ptr<const BinnedColumns> binned = train.Binned();
 

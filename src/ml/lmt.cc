@@ -82,27 +82,28 @@ StatusOr<std::vector<std::vector<double>>> LmtClassifier::PredictProba(
   const Matrix raw = data.ToRawMatrix();
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
   std::vector<std::vector<double>> out(data.NumRows());
+  std::vector<double> tp(static_cast<size_t>(num_classes_));
   for (size_t r = 0; r < data.NumRows(); ++r) {
     const int leaf = tree_.LeafIndexForRow(raw.RowPtr(r));
+    std::fill(tp.begin(), tp.end(), 0.0);
+    tree_.AddLeafProba(leaf, 1.0, tp.data());
     const auto it = leaf_models_.find(leaf);
     if (it != leaf_models_.end()) {
       // Blend the leaf's logistic posterior with the tree posterior —
       // LMT's SimpleLogistic leaves behave similarly via boosted priors.
       std::vector<double> lr = it->second.PredictProbaRow(x.RowPtr(r));
-      const std::vector<double> tp = tree_.PredictProbaRow(raw.RowPtr(r));
       for (size_t k = 0; k < lr.size(); ++k) {
         lr[k] = 0.8 * lr[k] + 0.2 * tp[k];
       }
       out[r] = std::move(lr);
     } else if (root_model_.fitted()) {
       std::vector<double> lr = root_model_.PredictProbaRow(x.RowPtr(r));
-      const std::vector<double> tp = tree_.PredictProbaRow(raw.RowPtr(r));
       for (size_t k = 0; k < lr.size(); ++k) {
         lr[k] = 0.5 * lr[k] + 0.5 * tp[k];
       }
       out[r] = std::move(lr);
     } else {
-      out[r] = tree_.PredictProbaRow(raw.RowPtr(r));
+      out[r] = tp;
     }
   }
   return out;

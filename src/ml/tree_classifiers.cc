@@ -16,9 +16,10 @@ StatusOr<std::vector<std::vector<double>>> TreePredictProba(
     return Status::InvalidArgument("tree classifier: schema mismatch");
   }
   const Matrix x = data.ToRawMatrix();
-  std::vector<std::vector<double>> out(x.rows());
+  std::vector<std::vector<double>> out(
+      x.rows(), std::vector<double>(static_cast<size_t>(tree.num_classes())));
   for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = tree.PredictProbaRow(x.RowPtr(r));
+    tree.AddLeafProba(tree.LeafIndexForRow(x.RowPtr(r)), 1.0, out[r].data());
   }
   return out;
 }
@@ -50,7 +51,6 @@ Status J48Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   options.confidence_factor =
       unpruned ? 0.0 : std::clamp(config.GetDouble("C", 0.25), 0.001, 0.5);
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
-  options.split_mode = TreeSplitMode::kHistogram;
 
   num_features_ = train.NumFeatures();
   return tree_.Fit(train.ToRawMatrix(), TreeSchema::FromDataset(train),
@@ -90,7 +90,6 @@ Status RpartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
       static_cast<int>(std::clamp<int64_t>(config.GetInt("maxdepth", 30), 1,
                                            60));
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
-  options.split_mode = TreeSplitMode::kHistogram;
 
   num_features_ = train.NumFeatures();
   return tree_.Fit(train.ToRawMatrix(), TreeSchema::FromDataset(train),
@@ -154,7 +153,6 @@ Status PartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   options.confidence_factor =
       pruned ? std::clamp(config.GetDouble("C", 0.25), 0.001, 0.5) : 0.0;
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
-  options.split_mode = TreeSplitMode::kHistogram;
 
   const TreeSchema schema = TreeSchema::FromDataset(train);
   std::vector<size_t> remaining(train.NumRows());

@@ -7,12 +7,16 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/api/rest.h"
@@ -198,6 +202,8 @@ class JournalHardeningTest : public testing::Test {
     ASSERT_TRUE(FaultInjection::Instance().SetSpec("").ok());
     dir_ = testing::TempDir() + "/journal_hardening_" +
            std::to_string(::getpid()) + "_" + std::to_string(counter_++);
+    // A dead process with the same pid may have left this directory behind.
+    std::filesystem::remove_all(dir_);
   }
   void TearDown() override {
     ASSERT_TRUE(FaultInjection::Instance().SetSpec("").ok());
@@ -429,6 +435,85 @@ TEST(HttpFramingTest, ChunkedBodyIsNotRunAsASecondRequest) {
       << "a second response means the chunk ran as a request:\n" << reply;
   EXPECT_NE(reply.find("Connection: close"), std::string::npos) << reply;
   EXPECT_EQ(server.requests_served(), 1);
+}
+
+// Sends `pieces` to a fresh loopback server, pausing between them so each
+// arrives in its own read, then reads the reply until the server closes the
+// connection. The client gives up after 5 s, half the server's I/O timeout,
+// so a server that waits for more bytes fails the test instead of answering
+// 408. Returns the reply and the number of requests the server served.
+std::pair<std::string, int64_t> Exchange(
+    const std::vector<std::string>& pieces) {
+  SmartML framework;
+  RestService service(&framework);
+  HttpServer server(&service, HttpServerOptions());
+  auto port = server.Bind(0);
+  EXPECT_TRUE(port.ok()) << port.status().ToString();
+  std::thread serve([&] { EXPECT_TRUE(server.Serve().ok()); });
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(::write(fd, pieces[i].data(), pieces[i].size()),
+              static_cast<ssize_t>(pieces[i].size()));
+  }
+  std::string reply;
+  char buffer[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
+    reply.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  server.Stop();
+  serve.join();
+  return {reply, server.requests_served()};
+}
+
+// A Content-Length over the body cap is answered 413 at once, without
+// waiting for (or reading) the body, and the connection closes.
+TEST(HttpFramingTest, OversizedBodyIsRejectedBeforeItIsRead) {
+  const auto [reply, served] = Exchange(
+      {"POST /v1/metafeatures HTTP/1.1\r\nHost: x\r\n"
+       "Content-Length: 16777217\r\n\r\nf1,class\n"});
+  EXPECT_EQ(reply.rfind("HTTP/1.1 413 Content Too Large\r\n", 0), 0u)
+      << reply;
+  EXPECT_NE(reply.find("payload_too_large"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("Connection: close"), std::string::npos) << reply;
+  EXPECT_EQ(served, 1);
+}
+
+// A header block that passes 64 KiB without its blank line is answered 431
+// and the connection closes. The request is exactly one byte over the cap,
+// so the server has read all of it when it answers.
+TEST(HttpFramingTest, OversizedHeaderBlockGets431) {
+  std::string head = "GET /v1/health HTTP/1.1\r\nHost: x\r\nX-Pad: ";
+  head.append(64 * 1024 + 1 - head.size(), 'a');
+  const auto [reply, served] = Exchange({head});
+  EXPECT_EQ(
+      reply.rfind("HTTP/1.1 431 Request Header Fields Too Large\r\n", 0), 0u)
+      << reply.substr(0, 200);
+  EXPECT_NE(reply.find("Connection: close"), std::string::npos) << reply;
+  EXPECT_EQ(served, 1);
+}
+
+// The terminator search resumes after each read: a blank line split across
+// two reads, and a header block sent a few bytes at a time, still frame.
+TEST(HttpFramingTest, HeaderTerminatorSplitAcrossReads) {
+  const auto [reply, served] =
+      Exchange({"GET /v1/health HTTP/1.1\r\nHo", "st: x\r\nConnection:",
+                " close\r\n\r", "\n"});
+  EXPECT_EQ(reply.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << reply;
+  EXPECT_EQ(served, 1);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -36,6 +37,8 @@ class PersistTest : public testing::Test {
     const std::string dir = testing::TempDir() + "/" + stem + "_" +
                             std::to_string(::getpid()) + "_" +
                             std::to_string(counter++);
+    // A dead process with the same pid may have left this directory behind.
+    std::filesystem::remove_all(dir);
     ::mkdir(dir.c_str(), 0755);
     return dir;
   }

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,8 +41,12 @@ namespace {
 
 std::string JournalDir(const std::string& stem) {
   static int counter = 0;
-  return testing::TempDir() + "/" + stem + "_" + std::to_string(::getpid()) +
-         "_" + std::to_string(counter++);
+  const std::string dir = testing::TempDir() + "/" + stem + "_" +
+                          std::to_string(::getpid()) + "_" +
+                          std::to_string(counter++);
+  // A dead process with the same pid may have left this directory behind.
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 Dataset SmallDataset(uint64_t seed = 59) {

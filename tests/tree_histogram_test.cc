@@ -1,15 +1,21 @@
-// Exact-vs-histogram oracle tests for the decision tree, plus unit tests
-// for the shared SIMD kernels.
+// Oracle tests for the tree engine's split search, plus unit tests for the
+// shared SIMD kernels.
 //
-// The contract under test (see DESIGN.md): with lossless binning (every
-// distinct value its own bin) and integral sample weights, histogram growth
-// partitions the training rows exactly as exact growth does, so the two
-// trees agree on every training-row prediction, leaf count, and depth.
-// Lossy (quantile) binning and fractional weights only promise closeness.
+// The engine grows every tree with one split scan over per-node bin
+// statistics, which come either from a shared binned view or from
+// node-local bins (each distinct value at the node a bin). Both sources are
+// checked against ReferenceTree (tests/reference_tree.h), a plain grower
+// that re-sorts rows at every node and shares no split-search code with the
+// engine. The contract (see DESIGN.md §11): with integral sample weights,
+// node-local bins, and a view whose columns are lossless, both grow the
+// reference's tree: the same training-row partition, node count, depth and
+// training-row predictions. Lossy (quantile) view columns and fractional
+// weights only promise closeness.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,15 +27,15 @@
 #include "src/data/synthetic.h"
 #include "src/ml/decision_tree.h"
 #include "src/ml/forest.h"
+#include "tests/reference_tree.h"
 
 namespace smartml {
 namespace {
 
-std::vector<int> Predictions(const DecisionTree& tree, const Matrix& x) {
+template <typename Tree>
+std::vector<int> Predictions(const Tree& tree, const Matrix& x) {
   std::vector<int> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = tree.PredictRow(x.RowPtr(r));
-  }
+  for (size_t r = 0; r < x.rows(); ++r) out[r] = tree.PredictRow(x.RowPtr(r));
   return out;
 }
 
@@ -70,49 +76,128 @@ Dataset GridDataset(uint64_t seed, double missing_fraction,
   return d;
 }
 
-// Fits the same problem in both modes and returns (exact, histogram).
-std::pair<DecisionTree, DecisionTree> FitPair(
-    const Dataset& train, const std::vector<double>& weights,
-    TreeOptions options) {
+// The reference tree plus the engine tree from each bin source.
+struct Fits {
+  ReferenceTree reference;
+  DecisionTree local;  // No view: node-local bins.
+  DecisionTree view;   // The dataset's shared binned view.
+};
+
+Fits FitAll(const Dataset& train, const std::vector<double>& weights,
+            const TreeOptions& options) {
   const Matrix x = train.ToRawMatrix();
   const TreeSchema schema = TreeSchema::FromDataset(train);
   const int k = static_cast<int>(train.NumClasses());
-
-  DecisionTree exact;
-  options.split_mode = TreeSplitMode::kExact;
+  Fits fits;
+  fits.reference.Fit(x, schema, train.labels(), k, weights, options);
   EXPECT_TRUE(
-      exact.Fit(x, schema, train.labels(), k, weights, options).ok());
-
-  DecisionTree hist;
-  options.split_mode = TreeSplitMode::kHistogram;
-  EXPECT_TRUE(hist.Fit(x, schema, train.labels(), k, weights, options,
+      fits.local.Fit(x, schema, train.labels(), k, weights, options).ok());
+  EXPECT_TRUE(fits.view
+                  .Fit(x, schema, train.labels(), k, weights, options,
                        train.Binned())
                   .ok());
-  return {std::move(exact), std::move(hist)};
+  return fits;
 }
 
-// Asserts the identity contract on the rows that actually trained:
-// zero-weight rows are dropped before growth, making them held-out rows
-// for which the two modes' thresholds (node-local midpoints vs global bin
-// midpoints) may legitimately route differently.
-void ExpectIdenticalOnTrain(const Dataset& train, const DecisionTree& exact,
-                            const DecisionTree& hist,
+bool Trains(const std::vector<double>& weights, size_t r) {
+  return weights.empty() || weights[r] > 0.0;
+}
+
+// Replays growth through a fitted engine tree: each training row follows
+// its split values, and rows missing the split feature join the child that
+// got the most rows, as they did while the tree grew. Returns each training
+// row's leaf (-1 for rows that did not train).
+std::vector<int> TrainingLeaves(const DecisionTree& tree, const Matrix& x,
+                                const std::vector<double>& weights) {
+  std::vector<int> leaf(x.rows(), -1);
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < x.rows(); ++r) {
+    if (Trains(weights, r)) rows.push_back(r);
+  }
+  std::vector<std::pair<int, std::vector<size_t>>> stack = {{0, rows}};
+  while (!stack.empty()) {
+    auto [index, at] = std::move(stack.back());
+    stack.pop_back();
+    const DecisionTree::Node& node = tree.nodes()[static_cast<size_t>(index)];
+    if (node.leaf()) {
+      for (size_t r : at) leaf[r] = index;
+      continue;
+    }
+    std::vector<std::vector<size_t>> parts(
+        static_cast<size_t>(node.num_children));
+    std::vector<size_t> missing;
+    for (size_t r : at) {
+      const int b = DecisionTree::Branch(node, x(r, node.feature));
+      (b < 0 ? missing : parts[static_cast<size_t>(b)]).push_back(r);
+    }
+    size_t heaviest = 0;
+    for (size_t c = 1; c < parts.size(); ++c) {
+      if (parts[c].size() > parts[heaviest].size()) heaviest = c;
+    }
+    parts[heaviest].insert(parts[heaviest].end(), missing.begin(),
+                           missing.end());
+    for (size_t c = 0; c < parts.size(); ++c) {
+      stack.emplace_back(node.first_child + static_cast<int>(c),
+                         std::move(parts[c]));
+    }
+  }
+  return leaf;
+}
+
+// Two leaf labelings describe the same partition of the training rows iff
+// the leaf ids correspond one-to-one.
+void ExpectSamePartition(const std::vector<int>& expected,
+                         const std::vector<int>& got) {
+  std::map<int, int> forward;
+  std::map<int, int> backward;
+  for (size_t r = 0; r < expected.size(); ++r) {
+    ASSERT_EQ(expected[r] < 0, got[r] < 0) << "row " << r;
+    if (expected[r] < 0) continue;
+    const auto [f, new_f] = forward.emplace(expected[r], got[r]);
+    const auto [b, new_b] = backward.emplace(got[r], expected[r]);
+    ASSERT_EQ(f->second, got[r]) << "row " << r << " split off its leaf";
+    ASSERT_EQ(b->second, expected[r]) << "row " << r << " joined a leaf";
+  }
+}
+
+// Asserts the identity contract for one engine tree: same training-row
+// partition, node count and depth as the reference, and the same
+// prediction for every row that trained.
+void ExpectMatchesReference(const Dataset& train, const ReferenceTree& ref,
+                            const DecisionTree& tree,
                             const std::vector<double>& weights = {}) {
-  EXPECT_EQ(exact.NumLeaves(), hist.NumLeaves());
-  EXPECT_EQ(exact.Depth(), hist.Depth());
+  EXPECT_EQ(tree.NumNodes(), ref.NumNodes());
+  EXPECT_EQ(tree.Depth(), ref.Depth());
   const Matrix x = train.ToRawMatrix();
-  const std::vector<int> pe = Predictions(exact, x);
-  const std::vector<int> ph = Predictions(hist, x);
+  std::vector<int> ref_leaves(x.rows(), -1);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    if (Trains(weights, r)) ref_leaves[r] = ref.TrainingLeaf(r);
+  }
+  ExpectSamePartition(ref_leaves, TrainingLeaves(tree, x, weights));
+  const std::vector<int> pe = Predictions(ref, x);
+  const std::vector<int> pt = Predictions(tree, x);
   for (size_t r = 0; r < pe.size(); ++r) {
-    if (!weights.empty() && weights[r] <= 0.0) continue;
-    ASSERT_EQ(pe[r], ph[r]) << "row " << r;
+    if (!Trains(weights, r)) continue;
+    ASSERT_EQ(pe[r], pt[r]) << "row " << r;
+  }
+}
+
+void ExpectBothSourcesMatchReference(const Dataset& train, const Fits& fits,
+                                     const std::vector<double>& weights = {}) {
+  {
+    SCOPED_TRACE("node-local bins");
+    ExpectMatchesReference(train, fits.reference, fits.local, weights);
+  }
+  {
+    SCOPED_TRACE("shared view");
+    ExpectMatchesReference(train, fits.reference, fits.view, weights);
   }
 }
 
 // Randomized oracle sweep: every criterion, with and without multiway
 // categorical splits, missing values, categorical columns, and pruning.
-// Lossless bins + unit weights => the histogram tree must match exact
-// growth on every training prediction.
+// Lossless bins + unit weights => both bin sources must grow the
+// reference tree.
 TEST(TreeHistogramTest, LosslessGridOracleAcrossConfigs) {
   const TreeCriterion criteria[] = {TreeCriterion::kGini,
                                     TreeCriterion::kEntropy,
@@ -144,8 +229,8 @@ TEST(TreeHistogramTest, LosslessGridOracleAcrossConfigs) {
             } else {
               options.min_impurity_decrease = 0.001;  // Exercise cp gate.
             }
-            const auto [exact, hist] = FitPair(train, {}, options);
-            ExpectIdenticalOnTrain(train, exact, hist);
+            ExpectBothSourcesMatchReference(train,
+                                            FitAll(train, {}, options));
           }
         }
       }
@@ -166,18 +251,18 @@ TEST(TreeHistogramTest, IntegerBootstrapWeightsMatchExact) {
   options.max_depth = 14;
   options.min_split = 4;
   options.min_leaf = 2;
-  const auto [exact, hist] = FitPair(train, weights, options);
-  ExpectIdenticalOnTrain(train, exact, hist, weights);
+  ExpectBothSourcesMatchReference(train, FitAll(train, weights, options),
+                                  weights);
 }
 
-// Missing values + non-uniform weights break the per-row identity by
-// design: the training partition routes missing rows to the child with
-// more ROWS, while predict time follows majority_child (heaviest by
-// WEIGHT). When those disagree a missing row strays off its training path
-// at predict time, and for a strayed (effectively held-out) row the two
-// modes' thresholds — node-local midpoints vs global bin midpoints — may
-// legitimately route it differently. Structure stays identical (gains are
-// still bit-equal integer sums); predictions only promise closeness.
+// Missing values + non-uniform weights: the training partition routes
+// missing rows to the child with more ROWS, while predict time follows
+// majority_child (heaviest by WEIGHT). When those disagree a missing row
+// strays off its training path at predict time, and for a strayed
+// (effectively held-out) row the view's global bin midpoints may route it
+// differently from the reference's node-local midpoints. Growth is still
+// identical (gains are bit-equal integer sums), so the training-row
+// partition, node count and depth match for both sources.
 TEST(TreeHistogramTest, IntegerWeightsWithMissingKeepStructure) {
   const Dataset train = GridDataset(7, 0.05, 2);
   Rng rng(99);
@@ -189,17 +274,12 @@ TEST(TreeHistogramTest, IntegerWeightsWithMissingKeepStructure) {
   options.max_depth = 14;
   options.min_split = 4;
   options.min_leaf = 2;
-  const auto [exact, hist] = FitPair(train, weights, options);
-  EXPECT_EQ(exact.NumLeaves(), hist.NumLeaves());
-  EXPECT_EQ(exact.Depth(), hist.Depth());
-  const Matrix x = train.ToRawMatrix();
-  const double acc_exact = Accuracy(Predictions(exact, x), train.labels());
-  const double acc_hist = Accuracy(Predictions(hist, x), train.labels());
-  EXPECT_NEAR(acc_exact, acc_hist, 0.05);
+  ExpectBothSourcesMatchReference(train, FitAll(train, weights, options),
+                                  weights);
 }
 
-// Feature subsampling draws from the tree RNG in the same per-node order in
-// both modes, so identical structure implies identical subsets and the
+// Feature subsampling draws from the tree RNG in the same per-node order as
+// the reference, so identical structure implies identical subsets and the
 // identity survives mtry < d.
 TEST(TreeHistogramTest, MtrySubsetMatchesExact) {
   const Dataset train = GridDataset(11, 0.0, 1);
@@ -209,12 +289,12 @@ TEST(TreeHistogramTest, MtrySubsetMatchesExact) {
   options.min_leaf = 2;
   options.mtry = 2;
   options.seed = 5;
-  const auto [exact, hist] = FitPair(train, {}, options);
-  ExpectIdenticalOnTrain(train, exact, hist);
+  ExpectBothSourcesMatchReference(train, FitAll(train, {}, options));
 }
 
-// Fractional weights change floating-point summation order between the two
-// modes, so only closeness is promised.
+// Fractional weights: per-bin sums add the same weights in a different
+// order than the reference's row-by-row scan, so only closeness is
+// promised.
 TEST(TreeHistogramTest, FractionalWeightsStayClose) {
   const Dataset train = GridDataset(13, 0.0, 0);
   Rng rng(3);
@@ -224,16 +304,20 @@ TEST(TreeHistogramTest, FractionalWeightsStayClose) {
   options.max_depth = 12;
   options.min_split = 4;
   options.min_leaf = 2;
-  const auto [exact, hist] = FitPair(train, weights, options);
+  const Fits fits = FitAll(train, weights, options);
   const Matrix x = train.ToRawMatrix();
-  const double acc_exact = Accuracy(Predictions(exact, x), train.labels());
-  const double acc_hist = Accuracy(Predictions(hist, x), train.labels());
-  EXPECT_NEAR(acc_exact, acc_hist, 0.05);
+  const double acc_ref =
+      Accuracy(Predictions(fits.reference, x), train.labels());
+  EXPECT_NEAR(acc_ref, Accuracy(Predictions(fits.local, x), train.labels()),
+              0.05);
+  EXPECT_NEAR(acc_ref, Accuracy(Predictions(fits.view, x), train.labels()),
+              0.05);
 }
 
 // Continuous columns with thousands of distinct values force real quantile
-// binning (lossless = false); the histogram tree must stay within a small
-// train-accuracy band of the exact tree.
+// binning (lossless = false); the view-grown tree must stay within a small
+// train-accuracy band of the reference, while node-local bins (one per
+// distinct value) still grow the reference tree exactly.
 TEST(TreeHistogramTest, QuantileBinnedColumnsStayClose) {
   SyntheticSpec spec;
   spec.num_instances = 3000;
@@ -256,17 +340,20 @@ TEST(TreeHistogramTest, QuantileBinnedColumnsStayClose) {
   options.max_depth = 14;
   options.min_split = 40;
   options.min_leaf = 20;
-  const auto [exact, hist] = FitPair(train, {}, options);
+  const Fits fits = FitAll(train, {}, options);
+  ExpectMatchesReference(train, fits.reference, fits.local);
   const Matrix x = train.ToRawMatrix();
-  const double acc_exact = Accuracy(Predictions(exact, x), train.labels());
-  const double acc_hist = Accuracy(Predictions(hist, x), train.labels());
-  EXPECT_GT(acc_exact, 0.6);
-  EXPECT_NEAR(acc_exact, acc_hist, 0.05);
+  const double acc_ref =
+      Accuracy(Predictions(fits.reference, x), train.labels());
+  EXPECT_GT(acc_ref, 0.6);
+  EXPECT_NEAR(acc_ref, Accuracy(Predictions(fits.view, x), train.labels()),
+              0.05);
 }
 
 // Categorical cardinality above 255 cannot be represented in uint8 bin
-// codes; histogram mode must silently fall back to exact growth, making the
-// trees identical by construction.
+// codes; a tree handed such a view must silently use node-local bins,
+// growing the reference tree and predicting exactly like a tree given no
+// view at all.
 TEST(TreeHistogramTest, HighCardinalityCategoricalFallsBackToExact) {
   const size_t kCard = 300;
   const size_t kRows = 600;
@@ -292,8 +379,10 @@ TEST(TreeHistogramTest, HighCardinalityCategoricalFallsBackToExact) {
   TreeOptions options;
   options.max_depth = 10;
   options.multiway_categorical = true;
-  const auto [exact, hist] = FitPair(train, {}, options);
-  ExpectIdenticalOnTrain(train, exact, hist);
+  const Fits fits = FitAll(train, {}, options);
+  ExpectBothSourcesMatchReference(train, fits);
+  const Matrix x = train.ToRawMatrix();
+  EXPECT_EQ(Predictions(fits.view, x), Predictions(fits.local, x));
 }
 
 // A pre-built binned view whose shape disagrees with the training matrix is
@@ -308,7 +397,6 @@ TEST(TreeHistogramTest, MismatchedBinnedViewRejected) {
 
   DecisionTree tree;
   TreeOptions options;
-  options.split_mode = TreeSplitMode::kHistogram;
   const Status status = tree.Fit(
       big.ToRawMatrix(), TreeSchema::FromDataset(big), big.labels(),
       static_cast<int>(big.NumClasses()), {}, options, small.Binned());
@@ -325,7 +413,6 @@ TEST(TreeHistogramTest, ConcurrentBinnedViewSharing) {
   const TreeSchema schema = TreeSchema::FromDataset(train);
   const int k = static_cast<int>(train.NumClasses());
   TreeOptions options;
-  options.split_mode = TreeSplitMode::kHistogram;
   options.max_depth = 12;
   options.min_split = 4;
   options.min_leaf = 2;

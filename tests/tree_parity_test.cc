@@ -1,0 +1,199 @@
+// Learner-level parity for the tree engine: every tree-based learner's
+// PredictProba output, and the four landmarking meta-features, are pinned
+// as checksums of their exact IEEE-754 bit patterns. The expected values
+// were recorded from the two-grower engine that preceded the single
+// split scan (exact and histogram growth as separate code paths, per-node
+// child/count vectors, three tree walks); any drift in a gain, threshold,
+// tie-break, leaf count or vote summation order changes a checksum.
+//
+// Two fixed synthetic tables: one all-numeric with more than 255 distinct
+// values per column (so the shared view is quantile-binned), one with
+// categorical columns and missing cells. Each is checked at 1 and 8 threads.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/common/thread_pool.h"
+#include "src/data/dataset.h"
+#include "src/data/synthetic.h"
+#include "src/metafeatures/landmarking.h"
+#include "src/ml/registry.h"
+
+namespace smartml {
+namespace {
+
+// FNV-1a over the bit pattern of every double, row-major.
+uint64_t HashBits(const std::vector<std::vector<double>>& rows) {
+  uint64_t h = 1469598103934665603ull;
+  for (const auto& row : rows) {
+    for (double v : row) {
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+Dataset NumericTable() {
+  SyntheticSpec spec;
+  spec.num_instances = 600;
+  spec.num_informative = 6;
+  spec.num_noise = 2;
+  spec.num_classes = 3;
+  spec.clusters_per_class = 2;
+  spec.class_sep = 1.2;
+  spec.label_noise = 0.05;
+  spec.seed = 101;
+  return GenerateSynthetic(spec);
+}
+
+Dataset CategoricalTable() {
+  SyntheticSpec spec;
+  spec.num_instances = 400;
+  spec.num_informative = 4;
+  spec.num_noise = 2;
+  spec.num_categorical = 3;
+  spec.categorical_cardinality = 5;
+  spec.num_classes = 3;
+  spec.clusters_per_class = 2;
+  spec.class_sep = 1.2;
+  spec.label_noise = 0.05;
+  spec.missing_fraction = 0.1;
+  spec.seed = 202;
+  return GenerateSynthetic(spec);
+}
+
+struct Learner {
+  std::string label;
+  std::string algorithm;
+  ParamConfig config;
+};
+
+std::vector<Learner> Learners() {
+  std::vector<Learner> out;
+  auto add = [&](std::string label, std::string algorithm) -> ParamConfig& {
+    ParamConfig config = SpaceFor(algorithm).value().DefaultConfig();
+    out.push_back({std::move(label), std::move(algorithm), std::move(config)});
+    return out.back().config;
+  };
+  add("j48", "j48");
+  add("c50_boosted", "c50").SetInt("trials", 8);
+  {
+    ParamConfig& c = add("c50_winnowed", "c50");
+    c.SetChoice("winnow", "yes");
+    c.SetInt("trials", 4);
+    c.SetDouble("CF", 0.05);
+  }
+  add("part", "part");
+  add("rpart", "rpart").SetDouble("cp", 0.002);
+  add("bagging", "bagging").SetInt("nbagg", 12);
+  add("random_forest", "random_forest").SetInt("ntree", 30);
+  add("deepboost", "deepboost").SetInt("num_iter", 12);
+  add("lmt", "lmt");
+  return out;
+}
+
+struct Expected {
+  std::string label;
+  uint64_t checksum;
+};
+
+// Fits each learner on the first 70% of rows, predicts every row (so both
+// training and held-out routing are covered) and compares checksums.
+void CheckTable(const Dataset& data, const std::vector<Expected>& expected,
+                const std::vector<uint64_t>& expected_landmarks) {
+  std::vector<size_t> train_rows;
+  for (size_t r = 0; r < data.NumRows() * 7 / 10; ++r) train_rows.push_back(r);
+  const Dataset train = data.Subset(train_rows);
+  const std::vector<Learner> learners = Learners();
+  ASSERT_EQ(learners.size(), expected.size());
+
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    ScopedPoolScope scope(pool.get());
+    for (size_t i = 0; i < learners.size(); ++i) {
+      const Learner& l = learners[i];
+      SCOPED_TRACE(l.label);
+      ASSERT_EQ(l.label, expected[i].label);
+      auto model = CreateClassifier(l.algorithm);
+      ASSERT_TRUE(model.ok());
+      ASSERT_TRUE(model.value()->Fit(train, l.config).ok());
+      auto proba = model.value()->PredictProba(data);
+      ASSERT_TRUE(proba.ok());
+      const uint64_t got = HashBits(proba.value());
+      EXPECT_EQ(got, expected[i].checksum)
+          << l.label << " got 0x" << std::hex << got;
+    }
+    auto lm = ExtractLandmarkers(data);
+    ASSERT_TRUE(lm.ok());
+    for (size_t k = 0; k < kNumLandmarkers; ++k) {
+      EXPECT_EQ(Bits(lm.value()[k]), expected_landmarks[k])
+          << LandmarkerNames()[k] << " got 0x" << std::hex
+          << Bits(lm.value()[k]) << " (" << lm.value()[k] << ")";
+    }
+  }
+}
+
+TEST(TreeParityTest, NumericTableOverTwoHundredFiftyFiveDistinctValues) {
+  const Dataset data = NumericTable();
+  const auto binned = data.Binned();
+  for (size_t f = 0; f < binned->num_features(); ++f) {
+    ASSERT_FALSE(binned->column(f).lossless) << "feature " << f;
+  }
+  CheckTable(data,
+             {{"j48", 0x4f63304a8a0fb34dull},
+              {"c50_boosted", 0x1b0ee58e2c0079c3ull},
+              {"c50_winnowed", 0xe2533e6fc3d9f096ull},
+              {"part", 0x8a9d6763d639a3bbull},
+              {"rpart", 0x69936a491f9052d3ull},
+              {"bagging", 0x684779ebabd45626ull},
+              {"random_forest", 0x19e7250f97ba29d3ull},
+              {"deepboost", 0x8d507a0b109b59b5ull},
+              {"lmt", 0x550c8244e50d7626ull}},
+             {0x3fe3a06d3a06d3a0ull, 0x3fe999999999999aull, 0x3fdd0369d0369d03ull,
+              0x3feae147ae147ae1ull});
+}
+
+TEST(TreeParityTest, CategoricalTableWithMissingCells) {
+  const Dataset data = CategoricalTable();
+  size_t categorical = 0;
+  size_t missing = 0;
+  for (size_t f = 0; f < data.NumFeatures(); ++f) {
+    categorical += data.feature(f).is_categorical();
+    for (double v : data.feature(f).values) missing += IsMissing(v);
+  }
+  ASSERT_GT(categorical, 0u);
+  ASSERT_GT(missing, 0u);
+  CheckTable(data,
+             {{"j48", 0x6c81cc0419f35812ull},
+              {"c50_boosted", 0x443cc52ec50c5e8cull},
+              {"c50_winnowed", 0x78ad03592ce01f7eull},
+              {"part", 0xe8dae4ada175e7caull},
+              {"rpart", 0x52126bc03f2f345eull},
+              {"bagging", 0xb386f3e59755a76dull},
+              {"random_forest", 0x2405c877c8506445ull},
+              {"deepboost", 0xeec968e9b1303bcdull},
+              {"lmt", 0xe335f8346a1a81c0ull}},
+             {0x3fe79435e50d7943ull, 0x3febca1af286bca2ull, 0x3fe21af286bca1afull,
+              0x3fe9435e50d79436ull});
+}
+
+}  // namespace
+}  // namespace smartml

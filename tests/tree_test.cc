@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
@@ -191,7 +192,8 @@ TEST(TreeTest, MissingValuesRoutedAtPredictTime) {
   const double row[2] = {kNaN, kNaN};
   const int pred = tree.PredictRow(row);
   EXPECT_TRUE(pred == 0 || pred == 1);  // Must not crash, returns a class.
-  const auto proba = tree.PredictProbaRow(row);
+  std::vector<double> proba(2, 0.0);
+  tree.AddLeafProba(tree.LeafIndexForRow(row), 1.0, proba.data());
   EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-9);
 }
 
@@ -315,13 +317,13 @@ TEST(TreeTest, AdjacentDoubleValuesStillSplit) {
   x(2, 0) = hi;
   x(3, 0) = hi;
   const std::vector<int> y = {0, 0, 1, 1};
-  for (TreeSplitMode mode :
-       {TreeSplitMode::kExact, TreeSplitMode::kHistogram}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    TreeOptions options;
-    options.split_mode = mode;
+  const auto view = std::make_shared<const BinnedColumns>(
+      BinnedColumns::FromMatrix(x, {false}, {0}));
+  for (const auto& binned : {std::shared_ptr<const BinnedColumns>(), view}) {
+    SCOPED_TRACE(binned ? "view" : "node-local");
     DecisionTree tree;
-    ASSERT_TRUE(tree.Fit(x, schema_all_numeric(), y, 2, {}, options).ok());
+    ASSERT_TRUE(
+        tree.Fit(x, schema_all_numeric(), y, 2, {}, {}, binned).ok());
     EXPECT_EQ(tree.NumLeaves(), 2u);
     for (size_t r = 0; r < 4; ++r) {
       EXPECT_EQ(tree.PredictRow(x.RowPtr(r)), y[r]) << "row " << r;
