@@ -44,7 +44,7 @@ std::string OracleBest(const Dataset& dataset,
     auto objective =
         ClassifierObjective::Create(**model, split->train, 2, 42);
     if (!objective.ok()) continue;
-    SearchOptions search;
+    TunerOptions search;
     search.max_evaluations = 10;
     search.seed = 42;
     auto tuned = RandomSearch(*space, objective->get(), search);

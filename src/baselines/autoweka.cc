@@ -140,31 +140,25 @@ StatusOr<CashResult> RunAutoWekaBaseline(const Dataset& dataset,
       CashObjective::Create(algorithms, split.train, options.cv_folds,
                             options.seed));
 
+  TunerOptions tuner_options;
+  tuner_options.deadline = Deadline::After(options.time_budget_seconds);
+  tuner_options.max_evaluations =
+      options.max_evaluations > 0 ? options.max_evaluations : 1000000;
+  tuner_options.seed = options.seed;
   TunedResult tuned;
   if (options.optimizer == CashOptions::Optimizer::kSmac) {
     SmacOptions smac_options;
-    smac_options.deadline = Deadline::After(options.time_budget_seconds);
-    smac_options.max_evaluations =
-        options.max_evaluations > 0 ? options.max_evaluations : 1000000;
-    smac_options.seed = options.seed;
+    static_cast<TunerOptions&>(smac_options) = tuner_options;
     SMARTML_ASSIGN_OR_RETURN(tuned, Smac(joint, objective.get(),
                                          smac_options));
   } else if (options.optimizer == CashOptions::Optimizer::kGenetic) {
     GeneticOptions genetic_options;
-    genetic_options.deadline = Deadline::After(options.time_budget_seconds);
-    genetic_options.max_evaluations =
-        options.max_evaluations > 0 ? options.max_evaluations : 1000000;
-    genetic_options.seed = options.seed;
+    static_cast<TunerOptions&>(genetic_options) = tuner_options;
     SMARTML_ASSIGN_OR_RETURN(
         tuned, GeneticSearch(joint, objective.get(), genetic_options));
   } else {
-    SearchOptions search_options;
-    search_options.deadline = Deadline::After(options.time_budget_seconds);
-    search_options.max_evaluations =
-        options.max_evaluations > 0 ? options.max_evaluations : 1000000;
-    search_options.seed = options.seed;
     SMARTML_ASSIGN_OR_RETURN(
-        tuned, RandomSearch(joint, objective.get(), search_options));
+        tuned, RandomSearch(joint, objective.get(), tuner_options));
   }
 
   CashResult result;

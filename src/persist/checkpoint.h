@@ -4,9 +4,9 @@
 // (SMAC, genetic, random search) periodically serialize their search state
 // through it so a run interrupted by a crash or restart can continue from
 // the last checkpoint instead of starting over. The sink is deliberately
-// dumb — put/get/remove — so the serialization format stays owned by each
-// tuner and the store can be swapped (file-backed in the server, in-memory
-// in tests).
+// dumb — put/get/remove — so the serialization format stays with the
+// tuners (tuning/checkpoint_codec.h) and the store can be swapped
+// (file-backed in the server, in-memory in tests).
 //
 // FileCheckpointStore follows the PR 3 crash-safety discipline: every Put
 // writes a tmp file, fsyncs, and renames into place, and every blob carries

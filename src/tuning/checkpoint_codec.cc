@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/logging.h"
+#include "src/persist/checkpoint.h"
+
 namespace smartml {
 
 std::string CkptDouble(double v) {
@@ -109,6 +112,89 @@ bool CkptReadConfig(std::istringstream* in, ParamConfig* out) {
     }
   }
   return true;
+}
+
+bool CkptExpect(std::istringstream* in, const char* tag) {
+  std::string token;
+  return (*in >> token) && token == tag;
+}
+
+void CkptAppendHeader(const char* header, const Rng& rng, int evaluations_left,
+                      std::ostringstream* out) {
+  const std::array<uint64_t, 4> state = rng.State();
+  *out << header << "\nrng " << state[0] << ' ' << state[1] << ' '
+       << state[2] << ' ' << state[3] << "\nleft " << evaluations_left
+       << '\n';
+}
+
+bool CkptReadHeader(std::istringstream* in, const char* header,
+                    std::array<uint64_t, 4>* rng_state, int* evaluations_left) {
+  std::string line;
+  std::array<uint64_t, 4>& w = *rng_state;
+  return std::getline(*in, line) && line == header && CkptExpect(in, "rng") &&
+         (*in >> w[0] >> w[1] >> w[2] >> w[3]) && CkptExpect(in, "left") &&
+         (*in >> *evaluations_left);
+}
+
+void CkptAppendTrajectory(const std::vector<double>& trajectory,
+                          std::ostringstream* out) {
+  *out << "traj " << trajectory.size();
+  for (const double v : trajectory) *out << ' ' << CkptDouble(v);
+  *out << '\n';
+}
+
+bool CkptReadTrajectory(std::istringstream* in, std::vector<double>* out) {
+  size_t n = 0;
+  if (!CkptExpect(in, "traj") || !(*in >> n) || n > 100000000) return false;
+  out->resize(n);
+  std::string token;
+  for (double& v : *out) {
+    if (!(*in >> token) || !CkptParseDouble(token, &v)) return false;
+  }
+  return true;
+}
+
+void CkptAppendResult(const TunedResult& result, std::ostringstream* out) {
+  *out << "best " << CkptDouble(result.best_cost) << ' '
+       << result.num_evaluations << '\n';
+  CkptAppendConfig(result.best_config, out);
+  CkptAppendTrajectory(result.trajectory, out);
+}
+
+bool CkptReadResult(std::istringstream* in, TunedResult* out) {
+  *out = TunedResult();
+  out->resumed = true;
+  std::string token;
+  return CkptExpect(in, "best") && (*in >> token) &&
+         CkptParseDouble(token, &out->best_cost) &&
+         (*in >> out->num_evaluations) &&
+         CkptReadConfig(in, &out->best_config) &&
+         CkptReadTrajectory(in, &out->trajectory);
+}
+
+std::optional<std::string> CkptGet(const char* tuner,
+                                   const TunerOptions& options) {
+  if (options.checkpoint == nullptr || options.checkpoint_key.empty()) {
+    return std::nullopt;
+  }
+  StatusOr<std::string> blob = options.checkpoint->Get(options.checkpoint_key);
+  if (blob.ok()) return std::move(*blob);
+  if (blob.status().code() != StatusCode::kNotFound) {
+    SMARTML_LOG_WARN << tuner << ": checkpoint unreadable ("
+                     << blob.status().ToString() << ") -- starting fresh";
+  }
+  return std::nullopt;
+}
+
+void CkptPut(const char* tuner, const TunerOptions& options,
+             const std::function<std::string()>& serialize) {
+  if (options.checkpoint == nullptr || options.checkpoint_key.empty()) return;
+  const Status status =
+      options.checkpoint->Put(options.checkpoint_key, serialize());
+  if (!status.ok()) {
+    SMARTML_LOG_WARN << tuner << ": checkpoint write failed ("
+                     << status.ToString() << ") -- continuing un-saved";
+  }
 }
 
 }  // namespace smartml

@@ -1,8 +1,10 @@
-// Token-stream codec for tuner checkpoint blobs.
+// Token-stream codec for tuner checkpoint blobs, plus the checkpoint I/O
+// every tuner shares.
 //
-// The three tuners (SMAC, random search, genetic) serialize their search
-// state into whitespace-separated token streams. Two requirements shape the
-// format:
+// The three checkpointing tuners (SMAC, random search, genetic) build their
+// blobs from the stanzas below: the same header, `rng` and `left` lines
+// open every blob, then each tuner's own state and a closing "end". Two
+// requirements shape the format:
 //
 //   1. Exactness. Resume must be bit-identical for SMAC's deterministic EI
 //      path, so doubles are encoded as C99 hexfloats ("%a") which round-trip
@@ -15,10 +17,15 @@
 #ifndef SMARTML_TUNING_CHECKPOINT_CODEC_H_
 #define SMARTML_TUNING_CHECKPOINT_CODEC_H_
 
+#include <array>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "src/tuning/param_space.h"
+#include "src/common/rng.h"
+#include "src/tuning/objective.h"
 
 namespace smartml {
 
@@ -42,6 +49,42 @@ void CkptAppendConfig(const ParamConfig& config, std::ostringstream* out);
 
 /// Reads a CkptAppendConfig stanza from `in`. False on any mismatch.
 bool CkptReadConfig(std::istringstream* in, ParamConfig* out);
+
+/// Reads one token from `in`. False unless it equals `tag`.
+bool CkptExpect(std::istringstream* in, const char* tag);
+
+/// Appends "<header>\nrng <w0> <w1> <w2> <w3>\nleft <n>\n"; `header` names
+/// the format and its version ("smac-ckpt 1").
+void CkptAppendHeader(const char* header, const Rng& rng, int evaluations_left,
+                      std::ostringstream* out);
+
+/// Reads a CkptAppendHeader block whose first line is exactly `header`.
+bool CkptReadHeader(std::istringstream* in, const char* header,
+                    std::array<uint64_t, 4>* rng_state, int* evaluations_left);
+
+/// Appends "traj <n> <v1> ... <vn>\n".
+void CkptAppendTrajectory(const std::vector<double>& trajectory,
+                          std::ostringstream* out);
+
+/// Reads a CkptAppendTrajectory stanza.
+bool CkptReadTrajectory(std::istringstream* in, std::vector<double>* out);
+
+/// Appends "best <cost> <num_evaluations>\n", then the best config's and
+/// the trajectory's stanzas.
+void CkptAppendResult(const TunedResult& result, std::ostringstream* out);
+
+/// Reads a CkptAppendResult block into a fresh TunedResult marked resumed.
+bool CkptReadResult(std::istringstream* in, TunedResult* out);
+
+/// The blob under options.checkpoint_key; nullopt when checkpointing is
+/// off, nothing is stored, or the store reports it unreadable (logged).
+std::optional<std::string> CkptGet(const char* tuner,
+                                   const TunerOptions& options);
+
+/// Stores serialize() under options.checkpoint_key when checkpointing is
+/// on. A failed write is logged and the run goes on unsaved.
+void CkptPut(const char* tuner, const TunerOptions& options,
+             const std::function<std::string()>& serialize);
 
 }  // namespace smartml
 

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/obs/metrics.h"
-#include "src/persist/checkpoint.h"
 #include "src/tuning/checkpoint_codec.h"
 #include "src/tuning/parallel_eval.h"
 
@@ -26,22 +25,15 @@ struct Individual {
 // The GA's checkpoint blob: RNG stream, remaining budget, best-so-far,
 // fitness cache and the current population. Saved at every generation
 // boundary; restored (all-or-nothing) before the first one.
+constexpr char kGaHeader[] = "ga-ckpt 1";
+
 std::string SerializeGaState(const Rng& rng, int evaluations_left,
                              const TunedResult& result,
                              const std::map<std::string, double>& cache,
                              const std::vector<Individual>& population) {
   std::ostringstream out;
-  out << "ga-ckpt 1\n";
-  const std::array<uint64_t, 4> state = rng.State();
-  out << "rng " << state[0] << ' ' << state[1] << ' ' << state[2] << ' '
-      << state[3] << '\n';
-  out << "left " << evaluations_left << '\n';
-  out << "best " << CkptDouble(result.best_cost) << ' '
-      << result.num_evaluations << '\n';
-  CkptAppendConfig(result.best_config, &out);
-  out << "traj " << result.trajectory.size();
-  for (const double v : result.trajectory) out << ' ' << CkptDouble(v);
-  out << '\n';
+  CkptAppendHeader(kGaHeader, rng, evaluations_left, &out);
+  CkptAppendResult(result, &out);
   out << "cache " << cache.size() << '\n';
   for (const auto& [key, fitness] : cache) {
     out << CkptToken(key) << ' ' << CkptDouble(fitness) << '\n';
@@ -60,68 +52,41 @@ bool RestoreGaState(const std::string& blob, Rng* rng, int* evaluations_left,
                     TunedResult* result, std::map<std::string, double>* cache,
                     std::vector<Individual>* population) {
   std::istringstream in(blob);
-  std::string tag, token;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "ga-ckpt" || version != 1) {
-    return false;
-  }
   std::array<uint64_t, 4> state{};
-  if (!(in >> tag) || tag != "rng") return false;
-  for (uint64_t& word : state) {
-    if (!(in >> word)) return false;
-  }
   int left = 0;
-  if (!(in >> tag >> left) || tag != "left") return false;
   TunedResult restored;
-  if (!(in >> tag >> token) || tag != "best" ||
-      !CkptParseDouble(token, &restored.best_cost) ||
-      !(in >> restored.num_evaluations)) {
-    return false;
-  }
-  if (!CkptReadConfig(&in, &restored.best_config)) return false;
-  size_t n_traj = 0;
-  if (!(in >> tag >> n_traj) || tag != "traj" || n_traj > 100000000) {
-    return false;
-  }
-  restored.trajectory.resize(n_traj);
-  for (double& v : restored.trajectory) {
-    if (!(in >> token) || !CkptParseDouble(token, &v)) return false;
-  }
   size_t n_cache = 0;
-  if (!(in >> tag >> n_cache) || tag != "cache" || n_cache > 10000000) {
+  if (!CkptReadHeader(&in, kGaHeader, &state, &left) ||
+      !CkptReadResult(&in, &restored) || !CkptExpect(&in, "cache") ||
+      !(in >> n_cache) || n_cache > 10000000) {
     return false;
   }
   std::map<std::string, double> restored_cache;
+  std::string token;
   for (size_t i = 0; i < n_cache; ++i) {
     std::string key_token, key;
-    double fitness = 0.0;
     if (!(in >> key_token >> token) || !CkptParseToken(key_token, &key) ||
-        !CkptParseDouble(token, &fitness)) {
+        !CkptParseDouble(token, &restored_cache[key])) {
       return false;
     }
-    restored_cache[key] = fitness;
   }
   size_t n_pop = 0;
-  if (!(in >> tag >> n_pop) || tag != "population" || n_pop > 1000000) {
+  if (!CkptExpect(&in, "population") || !(in >> n_pop) || n_pop > 1000000) {
     return false;
   }
-  std::vector<Individual> restored_pop;
-  restored_pop.reserve(n_pop);
-  for (size_t i = 0; i < n_pop; ++i) {
-    Individual individual;
+  std::vector<Individual> restored_pop(n_pop);
+  for (Individual& individual : restored_pop) {
     int evaluated = 0;
-    if (!(in >> tag >> token >> evaluated) || tag != "ind" ||
-        !CkptParseDouble(token, &individual.fitness)) {
+    if (!CkptExpect(&in, "ind") || !(in >> token >> evaluated) ||
+        !CkptParseDouble(token, &individual.fitness) ||
+        !CkptReadConfig(&in, &individual.config)) {
       return false;
     }
     individual.evaluated = evaluated != 0;
-    if (!CkptReadConfig(&in, &individual.config)) return false;
-    restored_pop.push_back(std::move(individual));
   }
-  if (!(in >> tag) || tag != "end") return false;
+  if (!CkptExpect(&in, "end")) return false;
   rng->SetState(state);
   *evaluations_left = left;
-  restored.resumed = true;
   *result = std::move(restored);
   *cache = std::move(restored_cache);
   *population = std::move(restored_pop);
@@ -156,15 +121,11 @@ ParamConfig Crossover(const ParamSpace& space, const ParamConfig& a,
 StatusOr<TunedResult> GeneticSearch(const ParamSpace& space,
                                     TuningObjective* objective,
                                     const GeneticOptions& options) {
-  if (objective == nullptr || objective->NumFolds() == 0) {
-    return Status::InvalidArgument(
-        "genetic: objective with >= 1 fold required");
-  }
+  SMARTML_RETURN_NOT_OK(CheckObjective("genetic", objective));
   Rng rng(options.seed);
   int evaluations_left = options.max_evaluations;
 
   TunedResult result;
-  result.best_cost = 2.0;
   result.best_config = space.DefaultConfig();
 
   // Fitness cache so re-discovered genomes don't burn budget.
@@ -173,31 +134,19 @@ StatusOr<TunedResult> GeneticSearch(const ParamSpace& space,
   // Initial population: seeds, the default, then random samples.
   std::vector<Individual> population;
   for (const ParamConfig& config : options.initial_configs) {
-    Individual individual;
-    individual.config = space.Repair(config);
-    population.push_back(std::move(individual));
+    population.push_back({space.Repair(config)});
   }
-  {
-    Individual individual;
-    individual.config = space.DefaultConfig();
-    population.push_back(std::move(individual));
-  }
+  population.push_back({space.DefaultConfig()});
   while (population.size() < static_cast<size_t>(std::max(
                                  2, options.population_size))) {
-    Individual individual;
-    individual.config = space.Sample(&rng);
-    population.push_back(std::move(individual));
+    population.push_back({space.Sample(&rng)});
   }
 
-  const bool use_checkpoint =
-      options.checkpoint != nullptr && !options.checkpoint_key.empty();
-  if (use_checkpoint) {
-    auto blob = options.checkpoint->Get(options.checkpoint_key);
-    if (blob.ok() && RestoreGaState(*blob, &rng, &evaluations_left, &result,
-                                    &cache, &population)) {
-      SMARTML_LOG_INFO << "genetic: resumed from checkpoint ("
-                       << result.num_evaluations << " evaluations done)";
-    }
+  const std::optional<std::string> blob = CkptGet("genetic", options);
+  if (blob && RestoreGaState(*blob, &rng, &evaluations_left, &result, &cache,
+                             &population)) {
+    SMARTML_LOG_INFO << "genetic: resumed from checkpoint ("
+                     << result.num_evaluations << " evaluations done)";
   }
 
   auto tournament = [&]() -> const Individual& {
@@ -213,92 +162,49 @@ StatusOr<TunedResult> GeneticSearch(const ParamSpace& space,
 
   const size_t total_folds = objective->NumFolds();
   while (evaluations_left > 0 && !options.deadline.Expired()) {
-    if (options.cancel != nullptr && options.cancel->IsCancelled()) {
-      return Status::Cancelled("genetic: run cancelled");
-    }
-    if (use_checkpoint) {
-      (void)options.checkpoint->Put(
-          options.checkpoint_key,
-          SerializeGaState(rng, evaluations_left, result, cache, population));
-    }
+    CkptPut("genetic", options, [&] {
+      return SerializeGaState(rng, evaluations_left, result, cache,
+                              population);
+    });
 
-    // Plan (sequential): walk the population in order, reserving fold tasks
-    // for every individual the historical loop would have evaluated —
-    // skipping cache hits, duplicates planned earlier this generation, and
-    // anything past the evaluation budget.
+    // Plan: walk the population in order and batch every individual the
+    // historical loop would have evaluated — skipping scored individuals,
+    // cache hits and duplicates planned earlier this generation — until the
+    // budget is spoken for.
     std::vector<ParamConfig> batch;
-    std::vector<FoldTask> tasks;
-    std::vector<size_t> first_task(population.size(), 0);
-    std::vector<size_t> task_count(population.size(), 0);
     std::set<std::string> planned;
-    int sim_left = evaluations_left;
-    for (size_t i = 0; i < population.size() && sim_left > 0; ++i) {
-      const Individual& individual = population[i];
+    int unplanned = evaluations_left;
+    for (Individual& individual : population) {
+      if (unplanned <= 0) break;
       if (individual.evaluated) continue;
-      const std::string key = individual.config.ToString();
-      if (cache.count(key) != 0 || planned.count(key) != 0) continue;
-      const size_t folds_to_plan =
-          std::min(total_folds, static_cast<size_t>(sim_left));
-      first_task[i] = tasks.size();
-      task_count[i] = folds_to_plan;
-      const size_t config_index = batch.size();
+      std::string key = individual.config.ToString();
+      if (cache.count(key) != 0 || !planned.insert(std::move(key)).second) {
+        continue;
+      }
       batch.push_back(individual.config);
-      for (size_t f = 0; f < folds_to_plan; ++f) {
-        tasks.push_back({config_index, f});
-      }
-      sim_left -= static_cast<int>(folds_to_plan);
-      if (folds_to_plan == total_folds) planned.insert(key);
+      unplanned -= static_cast<int>(total_folds);
     }
 
-    // Evaluate (parallel across the run's pool).
-    StatusOr<std::vector<double>> costs_or =
-        EvaluateFoldTasks(objective, batch, tasks, options.cancel.get());
-    if (!costs_or.ok()) {
-      if (costs_or.status().code() == StatusCode::kCancelled) {
-        return Status::Cancelled("genetic: run cancelled");
-      }
-      return costs_or.status();
-    }
-    const std::vector<double>& costs = *costs_or;
+    SMARTML_ASSIGN_OR_RETURN(
+        const std::vector<double> fitness,
+        EvaluateBatch("genetic", objective, batch, options.cancel.get(),
+                      &evaluations_left, &result));
+    if (evaluations_left <= 0 || options.deadline.Expired()) break;
 
-    // Replay (sequential): feed the costs through the original bookkeeping
-    // in population order so budget, cache, incumbent, and trajectory
-    // evolve exactly as in the fold-by-fold loop.
-    for (size_t i = 0; i < population.size(); ++i) {
-      if (evaluations_left <= 0) break;
-      Individual& individual = population[i];
+    // With budget left every batched config was scored on all folds: cache
+    // them, then give every unscored individual its cached fitness — the
+    // batched ones, their same-generation duplicates and older cache hits.
+    for (size_t b = 0; b < batch.size(); ++b) {
+      cache[batch[b].ToString()] = fitness[b];
+    }
+    for (Individual& individual : population) {
       if (individual.evaluated) continue;
-      const std::string key = individual.config.ToString();
-      auto it = cache.find(key);
+      const auto it = cache.find(individual.config.ToString());
       if (it != cache.end()) {
         individual.fitness = it->second;
         individual.evaluated = true;
-        continue;
-      }
-      double total = 0.0;
-      size_t folds = 0;
-      for (size_t f = 0; f < task_count[i]; ++f) {
-        --evaluations_left;
-        ++result.num_evaluations;
-        total += costs[first_task[i] + f];
-        ++folds;
-        result.trajectory.push_back(result.best_cost > 1.5 ? 1.0
-                                                           : result.best_cost);
-      }
-      if (folds == 0) continue;  // Budget ran dry mid-generation.
-      individual.fitness = total / static_cast<double>(folds);
-      individual.evaluated = folds == total_folds;
-      if (individual.evaluated) cache[key] = individual.fitness;
-      if ((individual.evaluated || result.best_cost > 1.5) &&
-          individual.fitness < result.best_cost) {
-        result.best_cost = individual.fitness;
-        result.best_config = individual.config;
-        if (!result.trajectory.empty()) {
-          result.trajectory.back() = result.best_cost;
-        }
       }
     }
-    if (evaluations_left <= 0 || options.deadline.Expired()) break;
 
     // Next generation: elites + offspring.
     std::sort(population.begin(), population.end(),
@@ -314,27 +220,24 @@ StatusOr<TunedResult> GeneticSearch(const ParamSpace& space,
     while (next.size() < population.size()) {
       ParamConfig child;
       if (rng.Bernoulli(options.crossover_rate)) {
-        child = Crossover(space, tournament().config, tournament().config,
-                          &rng);
+        // Parents drawn second-parent first: the order GCC's right-to-left
+        // argument evaluation gave the historical
+        // Crossover(space, tournament(), tournament(), &rng) call, kept so
+        // seeded runs reproduce.
+        const ParamConfig& second = tournament().config;
+        const ParamConfig& first = tournament().config;
+        child = Crossover(space, first, second, &rng);
       } else {
         child = tournament().config;
       }
       if (rng.Bernoulli(options.mutation_rate)) {
         child = space.Neighbor(child, &rng);
       }
-      Individual individual;
-      individual.config = space.Repair(child);
-      next.push_back(std::move(individual));
+      next.push_back({space.Repair(child)});
     }
     population = std::move(next);
   }
-
-  if (result.best_cost > 1.0) result.best_cost = 1.0;
-  static Counter* evaluations = GlobalMetrics().GetCounter(
-      "smartml_tuner_evaluations_total", "Fold evaluations spent per tuner.",
-      {{"tuner", "genetic"}});
-  evaluations->Increment(result.num_evaluations);
-  return result;
+  return FinishTuning("genetic", std::move(result));
 }
 
 }  // namespace smartml

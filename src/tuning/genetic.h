@@ -9,38 +9,21 @@
 #ifndef SMARTML_TUNING_GENETIC_H_
 #define SMARTML_TUNING_GENETIC_H_
 
-#include <memory>
-#include <string>
-
-#include "src/common/cancellation.h"
-#include "src/common/stopwatch.h"
 #include "src/tuning/objective.h"
 #include "src/tuning/param_space.h"
 
 namespace smartml {
 
-struct GeneticOptions {
-  /// Budget in fold-evaluations (shared currency with the other tuners).
-  int max_evaluations = 100;
-  /// Graceful wall-clock limit: expiry returns the best-so-far individual.
-  Deadline deadline;
-  /// Cooperative cancel token: checked before every fold evaluation; when
-  /// set the search aborts with Status::Cancelled.
-  std::shared_ptr<CancelToken> cancel;
-  uint64_t seed = 1;
+/// The shared TunerOptions plus the GA's own knobs. initial_configs seed
+/// the first population; with checkpoint set, the search snapshots its RNG
+/// stream, budget, population, fitness cache and best-so-far at every
+/// generation boundary.
+struct GeneticOptions : TunerOptions {
   int population_size = 12;
   int tournament_size = 3;
   double crossover_rate = 0.7;
   double mutation_rate = 0.3;
   int elite = 2;  ///< Individuals copied unchanged into the next generation.
-  /// Seed configurations injected into the initial population.
-  std::vector<ParamConfig> initial_configs;
-  /// Optional checkpoint store (persist/checkpoint.h): the search snapshots
-  /// its RNG stream, budget, population, fitness cache and best-so-far at
-  /// every generation boundary and resumes from an existing snapshot.
-  /// Non-owning; nullptr disables checkpointing.
-  CheckpointSink* checkpoint = nullptr;
-  std::string checkpoint_key;
 };
 
 /// Runs the GA on `objective`, minimizing mean fold cost.

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/cancellation.h"
 #include "src/common/status.h"
 #include "src/data/dataset.h"
 #include "src/data/split.h"
@@ -86,6 +87,29 @@ struct TunedResult {
   /// True when the search continued from a CheckpointSink snapshot instead
   /// of starting fresh (see persist/checkpoint.h).
   bool resumed = false;
+};
+
+/// What every tuner takes. SmacOptions and GeneticOptions derive from it
+/// and add only their own knobs; random and grid search take it as is.
+struct TunerOptions {
+  /// Budget in fold-evaluations (each config costs up to NumFolds() evals).
+  int max_evaluations = 100;
+  /// Optional wall-clock limit (infinite by default). Expiry is graceful:
+  /// the tuner returns the best configuration so far.
+  Deadline deadline;
+  /// Optional cooperative cancel token, checked before every fold
+  /// evaluation. Cancellation is an abort: Status::Cancelled, no result.
+  std::shared_ptr<CancelToken> cancel;
+  uint64_t seed = 1;
+  /// Warm-start configurations (SmartML fills these from the knowledge
+  /// base), evaluated before any the tuner proposes itself.
+  std::vector<ParamConfig> initial_configs;
+  /// Optional checkpoint store (persist/checkpoint.h): the tuner snapshots
+  /// its search state under `checkpoint_key` at every step boundary and
+  /// resumes from an existing snapshot (tuning/checkpoint_codec.h).
+  /// Non-owning; nullptr disables checkpointing.
+  CheckpointSink* checkpoint = nullptr;
+  std::string checkpoint_key;
 };
 
 }  // namespace smartml

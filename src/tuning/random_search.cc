@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <sstream>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/obs/metrics.h"
-#include "src/persist/checkpoint.h"
 #include "src/tuning/checkpoint_codec.h"
 #include "src/tuning/parallel_eval.h"
 
@@ -17,102 +17,18 @@ namespace smartml {
 
 namespace {
 
-Counter* TunerEvaluationsCounter(const char* tuner) {
-  return GlobalMetrics().GetCounter("smartml_tuner_evaluations_total",
-                                    "Fold evaluations spent per tuner.",
-                                    {{"tuner", tuner}});
-}
-
-// Configurations evaluated per batch: one per participant in the run's
-// thread pool (1 when the run is sequential). Batch size only affects
-// grouping, never which (config, fold) pairs get evaluated, so results are
-// identical at any thread count for evaluation-capped runs.
-size_t BatchConfigs() {
-  ThreadPool* pool = CurrentThreadPool();
-  return pool == nullptr ? 1 : static_cast<size_t>(pool->num_workers()) + 1;
-}
-
-// Sequential bookkeeping for one config whose fold costs were computed in
-// the parallel phase — a faithful replay of the historical fold-by-fold
-// loop, applied in planning order.
-void ReplayConfig(const ParamConfig& config, const double* costs,
-                  size_t folds_evaluated, size_t total_folds,
-                  TunedResult* result, int* evaluations_left) {
-  double total = 0.0;
-  size_t folds = 0;
-  for (size_t f = 0; f < folds_evaluated; ++f) {
-    --*evaluations_left;
-    total += costs[f];
-    ++folds;
-    ++result->num_evaluations;
-    result->trajectory.push_back(result->best_cost);
-  }
-  if (folds == 0) return;
-  const double mean = total / static_cast<double>(folds);
-  // Only accept configs measured on the full fold set, unless nothing has
-  // been accepted yet.
-  if ((folds == total_folds || result->trajectory.empty() ||
-       result->best_cost > 1.0) &&
-      mean < result->best_cost) {
-    result->best_cost = mean;
-    result->best_config = config;
-    if (!result->trajectory.empty()) result->trajectory.back() = mean;
-  }
-}
-
-// Plans the batch's fold tasks (truncated at the evaluation budget),
-// evaluates them across the run's pool, and replays the bookkeeping in
-// order. Callers check the deadline between batches.
-Status EvaluateBatch(const std::vector<ParamConfig>& batch,
-                     TuningObjective* objective, const SearchOptions& options,
-                     TunedResult* result, int* evaluations_left) {
-  const size_t total_folds = objective->NumFolds();
-  std::vector<FoldTask> tasks;
-  std::vector<size_t> folds_per_config(batch.size(), 0);
-  int budget = *evaluations_left;
-  for (size_t c = 0; c < batch.size() && budget > 0; ++c) {
-    for (size_t f = 0; f < total_folds && budget > 0; ++f) {
-      tasks.push_back({c, f});
-      ++folds_per_config[c];
-      --budget;
-    }
-  }
-  StatusOr<std::vector<double>> costs_or =
-      EvaluateFoldTasks(objective, batch, tasks, options.cancel.get());
-  if (!costs_or.ok()) {
-    if (costs_or.status().code() == StatusCode::kCancelled) {
-      return Status::Cancelled("search: run cancelled");
-    }
-    return costs_or.status();
-  }
-  const std::vector<double>& costs = *costs_or;
-  size_t t = 0;
-  for (size_t c = 0; c < batch.size(); ++c) {
-    ReplayConfig(batch[c], costs.data() + t, folds_per_config[c], total_folds,
-                 result, evaluations_left);
-    t += folds_per_config[c];
-  }
-  return Status::OK();
-}
-
 // Random search's checkpoint blob: RNG stream, remaining budget, seed
 // cursor, and the best-so-far result. Saved at every batch boundary;
 // restored (all-or-nothing) before the first one.
+constexpr char kSearchHeader[] = "search-ckpt 1";
+
 std::string SerializeSearchState(const Rng& rng, int evaluations_left,
                                  size_t next_seed, const TunedResult& result) {
   std::ostringstream out;
-  out << "search-ckpt 1\n";
-  const std::array<uint64_t, 4> state = rng.State();
-  out << "rng " << state[0] << ' ' << state[1] << ' ' << state[2] << ' '
-      << state[3] << '\n';
-  out << "left " << evaluations_left << '\n';
+  CkptAppendHeader(kSearchHeader, rng, evaluations_left, &out);
   out << "seedcursor " << next_seed << '\n';
-  out << "best " << CkptDouble(result.best_cost) << ' '
-      << result.num_evaluations << '\n';
-  CkptAppendConfig(result.best_config, &out);
-  out << "traj " << result.trajectory.size();
-  for (const double v : result.trajectory) out << ' ' << CkptDouble(v);
-  out << "\nend\n";
+  CkptAppendResult(result, &out);
+  out << "end\n";
   return out.str();
 }
 
@@ -120,55 +36,69 @@ bool RestoreSearchState(const std::string& blob, Rng* rng,
                         int* evaluations_left, size_t* next_seed,
                         TunedResult* result) {
   std::istringstream in(blob);
-  std::string tag, token;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "search-ckpt" || version != 1) {
-    return false;
-  }
   std::array<uint64_t, 4> state{};
-  if (!(in >> tag) || tag != "rng") return false;
-  for (uint64_t& word : state) {
-    if (!(in >> word)) return false;
-  }
   int left = 0;
-  if (!(in >> tag >> left) || tag != "left") return false;
   size_t cursor = 0;
-  if (!(in >> tag >> cursor) || tag != "seedcursor") return false;
   TunedResult restored;
-  if (!(in >> tag >> token) || tag != "best" ||
-      !CkptParseDouble(token, &restored.best_cost) ||
-      !(in >> restored.num_evaluations)) {
+  if (!CkptReadHeader(&in, kSearchHeader, &state, &left) ||
+      !CkptExpect(&in, "seedcursor") || !(in >> cursor) ||
+      !CkptReadResult(&in, &restored) || !CkptExpect(&in, "end")) {
     return false;
   }
-  if (!CkptReadConfig(&in, &restored.best_config)) return false;
-  size_t n_traj = 0;
-  if (!(in >> tag >> n_traj) || tag != "traj" || n_traj > 100000000) {
-    return false;
-  }
-  restored.trajectory.resize(n_traj);
-  for (double& v : restored.trajectory) {
-    if (!(in >> token) || !CkptParseDouble(token, &v)) return false;
-  }
-  if (!(in >> tag) || tag != "end") return false;
   rng->SetState(state);
   *evaluations_left = left;
   *next_seed = cursor;
-  restored.resumed = true;
   *result = std::move(restored);
   return true;
+}
+
+// The loop random and grid search share: batches of one config per
+// participant in the run's thread pool (1 when the run is sequential),
+// pulled from `next_config` until it returns false, the budget is spent or
+// the deadline passes. Batch size only affects grouping, never which
+// (config, fold) pairs get evaluated, so results are identical at any
+// thread count for evaluation-capped runs. `serialize`, when set, is
+// checkpointed at every batch boundary.
+StatusOr<TunedResult> SearchLoop(
+    const char* tuner, TuningObjective* objective, const TunerOptions& options,
+    const std::function<bool(ParamConfig*)>& next_config,
+    const std::function<std::string(int, const TunedResult&)>& serialize,
+    int evaluations_left, TunedResult result) {
+  ThreadPool* pool = CurrentThreadPool();
+  const size_t batch_configs =
+      pool == nullptr ? 1 : static_cast<size_t>(pool->num_workers()) + 1;
+  const size_t folds = objective->NumFolds();
+  bool more = true;
+  while (more && evaluations_left > 0 && !options.deadline.Expired()) {
+    if (serialize) {
+      CkptPut(tuner, options,
+              [&] { return serialize(evaluations_left, result); });
+    }
+    std::vector<ParamConfig> batch;
+    ParamConfig config;
+    while (batch.size() < batch_configs &&
+           batch.size() * folds < static_cast<size_t>(evaluations_left) &&
+           (more = next_config(&config))) {
+      batch.push_back(std::move(config));
+    }
+    SMARTML_RETURN_NOT_OK(EvaluateBatch(tuner, objective, batch,
+                                        options.cancel.get(),
+                                        &evaluations_left, &result)
+                              .status());
+  }
+  return FinishTuning(tuner, std::move(result));
 }
 
 }  // namespace
 
 StatusOr<TunedResult> RandomSearch(const ParamSpace& space,
                                    TuningObjective* objective,
-                                   const SearchOptions& options) {
+                                   const TunerOptions& options) {
+  SMARTML_RETURN_NOT_OK(CheckObjective("random", objective));
   TunedResult result;
-  result.best_cost = 2.0;  // Sentinel above any real cost.
   result.best_config = space.DefaultConfig();
   int evaluations_left = options.max_evaluations;
   Rng rng(options.seed);
-  const size_t folds = std::max<size_t>(1, objective->NumFolds());
 
   // Deterministic config stream: warm-start configs first, then the
   // default, then random draws. Drawing never depends on evaluation
@@ -178,52 +108,31 @@ StatusOr<TunedResult> RandomSearch(const ParamSpace& space,
   seeds.push_back(space.DefaultConfig());
   size_t next_seed = 0;
 
-  const bool use_checkpoint =
-      options.checkpoint != nullptr && !options.checkpoint_key.empty();
-  if (use_checkpoint) {
-    auto blob = options.checkpoint->Get(options.checkpoint_key);
-    if (blob.ok() &&
-        RestoreSearchState(*blob, &rng, &evaluations_left, &next_seed,
-                           &result)) {
-      SMARTML_LOG_INFO << "random search: resumed from checkpoint ("
-                       << result.num_evaluations << " evaluations done)";
-    }
+  const std::optional<std::string> blob = CkptGet("random", options);
+  if (blob && RestoreSearchState(*blob, &rng, &evaluations_left, &next_seed,
+                                 &result)) {
+    SMARTML_LOG_INFO << "random: resumed from checkpoint ("
+                     << result.num_evaluations << " evaluations done)";
   }
-
-  const size_t batch_configs = BatchConfigs();
-  while (evaluations_left > 0 && !options.deadline.Expired()) {
-    if (options.cancel != nullptr && options.cancel->IsCancelled()) {
-      return Status::Cancelled("search: run cancelled");
-    }
-    if (use_checkpoint) {
-      (void)options.checkpoint->Put(
-          options.checkpoint_key,
-          SerializeSearchState(rng, evaluations_left, next_seed, result));
-    }
-    std::vector<ParamConfig> batch;
-    size_t planned = 0;
-    while (planned < static_cast<size_t>(evaluations_left) &&
-           batch.size() < batch_configs) {
-      batch.push_back(next_seed < seeds.size()
-                          ? space.Repair(seeds[next_seed++])
-                          : space.Sample(&rng));
-      planned += folds;
-    }
-    SMARTML_RETURN_NOT_OK(
-        EvaluateBatch(batch, objective, options, &result, &evaluations_left));
-  }
-  if (result.best_cost > 1.0) result.best_cost = 1.0;
-  static Counter* evaluations = TunerEvaluationsCounter("random");
-  evaluations->Increment(result.num_evaluations);
-  return result;
+  return SearchLoop(
+      "random", objective, options,
+      [&](ParamConfig* config) {
+        *config = next_seed < seeds.size() ? space.Repair(seeds[next_seed++])
+                                           : space.Sample(&rng);
+        return true;
+      },
+      [&](int left, const TunedResult& so_far) {
+        return SerializeSearchState(rng, left, next_seed, so_far);
+      },
+      evaluations_left, std::move(result));
 }
 
 StatusOr<TunedResult> GridSearch(const ParamSpace& space,
                                  TuningObjective* objective,
-                                 const SearchOptions& options,
+                                 const TunerOptions& options,
                                  int points_per_numeric) {
+  SMARTML_RETURN_NOT_OK(CheckObjective("grid", objective));
   // Build per-parameter level lists.
-  std::vector<std::vector<ParamConfig>> dimensions;  // Partial assignments.
   std::vector<ParamConfig> grid;
   grid.emplace_back();
   const int levels = std::max(2, points_per_numeric);
@@ -240,18 +149,15 @@ StatusOr<TunedResult> GridSearch(const ParamSpace& space,
           break;
         case ParamType::kDouble:
         case ParamType::kInt: {
+          const auto scale = [&](double v) {
+            return spec.log_scale ? std::log(std::max(v, 1e-12)) : v;
+          };
+          const double lo = scale(spec.min_value), hi = scale(spec.max_value);
           for (int level = 0; level < levels; ++level) {
             const double frac =
                 static_cast<double>(level) / static_cast<double>(levels - 1);
-            double lo = spec.min_value, hi = spec.max_value;
-            double v;
-            if (spec.log_scale) {
-              lo = std::log(std::max(lo, 1e-12));
-              hi = std::log(std::max(hi, 1e-12));
-              v = std::exp(lo + frac * (hi - lo));
-            } else {
-              v = lo + frac * (hi - lo);
-            }
+            const double x = lo + frac * (hi - lo);
+            const double v = spec.log_scale ? std::exp(x) : x;
             ParamConfig next = partial;
             if (spec.type == ParamType::kInt) {
               next.SetInt(spec.name, static_cast<int64_t>(std::llround(v)));
@@ -271,29 +177,16 @@ StatusOr<TunedResult> GridSearch(const ParamSpace& space,
   }
 
   TunedResult result;
-  result.best_cost = 2.0;
   result.best_config = space.DefaultConfig();
-  int evaluations_left = options.max_evaluations;
-  const size_t folds = std::max<size_t>(1, objective->NumFolds());
-  const size_t batch_configs = BatchConfigs();
   size_t next = 0;
-  while (next < grid.size() && evaluations_left > 0 &&
-         !options.deadline.Expired()) {
-    std::vector<ParamConfig> batch;
-    size_t planned = 0;
-    while (next < grid.size() &&
-           planned < static_cast<size_t>(evaluations_left) &&
-           batch.size() < batch_configs) {
-      batch.push_back(space.Repair(grid[next++]));
-      planned += folds;
-    }
-    SMARTML_RETURN_NOT_OK(
-        EvaluateBatch(batch, objective, options, &result, &evaluations_left));
-  }
-  if (result.best_cost > 1.0) result.best_cost = 1.0;
-  static Counter* evaluations = TunerEvaluationsCounter("grid");
-  evaluations->Increment(result.num_evaluations);
-  return result;
+  return SearchLoop(
+      "grid", objective, options,
+      [&](ParamConfig* config) {
+        if (next == grid.size()) return false;
+        *config = space.Repair(grid[next++]);
+        return true;
+      },
+      nullptr, options.max_evaluations, std::move(result));
 }
 
 }  // namespace smartml

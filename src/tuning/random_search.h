@@ -3,49 +3,26 @@
 #ifndef SMARTML_TUNING_RANDOM_SEARCH_H_
 #define SMARTML_TUNING_RANDOM_SEARCH_H_
 
-#include <memory>
-#include <string>
-
-#include "src/common/cancellation.h"
-#include "src/common/stopwatch.h"
 #include "src/tuning/objective.h"
 #include "src/tuning/param_space.h"
 
 namespace smartml {
 
-struct SearchOptions {
-  /// Budget in fold-evaluations (each config costs NumFolds() evals).
-  int max_evaluations = 100;
-  /// Optional wall-clock limit (infinite by default). Expiry is graceful:
-  /// the search stops and returns the best configuration so far.
-  Deadline deadline;
-  /// Optional cooperative cancel token: checked before every fold
-  /// evaluation; when set the search aborts with Status::Cancelled.
-  std::shared_ptr<CancelToken> cancel;
-  uint64_t seed = 1;
-  /// Configurations to evaluate before any sampled ones (warm start).
-  std::vector<ParamConfig> initial_configs;
-  /// Optional checkpoint store (persist/checkpoint.h): RandomSearch
-  /// snapshots its RNG stream, budget, seed cursor and best-so-far at every
-  /// batch boundary and resumes from an existing snapshot. Non-owning;
-  /// nullptr disables checkpointing. (GridSearch ignores these — its config
-  /// stream is position-determined, so a re-run is already deterministic.)
-  CheckpointSink* checkpoint = nullptr;
-  std::string checkpoint_key;
-};
-
 /// Uniform random search over the space; every config is scored on all folds
-/// (no racing).
+/// (no racing). Warm starts come first, then the default, then uniform
+/// draws. Checkpoints its RNG stream, budget, seed cursor and best-so-far
+/// at every batch boundary when options.checkpoint is set.
 StatusOr<TunedResult> RandomSearch(const ParamSpace& space,
                                    TuningObjective* objective,
-                                   const SearchOptions& options);
+                                   const TunerOptions& options);
 
 /// Full-factorial grid search with `points_per_numeric` levels per numeric
 /// parameter (categoricals enumerate their choices). Stops early when the
-/// evaluation budget or deadline runs out.
+/// evaluation budget or deadline runs out. Ignores options.initial_configs
+/// and options.checkpoint.
 StatusOr<TunedResult> GridSearch(const ParamSpace& space,
                                  TuningObjective* objective,
-                                 const SearchOptions& options,
+                                 const TunerOptions& options,
                                  int points_per_numeric = 4);
 
 }  // namespace smartml

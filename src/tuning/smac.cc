@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "src/common/distributions.h"
@@ -14,8 +15,8 @@
 #include "src/data/binned_columns.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_events.h"
-#include "src/persist/checkpoint.h"
 #include "src/tuning/checkpoint_codec.h"
+#include "src/tuning/parallel_eval.h"
 
 namespace smartml {
 
@@ -168,7 +169,6 @@ namespace {
 // Resolved once against the global registry (stable pointers, atomic
 // updates), so concurrent SMAC runs in the job-manager pool never contend.
 struct SmacMetrics {
-  Counter* evaluations = nullptr;
   Counter* incumbent_improvements = nullptr;
   Histogram* surrogate_fit_seconds = nullptr;
 
@@ -176,9 +176,6 @@ struct SmacMetrics {
     static const SmacMetrics metrics = [] {
       MetricsRegistry& registry = GlobalMetrics();
       SmacMetrics m;
-      m.evaluations = registry.GetCounter(
-          "smartml_tuner_evaluations_total",
-          "Fold evaluations spent per tuner.", {{"tuner", "smac"}});
       m.incumbent_improvements = registry.GetCounter(
           "smartml_tuner_incumbent_improvements_total",
           "Times a challenger displaced the incumbent.", {{"tuner", "smac"}});
@@ -251,7 +248,7 @@ class SmacRun {
     // Main loop. The snapshot at the loop top means a crash mid-iteration
     // redoes at most one iteration on resume.
     while (!Exhausted()) {
-      SaveCheckpoint();
+      CkptPut("smac", options_, [this] { return SerializeState(); });
       // Deepen the incumbent by one fold when possible (intensification).
       if (incumbent_ != kNone &&
           records_[incumbent_].folds_evaluated < objective_->NumFolds()) {
@@ -277,7 +274,7 @@ class SmacRun {
                                                  evaluations_left_);
     result.trajectory = std::move(trajectory_);
     result.resumed = resumed;
-    return result;
+    return FinishTuning("smac", std::move(result));
   }
 
  private:
@@ -287,23 +284,15 @@ class SmacRun {
     return evaluations_left_ <= 0 || options_.deadline.Expired();
   }
 
-  bool CheckpointEnabled() const {
-    return options_.checkpoint != nullptr && !options_.checkpoint_key.empty();
-  }
+  static constexpr char kHeader[] = "smac-ckpt 1";
 
   std::string SerializeState() const {
     std::ostringstream out;
-    out << "smac-ckpt 1\n";
-    const std::array<uint64_t, 4> state = rng_.State();
-    out << "rng " << state[0] << ' ' << state[1] << ' ' << state[2] << ' '
-        << state[3] << '\n';
-    out << "left " << evaluations_left_ << '\n';
+    CkptAppendHeader(kHeader, rng_, evaluations_left_, &out);
     out << "incumbent "
         << (incumbent_ == kNone ? -1 : static_cast<long long>(incumbent_))
         << '\n';
-    out << "traj " << trajectory_.size();
-    for (const double v : trajectory_) out << ' ' << CkptDouble(v);
-    out << '\n';
+    CkptAppendTrajectory(trajectory_, &out);
     out << "records " << records_.size() << '\n';
     for (const ConfigRecord& record : records_) {
       out << "rec " << record.folds_evaluated;
@@ -317,80 +306,45 @@ class SmacRun {
     return out.str();
   }
 
-  void SaveCheckpoint() const {
-    if (!CheckpointEnabled()) return;
-    const Status status =
-        options_.checkpoint->Put(options_.checkpoint_key, SerializeState());
-    if (!status.ok()) {
-      SMARTML_LOG_WARN << "smac: checkpoint write failed ("
-                       << status.ToString() << ") -- continuing un-saved";
-    }
-  }
-
   /// Restores the run from an existing checkpoint. Any parse failure (or a
   /// corrupt blob caught by the store's crc) leaves the run untouched and
   /// returns false — a fresh start is always safe, resuming from a
   /// half-read state never is, so nothing is committed until the whole blob
   /// parsed.
   bool TryRestoreCheckpoint() {
-    if (!CheckpointEnabled()) return false;
-    auto blob = options_.checkpoint->Get(options_.checkpoint_key);
-    if (!blob.ok()) {
-      if (blob.status().code() != StatusCode::kNotFound) {
-        SMARTML_LOG_WARN << "smac: checkpoint unreadable ("
-                         << blob.status().ToString() << ") -- starting fresh";
-      }
-      return false;
-    }
+    const std::optional<std::string> blob = CkptGet("smac", options_);
+    if (!blob) return false;
     std::istringstream in(*blob);
-    std::string tag, token;
-    int version = 0;
-    if (!(in >> tag >> version) || tag != "smac-ckpt" || version != 1) {
-      return false;
-    }
     std::array<uint64_t, 4> rng_state{};
-    if (!(in >> tag) || tag != "rng") return false;
-    for (uint64_t& word : rng_state) {
-      if (!(in >> word)) return false;
-    }
     int left = 0;
-    if (!(in >> tag >> left) || tag != "left") return false;
     long long incumbent = -1;
-    if (!(in >> tag >> incumbent) || tag != "incumbent") return false;
-    size_t n_traj = 0;
-    if (!(in >> tag >> n_traj) || tag != "traj" || n_traj > 100000000) {
-      return false;
-    }
-    std::vector<double> trajectory(n_traj);
-    for (double& v : trajectory) {
-      if (!(in >> token) || !CkptParseDouble(token, &v)) return false;
-    }
+    std::vector<double> trajectory;
     size_t n_records = 0;
-    if (!(in >> tag >> n_records) || tag != "records" || n_records > 10000000) {
+    if (!CkptReadHeader(&in, kHeader, &rng_state, &left) ||
+        !CkptExpect(&in, "incumbent") || !(in >> incumbent) ||
+        !CkptReadTrajectory(&in, &trajectory) || !CkptExpect(&in, "records") ||
+        !(in >> n_records) || n_records > 10000000) {
       return false;
     }
     const size_t num_folds = objective_->NumFolds();
-    std::vector<ConfigRecord> records;
-    records.reserve(n_records);
-    for (size_t i = 0; i < n_records; ++i) {
+    std::vector<ConfigRecord> records(n_records);
+    std::string token;
+    for (ConfigRecord& record : records) {
       size_t folds = 0;
-      if (!(in >> tag >> folds) || tag != "rec" || folds > num_folds) {
+      if (!CkptExpect(&in, "rec") || !(in >> folds) || folds > num_folds) {
         return false;
       }
-      ConfigRecord record;
       record.fold_costs.assign(num_folds,
                                std::numeric_limits<double>::quiet_NaN());
       for (size_t f = 0; f < folds; ++f) {
-        double cost = 0.0;
+        double& cost = record.fold_costs[f];
         if (!(in >> token) || !CkptParseDouble(token, &cost)) return false;
-        record.fold_costs[f] = cost;
         record.cost_sum += cost;  // Same accumulation order as the live run.
       }
       record.folds_evaluated = folds;
       if (!CkptReadConfig(&in, &record.config)) return false;
-      records.push_back(std::move(record));
     }
-    if (!(in >> tag) || tag != "end") return false;
+    if (!CkptExpect(&in, "end")) return false;
     if (incumbent >= 0 && static_cast<size_t>(incumbent) >= records.size()) {
       return false;
     }
@@ -438,7 +392,6 @@ class SmacRun {
     record.cost_sum += cost;
     ++record.folds_evaluated;
     --evaluations_left_;
-    SmacMetrics::Get().evaluations->Increment();
     trajectory_.push_back(incumbent_ == kNone
                               ? 1.0
                               : records_[incumbent_].MeanCost());
@@ -612,9 +565,7 @@ class SmacRun {
 
 StatusOr<TunedResult> Smac(const ParamSpace& space, TuningObjective* objective,
                            const SmacOptions& options) {
-  if (objective == nullptr || objective->NumFolds() == 0) {
-    return Status::InvalidArgument("smac: objective with >= 1 fold required");
-  }
+  SMARTML_RETURN_NOT_OK(CheckObjective("smac", objective));
   SmacRun run(space, objective, options);
   return run.Run();
 }

@@ -12,13 +12,9 @@
 #ifndef SMARTML_TUNING_SMAC_H_
 #define SMARTML_TUNING_SMAC_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "src/common/cancellation.h"
 #include "src/common/rng.h"
-#include "src/common/stopwatch.h"
 #include "src/linalg/matrix.h"
 #include "src/tuning/objective.h"
 #include "src/tuning/param_space.h"
@@ -71,20 +67,15 @@ class RegressionForest {
   size_t dim_ = 0;
 };
 
-struct SmacOptions {
-  /// Total budget in fold-evaluations.
-  int max_evaluations = 120;
-  /// Optional wall-clock limit. Expiry is graceful: the run stops starting
-  /// new fold evaluations and returns the best configuration so far.
-  Deadline deadline;
-  /// Optional cooperative cancel token. Cancellation is an abort: checked
-  /// before every fold evaluation, and the run returns Status::Cancelled
-  /// instead of a result.
-  std::shared_ptr<CancelToken> cancel;
-  uint64_t seed = 1;
-  /// Warm-start configurations (SmartML fills these from the knowledge
-  /// base); evaluated before model-based search begins.
-  std::vector<ParamConfig> initial_configs;
+/// The shared TunerOptions plus SMAC's own knobs. The budget defaults to
+/// 120 fold evaluations. initial_configs are evaluated before model-based
+/// search begins. With checkpoint set, the run snapshots its full search
+/// state (RNG stream, evaluated configs, fold costs, incumbent, trajectory)
+/// at the top of every iteration; the continuation is bit-identical to an
+/// uninterrupted run because the objective is deterministic per (config,
+/// fold) and doubles round-trip exactly.
+struct SmacOptions : TunerOptions {
+  SmacOptions() { max_evaluations = 120; }
   /// Random candidates scored by EI per iteration.
   int ei_candidates = 400;
   /// Local-search neighbours explored around the top EI points.
@@ -95,15 +86,6 @@ struct SmacOptions {
   /// round-robin random interleaving for worst-case coverage).
   int random_interleave = 2;
   RegressionForest::Options forest;
-  /// Optional checkpoint store (persist/checkpoint.h). When set, the run
-  /// snapshots its full search state (RNG stream, evaluated configs, fold
-  /// costs, incumbent, trajectory) under `checkpoint_key` at the top of
-  /// every iteration, and on start restores from an existing snapshot —
-  /// the continuation is bit-identical to an uninterrupted run because the
-  /// objective is deterministic per (config, fold) and doubles round-trip
-  /// exactly. Non-owning; nullptr disables checkpointing.
-  CheckpointSink* checkpoint = nullptr;
-  std::string checkpoint_key;
 };
 
 /// Runs SMAC on `objective`, minimizing mean fold cost.

@@ -2,8 +2,7 @@
 // survive being torn down and rebuilt — terminal jobs stay pollable,
 // never-started jobs re-queue in submission order, cancellations land
 // terminal, idempotency keys keep working — and the tuners must resume from
-// their checkpoints bit-identically (SMAC) or at least losslessly for the
-// incumbent (random search, genetic).
+// their checkpoints bit-identically (SMAC, random search, genetic).
 //
 // ThreadSanitizer-friendly: one worker at most, and every cross-restart
 // assertion waits on JobManager::Wait (or polls NumRunning) rather than
@@ -462,7 +461,7 @@ TEST(RecoveryTest, SmacResumeIsBitIdentical) {
 
 TEST(RecoveryTest, RandomSearchResumeMatchesUninterruptedRun) {
   const ParamSpace space = BowlSpace();
-  SearchOptions base;
+  TunerOptions base;
   base.max_evaluations = 30;
   base.seed = 11;
 
@@ -475,7 +474,7 @@ TEST(RecoveryTest, RandomSearchResumeMatchesUninterruptedRun) {
     BowlObjective objective;
     auto cancel = std::make_shared<CancelToken>();
     CancelAfter crashing(&objective, 13, cancel);
-    SearchOptions options = base;
+    TunerOptions options = base;
     options.cancel = cancel;
     options.checkpoint = &store;
     options.checkpoint_key = "run-2/random/bowl";
@@ -484,7 +483,7 @@ TEST(RecoveryTest, RandomSearchResumeMatchesUninterruptedRun) {
   }
 
   BowlObjective objective;
-  SearchOptions options = base;
+  TunerOptions options = base;
   options.checkpoint = &store;
   options.checkpoint_key = "run-2/random/bowl";
   auto resumed = RandomSearch(space, &objective, options);
@@ -493,6 +492,11 @@ TEST(RecoveryTest, RandomSearchResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed->best_config.ToString(), reference->best_config.ToString());
   EXPECT_EQ(resumed->best_cost, reference->best_cost);
   EXPECT_EQ(resumed->num_evaluations, reference->num_evaluations);
+  ASSERT_EQ(resumed->trajectory.size(), reference->trajectory.size());
+  for (size_t i = 0; i < resumed->trajectory.size(); ++i) {
+    EXPECT_EQ(resumed->trajectory[i], reference->trajectory[i])
+        << "trajectory diverged at evaluation " << i;
+  }
 }
 
 TEST(RecoveryTest, GeneticResumeMatchesUninterruptedRun) {
@@ -529,6 +533,11 @@ TEST(RecoveryTest, GeneticResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed->best_config.ToString(), reference->best_config.ToString());
   EXPECT_EQ(resumed->best_cost, reference->best_cost);
   EXPECT_EQ(resumed->num_evaluations, reference->num_evaluations);
+  ASSERT_EQ(resumed->trajectory.size(), reference->trajectory.size());
+  for (size_t i = 0; i < resumed->trajectory.size(); ++i) {
+    EXPECT_EQ(resumed->trajectory[i], reference->trajectory[i])
+        << "trajectory diverged at evaluation " << i;
+  }
 }
 
 TEST(RecoveryTest, CorruptCheckpointFallsBackToFreshRun) {
@@ -546,6 +555,79 @@ TEST(RecoveryTest, CorruptCheckpointFallsBackToFreshRun) {
   EXPECT_FALSE(result->resumed)
       << "an unparseable checkpoint must be treated as absent";
   EXPECT_GT(result->num_evaluations, 0u);
+}
+
+// A store whose every Put and Get fails: checkpointing must degrade to an
+// unsaved run, never to a failed one.
+class BrokenCheckpointStore : public CheckpointSink {
+ public:
+  Status Put(const std::string&, const std::string&) override {
+    return Status::IOError("disk full");
+  }
+  StatusOr<std::string> Get(const std::string&) override {
+    return Status::IOError("unreadable");
+  }
+  Status Remove(const std::string&) override { return Status::OK(); }
+  Status RemovePrefix(const std::string&) override { return Status::OK(); }
+};
+
+template <typename Options, typename Tuner>
+void ExpectBrokenStoreIsHarmless(Options options, Tuner tuner) {
+  BowlObjective reference_objective;
+  auto reference = tuner(BowlSpace(), &reference_objective, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  BrokenCheckpointStore store;
+  options.checkpoint = &store;
+  options.checkpoint_key = "run-5/bowl";
+  BowlObjective objective;
+  auto result = tuner(BowlSpace(), &objective, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->resumed);
+  EXPECT_EQ(result->best_config.ToString(), reference->best_config.ToString());
+  EXPECT_EQ(result->best_cost, reference->best_cost);
+  EXPECT_EQ(result->num_evaluations, reference->num_evaluations);
+  EXPECT_EQ(result->trajectory, reference->trajectory);
+}
+
+TEST(RecoveryTest, FailingCheckpointStoreLeavesResultsUnchanged) {
+  SmacOptions smac;
+  smac.max_evaluations = 20;
+  ExpectBrokenStoreIsHarmless(smac, Smac);
+  TunerOptions search;
+  search.max_evaluations = 20;
+  ExpectBrokenStoreIsHarmless(search, RandomSearch);
+  GeneticOptions genetic;
+  genetic.max_evaluations = 20;
+  genetic.population_size = 4;
+  ExpectBrokenStoreIsHarmless(genetic, GeneticSearch);
+}
+
+TEST(RecoveryTest, SmacCheckpointFormatIsUnchanged) {
+  // SMAC's blob is what production writes to disk: an in-flight durable
+  // run must resume across upgrades, so the bytes at a fixed interruption
+  // point are pinned (FNV-1a of the blob, recorded before the tuners shared
+  // one checkpoint codec).
+  MemoryCheckpointStore store;
+  BowlObjective bowl(3);
+  auto cancel = std::make_shared<CancelToken>();
+  CancelAfter crashing(&bowl, 17, cancel);
+  SmacOptions options;
+  options.max_evaluations = 40;
+  options.seed = 7;
+  options.cancel = cancel;
+  options.checkpoint = &store;
+  options.checkpoint_key = "run-6/smac/bowl";
+  ASSERT_FALSE(Smac(BowlSpace(), &crashing, options).ok());
+  auto blob = store.Get("run-6/smac/bowl");
+  ASSERT_TRUE(blob.ok());
+  uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char c : *blob) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  EXPECT_EQ(blob->size(), 1440u);
+  EXPECT_EQ(hash, 0x7925e1964f27c8b9ull) << *blob;
+  EXPECT_EQ(blob->rfind("smac-ckpt 1\nrng ", 0), 0u);
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Tests for the tuning stack: objectives, random/grid search, the regression
-// forest surrogate, and SMAC itself.
+// forest surrogate, SMAC itself, and what all four tuners share.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/data/synthetic.h"
 #include "src/ml/knn.h"
+#include "src/tuning/genetic.h"
 #include "src/tuning/objective.h"
 #include "src/tuning/random_search.h"
 #include "src/tuning/smac.h"
@@ -15,7 +21,8 @@ namespace smartml {
 namespace {
 
 // A cheap synthetic objective: a smooth 2-D bowl with minimum at
-// (x, y) = (0.3, 0.7), identical on every "fold".
+// (x, y) = (0.3, 0.7), identical on every "fold". Safe to evaluate from a
+// parallel batch.
 class BowlObjective : public TuningObjective {
  public:
   explicit BowlObjective(size_t folds = 3) : folds_(folds) {}
@@ -33,7 +40,16 @@ class BowlObjective : public TuningObjective {
 
  private:
   size_t folds_;
-  size_t evaluations_ = 0;
+  std::atomic<size_t> evaluations_{0};
+};
+
+// An objective without folds: every tuner must refuse it up front.
+class NoFoldObjective : public TuningObjective {
+ public:
+  size_t NumFolds() const override { return 0; }
+  StatusOr<double> EvaluateFold(const ParamConfig&, size_t) override {
+    return 0.0;
+  }
 };
 
 ParamSpace BowlSpace() {
@@ -101,7 +117,7 @@ TEST(ObjectiveTest, OutOfRangeFoldRejected) {
 
 TEST(RandomSearchTest, FindsNearOptimum) {
   BowlObjective objective(1);
-  SearchOptions options;
+  TunerOptions options;
   options.max_evaluations = 200;
   options.seed = 3;
   auto result = RandomSearch(BowlSpace(), &objective, options);
@@ -112,7 +128,7 @@ TEST(RandomSearchTest, FindsNearOptimum) {
 
 TEST(RandomSearchTest, RespectsEvaluationBudget) {
   BowlObjective objective(2);
-  SearchOptions options;
+  TunerOptions options;
   options.max_evaluations = 21;
   auto result = RandomSearch(BowlSpace(), &objective, options);
   ASSERT_TRUE(result.ok());
@@ -122,7 +138,7 @@ TEST(RandomSearchTest, RespectsEvaluationBudget) {
 
 TEST(RandomSearchTest, WarmStartEvaluatedFirst) {
   BowlObjective objective(1);
-  SearchOptions options;
+  TunerOptions options;
   options.max_evaluations = 1;  // Only the warm start gets evaluated.
   ParamConfig warm;
   warm.SetDouble("x", 0.3);
@@ -135,7 +151,7 @@ TEST(RandomSearchTest, WarmStartEvaluatedFirst) {
 
 TEST(RandomSearchTest, TrajectoryIsMonotoneNonIncreasing) {
   BowlObjective objective(1);
-  SearchOptions options;
+  TunerOptions options;
   options.max_evaluations = 60;
   auto result = RandomSearch(BowlSpace(), &objective, options);
   ASSERT_TRUE(result.ok());
@@ -144,9 +160,38 @@ TEST(RandomSearchTest, TrajectoryIsMonotoneNonIncreasing) {
   }
 }
 
+TEST(RandomSearchTest, RejectsNullObjective) {
+  EXPECT_EQ(RandomSearch(BowlSpace(), nullptr, TunerOptions()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RandomSearchTest, RejectsZeroFoldObjective) {
+  // Would otherwise plan no fold tasks, never spend budget, and spin until
+  // the deadline (the one set here only keeps such a regression from
+  // hanging the suite).
+  NoFoldObjective objective;
+  TunerOptions options;
+  options.deadline = Deadline::After(1.0);
+  EXPECT_EQ(RandomSearch(BowlSpace(), &objective, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(GridSearchTest, RejectsNullObjective) {
+  EXPECT_EQ(GridSearch(BowlSpace(), nullptr, TunerOptions()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(GridSearchTest, RejectsZeroFoldObjective) {
+  NoFoldObjective objective;
+  TunerOptions options;
+  options.deadline = Deadline::After(1.0);
+  EXPECT_EQ(GridSearch(BowlSpace(), &objective, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(GridSearchTest, CoversTheGrid) {
   BowlObjective objective(1);
-  SearchOptions options;
+  TunerOptions options;
   options.max_evaluations = 10000;
   auto result = GridSearch(BowlSpace(), &objective, options, 5);
   ASSERT_TRUE(result.ok());
@@ -158,7 +203,7 @@ TEST(GridSearchTest, EnumeratesCategoricals) {
   ParamSpace space;
   space.AddCategorical("mode", {"a", "b", "c"}, "a");
   BowlObjective objective(1);
-  SearchOptions options;
+  TunerOptions options;
   options.max_evaluations = 100;
   auto result = GridSearch(space, &objective, options, 4);
   ASSERT_TRUE(result.ok());
@@ -246,7 +291,7 @@ TEST(SmacTest, BeatsRandomSearchOnAverage) {
     ASSERT_TRUE(smac_result.ok());
 
     BowlObjective rs_objective(1);
-    SearchOptions rs_options;
+    TunerOptions rs_options;
     rs_options.max_evaluations = 60;
     rs_options.seed = 100 + t;
     auto rs_result = RandomSearch(BowlSpace(), &rs_objective, rs_options);
@@ -366,7 +411,7 @@ TEST(SmacTest, DeadlineStopsTheRun) {
 
 TEST(RandomSearchTest, DeadlineStopsTheRun) {
   BowlObjective objective(1);
-  SearchOptions options;
+  TunerOptions options;
   options.max_evaluations = 100000;
   options.deadline = Deadline::After(0.0);
   auto result = RandomSearch(BowlSpace(), &objective, options);
@@ -427,6 +472,130 @@ TEST(SmacTest, EndToEndOnRealClassifier) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->best_config.GetInt("k", 0), 1);
   EXPECT_LT(result->best_cost, 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// All four tuners
+// ---------------------------------------------------------------------------
+
+TEST(TunerTest, TrajectoriesStayInUnitInterval) {
+  // The trajectory is the incumbent's mean cost after every fold, and costs
+  // lie in [0, 1]: entries recorded before the first incumbent read 1.0,
+  // never an internal "no incumbent" sentinel.
+  BowlObjective objective(3);
+  const ParamSpace space = BowlSpace();
+  TunerOptions options;
+  options.max_evaluations = 20;
+  SmacOptions smac_options;
+  smac_options.max_evaluations = 20;
+  GeneticOptions genetic_options;
+  genetic_options.max_evaluations = 20;
+  const StatusOr<TunedResult> results[] = {
+      Smac(space, &objective, smac_options),
+      RandomSearch(space, &objective, options),
+      GridSearch(space, &objective, options),
+      GeneticSearch(space, &objective, genetic_options)};
+  for (const StatusOr<TunedResult>& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->trajectory.size(), 20u);
+    for (const double cost : result->trajectory) {
+      EXPECT_GE(cost, 0.0);
+      EXPECT_LE(cost, 1.0);
+    }
+  }
+}
+
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t size) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+uint64_t HashDouble(uint64_t hash, double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return Fnv1a(hash, &bits, sizeof(bits));
+}
+
+// FNV-1a over the incumbent's ToString, the bit patterns of best_cost and
+// every trajectory entry, and num_evaluations.
+uint64_t HashResult(const TunedResult& result) {
+  uint64_t hash = 14695981039346656037ull;
+  const std::string config = result.best_config.ToString();
+  hash = Fnv1a(hash, config.data(), config.size());
+  hash = HashDouble(hash, result.best_cost);
+  for (const double cost : result.trajectory) hash = HashDouble(hash, cost);
+  const uint64_t evaluations = result.num_evaluations;
+  return Fnv1a(hash, &evaluations, sizeof(evaluations));
+}
+
+struct ParityCase {
+  bool knn;  // A real knn ClassifierObjective instead of the bowl.
+  uint64_t smac, random, grid, genetic;
+};
+
+// Recorded before the four tuners moved onto the shared options, batch
+// evaluator and checkpoint codec, and identical at 1 and 8 threads there.
+// Random and grid search then recorded 2.0 in the trajectory for the folds
+// before their first incumbent; those entries are hashed as 1.0, the value
+// every tuner records now. Nothing else may differ.
+constexpr ParityCase kParityCases[] = {
+    {false, 0xf418a467b740a13cull, 0x516177b9aab71248ull,
+     0xa3be299b926219a2ull, 0xb67a66a4dc30a7e1ull},
+    {true, 0xf5b37ed64413588dull, 0xa2336197f9c5d086ull,
+     0x681a0015dc0dd72dull, 0xb6e01c5e1d234f08ull},
+};
+
+TEST(TunerTest, ResultsMatchRecordedHashesAtOneAndEightThreads) {
+  SyntheticSpec spec;
+  spec.num_instances = 90;
+  spec.num_informative = 3;
+  spec.class_sep = 1.0;
+  spec.seed = 31;
+  const Dataset data = GenerateSynthetic(spec);
+  KnnClassifier knn;
+  for (const int threads : {1, 8}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
+    ScopedPoolScope scope(pool.get());
+    for (const ParityCase& expected : kParityCases) {
+      SCOPED_TRACE(std::string(expected.knn ? "knn" : "bowl") + " at " +
+                   std::to_string(threads) + " threads");
+      BowlObjective bowl(3);
+      auto knn_objective = ClassifierObjective::Create(knn, data, 3, 37);
+      ASSERT_TRUE(knn_objective.ok());
+      TuningObjective* objective = &bowl;
+      if (expected.knn) objective = knn_objective->get();
+      const ParamSpace space =
+          expected.knn ? KnnClassifier::Space() : BowlSpace();
+      // 3 folds and a budget that is no multiple of 3: the last config
+      // scored by random and genetic search gets only part of the folds.
+      const int budget = expected.knn ? 26 : 32;
+      SmacOptions smac_options;
+      smac_options.max_evaluations = budget;
+      smac_options.seed = 7;
+      TunerOptions options;
+      options.max_evaluations = budget;
+      options.seed = 7;
+      GeneticOptions genetic_options;
+      genetic_options.max_evaluations = budget;
+      genetic_options.seed = 7;
+      genetic_options.population_size = 4;
+
+      auto smac = Smac(space, objective, smac_options);
+      auto random = RandomSearch(space, objective, options);
+      auto grid = GridSearch(space, objective, options);
+      auto genetic = GeneticSearch(space, objective, genetic_options);
+      ASSERT_TRUE(smac.ok() && random.ok() && grid.ok() && genetic.ok());
+      EXPECT_EQ(HashResult(*smac), expected.smac);
+      EXPECT_EQ(HashResult(*random), expected.random);
+      EXPECT_EQ(HashResult(*grid), expected.grid);
+      EXPECT_EQ(HashResult(*genetic), expected.genetic);
+    }
+  }
 }
 
 }  // namespace
