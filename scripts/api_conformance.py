@@ -12,7 +12,9 @@ quota of 2 and drives the serving surface end to end:
     incumbent-improvement event before the terminal event,
   * GET /v1/runs lists the batch's runs under their tenant filter,
   * every response carries an X-Request-Id header, and the removed
-    pre-versioning aliases answer with the structured 404 envelope.
+    pre-versioning aliases answer with the structured 404 envelope,
+  * a client that pipelines two requests and hangs up without reading
+    leaves the server alive: /v1/health still answers 200.
 
 Usage: scripts/api_conformance.py path/to/rest_server
 """
@@ -20,6 +22,7 @@ Usage: scripts/api_conformance.py path/to/rest_server
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import time
@@ -65,6 +68,14 @@ def wait_done(base, run_id):
     raise SystemExit("run %s never reached a terminal state" % run_id)
 
 
+def hang_up_mid_pipeline(port):
+    """Pipelines two requests on one connection and closes without reading
+    the responses; the server's writes then fail with EPIPE."""
+    request = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request * 2)
+
+
 def main():
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
@@ -98,6 +109,18 @@ def main():
         if match is None:
             raise SystemExit("server never reported its port")
         base = "http://127.0.0.1:%s" % match.group(1)
+
+        # A client hang-up must cost its connection, not the server.
+        hang_up_mid_pipeline(int(match.group(1)))
+        time.sleep(0.5)
+        if server.poll() is not None:
+            raise SystemExit(
+                "server exited (status %s) after a client hung up mid-pipeline"
+                % server.returncode
+            )
+        status, _, body = fetch(base + "/v1/health")
+        if status != 200:
+            raise SystemExit("health after hang-up: %d %s" % (status, body))
 
         # Request ids on every response; structured 404 for dropped aliases.
         status, headers, body = fetch(base + "/health")

@@ -1,9 +1,12 @@
 #include "src/api/job_manager.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "src/api/json.h"
@@ -39,21 +42,9 @@ JobState ParseJobState(const std::string& name) {
   return JobState::kFailed;
 }
 
-double NumberField(const JsonValue& object, const char* key,
-                   double fallback = 0.0) {
-  const JsonValue* v = object.Find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
 std::string StringField(const JsonValue& object, const char* key) {
   const JsonValue* v = object.Find(key);
   return v != nullptr && v->is_string() ? v->string : std::string();
-}
-
-bool BoolField(const JsonValue& object, const char* key,
-               bool fallback = false) {
-  const JsonValue* v = object.Find(key);
-  return v != nullptr && v->is_bool() ? v->boolean : fallback;
 }
 
 /// Drops the trailing "csv" member from an admit payload (compaction: a
@@ -71,86 +62,181 @@ void StripCsvFromAdmitPayload(std::string* payload) {
   payload->push_back('}');
 }
 
+/// The one list of run options settable through the API: key, field, the
+/// widest source that may set it (sources nest: the journal accepts every
+/// option, the query string all but the journal-only ones, a batch item
+/// only its own three), and whether clients must send a non-negative value.
+/// The order is the member order of the kAdmit "options" object.
+template <typename Options, typename Visit>
+void ForEachRunOption(Options& o, Visit&& visit) {
+  using Source = RunOptionSource;
+  visit("budget", o.time_budget_seconds, Source::kBatchItem, true);
+  visit("evals", o.max_evaluations, Source::kBatchItem, true);
+  visit("deadline", o.run_deadline_seconds, Source::kQuery, true);
+  visit("cv_folds", o.cv_folds, Source::kJournal, false);
+  visit("nominations", o.max_nominations, Source::kQuery, true);
+  visit("selection_only", o.selection_only, Source::kBatchItem, false);
+  visit("ensemble", o.enable_ensembling, Source::kQuery, false);
+  visit("interpretability", o.enable_interpretability, Source::kQuery, false);
+  // threads <= 0 means "auto", so any integer is valid.
+  visit("threads", o.num_threads, Source::kQuery, false);
+  visit("seed", o.seed, Source::kJournal, false);
+  visit("update_kb", o.update_kb, Source::kJournal, false);
+}
+
+/// The kAdmit record's job metadata, in payload order; "options" (the run
+/// options) and "csv" (the dataset, always last) follow.
+template <typename JobT, typename Visit>
+void ForEachAdmitField(JobT& job, Visit&& visit) {
+  visit("tenant", job.tenant);
+  visit("priority", job.priority);
+  visit("batch_id", job.batch_id);
+  visit("dataset_name", job.dataset_name);
+  visit("idempotency_key", job.idempotency_key);
+}
+
+/// The job fields a kTerminal record carries, in payload order. One list
+/// drives the encoder and the replay decoder.
+template <typename JobT, typename Visit>
+void ForEachTerminalField(JobT& job, Visit&& visit) {
+  visit("state", job.state);
+  visit("error", job.error);  // Preceded by its "error_code" member.
+  visit("best_algorithm", job.best_algorithm);
+  visit("best_validation_accuracy", job.best_validation_accuracy);
+  visit("preprocessing_seconds", job.preprocessing_seconds);
+  visit("selection_seconds", job.selection_seconds);
+  visit("tuning_seconds", job.tuning_seconds);
+  visit("output_seconds", job.output_seconds);
+  visit("total_seconds", job.total_seconds);
+  visit("degraded", job.degraded);
+  visit("failed_candidates", job.failed_candidates);
+  visit("resumed_from_checkpoint", job.resumed_from_checkpoint);
+  visit("dispatch_sequence", job.dispatch_sequence);
+  // As an escaped string (not Raw), so replay can lift it straight back out
+  // without re-serializing a parsed tree.
+  visit("result_json", job.result_json);
+}
+
+/// Writes one journaled field as a JSON member.
+template <typename T>
+void WriteField(JsonWriter& w, const char* key, const T& value) {
+  if constexpr (std::is_same_v<T, Status>) {
+    w.Key("error_code");
+    w.Int(static_cast<int64_t>(value.code()));
+  }
+  w.Key(key);
+  if constexpr (std::is_same_v<T, JobState>) {
+    w.String(JobStateName(value));
+  } else if constexpr (std::is_same_v<T, JobPriority>) {
+    w.String(JobPriorityName(value));
+  } else if constexpr (std::is_same_v<T, Status>) {
+    w.String(value.message());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.String(value);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    w.Bool(value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    w.Number(value);
+  } else {
+    w.Int(static_cast<int64_t>(value));
+  }
+}
+
+/// Reads member `key` of `object` into `field`; an absent member changes
+/// nothing, except that a job state falls back to "failed" as an unknown
+/// name does. A number must be finite and fit the field; with
+/// `non_negative` it must not be negative. `from_text` marks query-string
+/// values (read as JSON scalars), where 0 and 1 also spell booleans. Errors
+/// are InvalidArgument naming the key.
+template <typename T>
+Status ReadField(const JsonValue& object, const char* key, bool from_text,
+                 bool non_negative, T* field) {
+  const JsonValue* value = object.Find(key);
+  auto invalid = [key](const char* what) {
+    return Status::InvalidArgument(StrFormat("\"%s\" %s", key, what));
+  };
+  if constexpr (std::is_same_v<T, JobState>) {
+    *field = ParseJobState(StringField(object, key));
+  } else if constexpr (std::is_same_v<T, Status>) {
+    const JsonValue* code = object.Find("error_code");
+    if (code != nullptr && code->is_number() &&
+        static_cast<int>(code->number) != 0) {
+      *field = Status(static_cast<StatusCode>(static_cast<int>(code->number)),
+                      StringField(object, key));
+    }
+  } else if (value == nullptr) {
+    return Status::OK();
+  } else if constexpr (std::is_same_v<T, JobPriority>) {
+    *field = ParseJobPriority(StringField(object, key));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!value->is_string()) return invalid("must be a string");
+    *field = value->string;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    const bool bit = from_text && value->is_number() &&
+                     (value->number == 0.0 || value->number == 1.0);
+    if (!value->is_bool() && !bit) {
+      return invalid("must be one of 0, 1, true or false");
+    }
+    *field = value->is_bool() ? value->boolean : value->number == 1.0;
+  } else {
+    const double number = value->number;
+    if (!value->is_number() || !std::isfinite(number)) {
+      return invalid("must be a finite number");
+    }
+    if (non_negative && number < 0.0) return invalid("must not be negative");
+    // max() + 1 is a power of two, so the bound itself is exact.
+    if (std::is_integral_v<T> &&
+        (number < static_cast<double>(std::numeric_limits<T>::lowest()) ||
+         number >= static_cast<double>(std::numeric_limits<T>::max()) + 1)) {
+      return invalid("is out of range");
+    }
+    *field = static_cast<T>(number);
+  }
+  return Status::OK();
+}
+
+/// A field visitor that reads a journal record. The journal is this
+/// process's own output, so a malformed member just keeps the field's value.
+auto JournalReader(const JsonValue& record) {
+  return [&record](const char* key, auto& field) {
+    (void)ReadField(record, key, /*from_text=*/false, /*non_negative=*/false,
+                    &field);
+  };
+}
+
 /// The kAdmit record: everything needed to re-admit the job after a
-/// restart. Only the REST-settable option knobs are journaled; the rest of
+/// restart. Only the API-settable run options are journaled; the rest of
 /// SmartMlOptions is taken from the framework defaults at replay time
-/// (exactly how OptionsFromQuery builds them at admission time).
-std::string EncodeAdmitPayload(const std::string& tenant, JobPriority priority,
-                               const std::string& batch_id,
-                               const std::string& dataset_name,
-                               const std::string& idempotency_key,
-                               const SmartMlOptions& options,
-                               const std::string& csv) {
+/// (exactly how the REST layer builds them at admission time).
+template <typename JobT>
+std::string AdmitPayload(const JobT& job) {
   JsonWriter w;
   w.BeginObject();
-  w.Key("tenant");
-  w.String(tenant);
-  w.Key("priority");
-  w.String(JobPriorityName(priority));
-  w.Key("batch_id");
-  w.String(batch_id);
-  w.Key("dataset_name");
-  w.String(dataset_name);
-  w.Key("idempotency_key");
-  w.String(idempotency_key);
+  auto write = [&w](const char* key, const auto& field, auto&&...) {
+    WriteField(w, key, field);
+  };
+  ForEachAdmitField(job, write);
   w.Key("options");
   w.BeginObject();
-  w.Key("budget");
-  w.Number(options.time_budget_seconds);
-  w.Key("evals");
-  w.Int(options.max_evaluations);
-  w.Key("deadline");
-  w.Number(options.run_deadline_seconds);
-  w.Key("cv_folds");
-  w.Int(options.cv_folds);
-  w.Key("nominations");
-  w.Int(static_cast<int64_t>(options.max_nominations));
-  w.Key("selection_only");
-  w.Bool(options.selection_only);
-  w.Key("ensemble");
-  w.Bool(options.enable_ensembling);
-  w.Key("interpretability");
-  w.Bool(options.enable_interpretability);
-  w.Key("threads");
-  w.Int(options.num_threads);
-  w.Key("seed");
-  w.Int(static_cast<int64_t>(options.seed));
-  w.Key("update_kb");
-  w.Bool(options.update_kb);
+  ForEachRunOption(job.run_options, write);
   w.EndObject();
   // "csv" must stay the LAST member: compaction strips it from terminal
   // jobs' records with plain string surgery (StripCsvFromAdmitPayload).
   w.Key("csv");
-  w.String(csv);
+  w.String(WriteCsvString(job.dataset));
   w.EndObject();
   return std::move(w).Take();
 }
 
-SmartMlOptions DecodeAdmitOptions(const JsonValue& payload,
-                                  SmartMlOptions base) {
-  const JsonValue* opts = payload.Find("options");
-  if (opts == nullptr || !opts->is_object()) return base;
-  base.time_budget_seconds =
-      NumberField(*opts, "budget", base.time_budget_seconds);
-  base.max_evaluations = static_cast<int>(
-      NumberField(*opts, "evals", base.max_evaluations));
-  base.run_deadline_seconds =
-      NumberField(*opts, "deadline", base.run_deadline_seconds);
-  base.cv_folds =
-      static_cast<int>(NumberField(*opts, "cv_folds", base.cv_folds));
-  base.max_nominations = static_cast<size_t>(NumberField(
-      *opts, "nominations", static_cast<double>(base.max_nominations)));
-  base.selection_only = BoolField(*opts, "selection_only", base.selection_only);
-  base.enable_ensembling =
-      BoolField(*opts, "ensemble", base.enable_ensembling);
-  base.enable_interpretability =
-      BoolField(*opts, "interpretability", base.enable_interpretability);
-  base.num_threads =
-      static_cast<int>(NumberField(*opts, "threads", base.num_threads));
-  base.seed = static_cast<uint64_t>(
-      NumberField(*opts, "seed", static_cast<double>(base.seed)));
-  base.update_kb = BoolField(*opts, "update_kb", base.update_kb);
-  return base;
+/// The kTerminal record of a finished job.
+std::string TerminalPayload(const JobSnapshot& job) {
+  JsonWriter w;
+  w.BeginObject();
+  ForEachTerminalField(job, [&w](const char* key, const auto& field) {
+    WriteField(w, key, field);
+  });
+  w.EndObject();
+  return std::move(w).Take();
 }
 
 }  // namespace
@@ -189,6 +275,21 @@ JobPriority ParseJobPriority(const std::string& name) {
   if (name == "interactive") return JobPriority::kInteractive;
   if (name == "batch") return JobPriority::kBatch;
   return JobPriority::kNormal;
+}
+
+Status ApplyRunOptions(const JsonValue& values, RunOptionSource source,
+                       SmartMlOptions* options) {
+  const bool from_client = source != RunOptionSource::kJournal;
+  Status first_error = Status::OK();
+  ForEachRunOption(*options, [&](const char* key, auto& field,
+                                 RunOptionSource widest, bool non_negative) {
+    if (source > widest) return;
+    Status status =
+        ReadField(values, key, source == RunOptionSource::kQuery,
+                  from_client && non_negative, &field);
+    if (first_error.ok()) first_error = std::move(status);
+  });
+  return first_error;
 }
 
 JobManager::JobManager(SmartML* framework, JobManagerOptions options)
@@ -408,11 +509,7 @@ StatusOr<std::string> JobManager::AdmitLocked(JobRequest request,
   // Write-ahead: the admission is journaled (with the dataset CSV, so a
   // restart can rebuild the job) before the id is acknowledged.
   if (journal_ != nullptr) {
-    JournalAppend(JobJournalRecordType::kAdmit, job->id,
-                  EncodeAdmitPayload(job->tenant, job->priority, job->batch_id,
-                                     job->dataset_name, job->idempotency_key,
-                                     job->run_options,
-                                     WriteCsvString(job->dataset)));
+    JournalAppend(JobJournalRecordType::kAdmit, job->id, AdmitPayload(*job));
   }
   PublishLifecycle(*job, "state");
   return job->id;
@@ -507,18 +604,14 @@ StatusOr<BatchSubmitResult> JobManager::SubmitBatch(
     if (journal_ != nullptr) {
       JsonWriter w;
       w.BeginObject();
-      w.Key("tenant");
-      w.String(record.tenant);
-      w.Key("idempotency_key");
-      w.String(idempotency_key);
+      WriteField(w, "tenant", record.tenant);
+      WriteField(w, "idempotency_key", idempotency_key);
       w.Key("items");
       w.BeginArray();
       for (const BatchSnapshot::Item& item : record.items) {
         w.BeginObject();
-        w.Key("job_id");
-        w.String(item.job_id);
-        w.Key("error");
-        w.String(item.error);
+        WriteField(w, "job_id", item.job_id);
+        WriteField(w, "error", item.error);
         w.EndObject();
       }
       w.EndArray();
@@ -589,8 +682,6 @@ StatusOr<JobSnapshot> JobManager::Cancel(const std::string& id) {
     switch (job.state) {
       case JobState::kQueued: {
         // Never started: terminal immediately.
-        job.state = JobState::kCancelled;
-        job.finished = std::chrono::steady_clock::now();
         TenantState& tenant = TenantLocked(job.tenant);
         auto& queue = tenant.queues[static_cast<size_t>(job.priority)];
         queue.erase(std::remove(queue.begin(), queue.end(), it->second),
@@ -600,15 +691,12 @@ StatusOr<JobSnapshot> JobManager::Cancel(const std::string& id) {
         metrics_.queued->Decrement();
         metrics_.cancelled->Increment();
         metrics_.runs_cancelled->Increment();
+        FinishLocked(job, JobState::kCancelled,
+                     Status::Cancelled("run cancelled"));
         // The whole wait was queue time; without this, cancelled-while-
         // queued jobs vanish from the per-tenant wait distribution.
         metrics_.queue_wait_seconds->Observe(
             SecondsBetween(job.submitted, job.finished));
-        PublishLifecycle(job, "terminal");
-        job.events->Close();
-        job.error = Status::Cancelled("run cancelled");
-        JournalAppend(JobJournalRecordType::kTerminal, job.id,
-                      TerminalPayloadLocked(job));
         break;
       }
       case JobState::kRunning:
@@ -632,7 +720,6 @@ StatusOr<JobSnapshot> JobManager::Cancel(const std::string& id) {
     }
     snapshot = SnapshotLocked(job);
   }
-  done_cv_.notify_all();
   return snapshot;
 }
 
@@ -672,53 +759,17 @@ size_t JobManager::TenantPending(const std::string& tenant) const {
 }
 
 JobSnapshot JobManager::SnapshotLocked(const Job& job) const {
-  JobSnapshot snapshot;
-  snapshot.id = job.id;
-  snapshot.dataset_name = job.dataset_name;
-  snapshot.tenant = job.tenant;
-  snapshot.priority = job.priority;
-  snapshot.batch_id = job.batch_id;
-  snapshot.state = job.state;
-  snapshot.dispatch_sequence = job.dispatch_sequence;
-  snapshot.error = job.error;
-  snapshot.result_json = job.result_json;
-  snapshot.preprocessing_seconds = job.preprocessing_seconds;
-  snapshot.selection_seconds = job.selection_seconds;
-  snapshot.tuning_seconds = job.tuning_seconds;
-  snapshot.output_seconds = job.output_seconds;
-  snapshot.total_seconds = job.total_seconds;
-  snapshot.best_algorithm = job.best_algorithm;
-  snapshot.best_validation_accuracy = job.best_validation_accuracy;
-  snapshot.degraded = job.degraded;
-  snapshot.failed_candidates = job.failed_candidates;
-  snapshot.recovered = job.recovered;
-  snapshot.resumed_from_checkpoint = job.resumed_from_checkpoint;
-
-  const auto now = std::chrono::steady_clock::now();
-  switch (job.state) {
-    case JobState::kQueued:
-      snapshot.queue_seconds = SecondsBetween(job.submitted, now);
-      break;
-    case JobState::kRunning:
-    case JobState::kCancelling:
-      snapshot.queue_seconds = SecondsBetween(job.submitted, job.started);
-      snapshot.run_seconds = SecondsBetween(job.started, now);
-      break;
-    case JobState::kCancelled:
-      // A job cancelled while queued never started; one cancelled while
-      // running has real queue/run spans.
-      if (job.started == std::chrono::steady_clock::time_point()) {
-        snapshot.queue_seconds = SecondsBetween(job.submitted, job.finished);
-      } else {
-        snapshot.queue_seconds = SecondsBetween(job.submitted, job.started);
-        snapshot.run_seconds = SecondsBetween(job.started, job.finished);
-      }
-      break;
-    case JobState::kDone:
-    case JobState::kFailed:
-      snapshot.queue_seconds = SecondsBetween(job.submitted, job.started);
-      snapshot.run_seconds = SecondsBetween(job.started, job.finished);
-      break;
+  JobSnapshot snapshot = job;
+  // Spans run to now for live jobs and to the finish for terminal ones. A
+  // job that never started (queued, or cancelled while queued) has only
+  // queue time.
+  const auto end = IsTerminal(job.state) ? job.finished
+                                         : std::chrono::steady_clock::now();
+  if (job.started == std::chrono::steady_clock::time_point()) {
+    snapshot.queue_seconds = SecondsBetween(job.submitted, end);
+  } else {
+    snapshot.queue_seconds = SecondsBetween(job.submitted, job.started);
+    snapshot.run_seconds = SecondsBetween(job.started, end);
   }
   return snapshot;
 }
@@ -798,22 +849,23 @@ void JobManager::WorkerLoop() {
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      job->finished = std::chrono::steady_clock::now();
+      --num_running_;
+      --TenantLocked(job->tenant).pending;
+      metrics_.running->Decrement();
       if (job->state == JobState::kCancelling) {
         metrics_.cancelling->Decrement();
       }
       if (job->cancel_requested) {
         // The caller disowned this run; its outcome (even a completed
         // result) is discarded and the job lands terminal "cancelled".
-        job->state = JobState::kCancelled;
-        job->error = result.ok() ? Status::Cancelled("run cancelled")
-                                 : result.status();
         metrics_.cancelled->Increment();
         metrics_.runs_cancelled->Increment();
+        FinishLocked(*job, JobState::kCancelled,
+                     result.ok() ? Status::Cancelled("run cancelled")
+                                 : result.status());
         metrics_.cancel_latency_seconds->Observe(
             SecondsBetween(job->cancel_requested_at, job->finished));
       } else if (result.ok()) {
-        job->state = JobState::kDone;
         job->resumed_from_checkpoint = result->resumed_from_checkpoint;
         job->result_json = ResultToJson(*result);
         job->preprocessing_seconds = result->preprocessing_seconds;
@@ -830,23 +882,12 @@ void JobManager::WorkerLoop() {
         metrics_.phase_selection->Observe(result->selection_seconds);
         metrics_.phase_tuning->Observe(result->tuning_seconds);
         metrics_.phase_output->Observe(result->output_seconds);
+        FinishLocked(*job, JobState::kDone, Status::OK());
       } else {
-        job->state = JobState::kFailed;
-        job->error = result.status();
         metrics_.failed->Increment();
+        FinishLocked(*job, JobState::kFailed, result.status());
       }
-      --num_running_;
-      --TenantLocked(job->tenant).pending;
-      metrics_.running->Decrement();
-      PublishLifecycle(*job, "terminal");
-      job->events->Close();
-      // The Dataset is no longer needed; release the memory while keeping
-      // the job entry pollable.
-      job->dataset = Dataset();
-      JournalAppend(JobJournalRecordType::kTerminal, job->id,
-                    TerminalPayloadLocked(*job));
     }
-    done_cv_.notify_all();
     if (checkpoints_ != nullptr) {
       // The run is terminal; its tuner checkpoints are dead weight.
       (void)checkpoints_->RemovePrefix(job->id + "/");
@@ -878,43 +919,21 @@ void JobManager::JournalAppend(JobJournalRecordType type,
   }
 }
 
-std::string JobManager::TerminalPayloadLocked(const Job& job) const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("state");
-  w.String(JobStateName(job.state));
-  w.Key("error_code");
-  w.Int(static_cast<int64_t>(job.error.code()));
-  w.Key("error");
-  w.String(job.error.message());
-  w.Key("best_algorithm");
-  w.String(job.best_algorithm);
-  w.Key("best_validation_accuracy");
-  w.Number(job.best_validation_accuracy);
-  w.Key("preprocessing_seconds");
-  w.Number(job.preprocessing_seconds);
-  w.Key("selection_seconds");
-  w.Number(job.selection_seconds);
-  w.Key("tuning_seconds");
-  w.Number(job.tuning_seconds);
-  w.Key("output_seconds");
-  w.Number(job.output_seconds);
-  w.Key("total_seconds");
-  w.Number(job.total_seconds);
-  w.Key("degraded");
-  w.Bool(job.degraded);
-  w.Key("failed_candidates");
-  w.Int(static_cast<int64_t>(job.failed_candidates));
-  w.Key("resumed_from_checkpoint");
-  w.Bool(job.resumed_from_checkpoint);
-  w.Key("dispatch_sequence");
-  w.Int(static_cast<int64_t>(job.dispatch_sequence));
-  // As an escaped string (not Raw), so replay can lift it straight back out
-  // without re-serializing a parsed tree.
-  w.Key("result_json");
-  w.String(job.result_json);
-  w.EndObject();
-  return std::move(w).Take();
+void JobManager::FinishLocked(Job& job, JobState state, Status error,
+                              bool journal) {
+  job.state = state;
+  job.error = std::move(error);
+  job.finished = std::chrono::steady_clock::now();
+  PublishLifecycle(job, "terminal");
+  job.events->Close();
+  // The Dataset is no longer needed; release the memory while keeping the
+  // job entry pollable.
+  job.dataset = Dataset();
+  if (journal) {
+    JournalAppend(JobJournalRecordType::kTerminal, job.id,
+                  TerminalPayload(job));
+  }
+  done_cv_.notify_all();
 }
 
 void JobManager::ReplayJournal() {
@@ -982,13 +1001,14 @@ void JobManager::ReplayJournal() {
     }
     auto job = std::make_shared<Job>();
     job->id = id;
-    job->tenant = StringField(*admit, "tenant");
+    ForEachAdmitField(*job, JournalReader(*admit));
     if (job->tenant.empty()) job->tenant = kDefaultTenant;
-    job->priority = ParseJobPriority(StringField(*admit, "priority"));
-    job->batch_id = StringField(*admit, "batch_id");
-    job->dataset_name = StringField(*admit, "dataset_name");
-    job->idempotency_key = StringField(*admit, "idempotency_key");
-    job->run_options = DecodeAdmitOptions(*admit, framework_->options());
+    job->run_options = framework_->options();
+    if (const JsonValue* options = admit->Find("options")) {
+      // As with JournalReader, a malformed member keeps its default.
+      (void)ApplyRunOptions(*options, RunOptionSource::kJournal,
+                            &job->run_options);
+    }
     job->submitted = now;
     job->events =
         std::make_shared<RunEventBuffer>(options_.event_buffer_capacity);
@@ -997,64 +1017,37 @@ void JobManager::ReplayJournal() {
       idempotency_[IdempotencyMapKey(job->tenant, job->idempotency_key)] = id;
     }
     TenantState& tenant = TenantLocked(job->tenant);
+    jobs_[id] = job;
+    // Lands the job terminal; replayed terminal jobs report zero queue and
+    // run time.
+    auto finish = [&](JobState state, Status error, bool journal) {
+      FinishLocked(*job, state, std::move(error), journal);
+      job->started = job->submitted = job->finished;
+      ++terminal_jobs;
+    };
 
     if (run.terminal) {
-      // Finished before the crash: reconstruct the pollable record. The
-      // previous process already counted it into the terminal-state
-      // counters of its lifetime, so no metrics move here.
+      // Finished before the crash: reconstruct the pollable record from
+      // the record already in the journal. The previous process already
+      // counted it into the terminal-state counters of its lifetime, so no
+      // metrics move here.
       StatusOr<JsonValue> terminal = ParseJson(run.terminal_payload);
       if (terminal.ok() && terminal->is_object()) {
-        job->state = ParseJobState(StringField(*terminal, "state"));
-        const int code =
-            static_cast<int>(NumberField(*terminal, "error_code"));
-        if (code != 0) {
-          job->error = Status(static_cast<StatusCode>(code),
-                              StringField(*terminal, "error"));
-        }
-        job->best_algorithm = StringField(*terminal, "best_algorithm");
-        job->best_validation_accuracy =
-            NumberField(*terminal, "best_validation_accuracy");
-        job->preprocessing_seconds =
-            NumberField(*terminal, "preprocessing_seconds");
-        job->selection_seconds = NumberField(*terminal, "selection_seconds");
-        job->tuning_seconds = NumberField(*terminal, "tuning_seconds");
-        job->output_seconds = NumberField(*terminal, "output_seconds");
-        job->total_seconds = NumberField(*terminal, "total_seconds");
-        job->degraded = BoolField(*terminal, "degraded");
-        job->failed_candidates =
-            static_cast<size_t>(NumberField(*terminal, "failed_candidates"));
-        job->resumed_from_checkpoint =
-            BoolField(*terminal, "resumed_from_checkpoint");
-        job->dispatch_sequence = static_cast<uint64_t>(
-            NumberField(*terminal, "dispatch_sequence"));
-        job->result_json = StringField(*terminal, "result_json");
+        ForEachTerminalField(*job, JournalReader(*terminal));
+        finish(job->state, job->error, /*journal=*/false);
       } else {
-        job->state = JobState::kFailed;
-        job->error =
-            Status::Internal("terminal record unreadable after restart");
+        finish(JobState::kFailed,
+               Status::Internal("terminal record unreadable after restart"),
+               /*journal=*/false);
       }
-      job->started = now;
-      job->finished = now;
-      jobs_[id] = job;
-      PublishLifecycle(*job, "terminal");
-      job->events->Close();
-      ++terminal_jobs;
       continue;
     }
 
     if (run.cancel_requested) {
       // The cancel was requested but the terminal transition never hit the
       // journal: honor the caller's intent.
-      job->state = JobState::kCancelled;
-      job->error = Status::Cancelled("cancelled before restart");
-      job->started = now;
-      job->finished = now;
-      jobs_[id] = job;
-      PublishLifecycle(*job, "terminal");
-      job->events->Close();
-      JournalAppend(JobJournalRecordType::kTerminal, id,
-                    TerminalPayloadLocked(*job));
-      ++terminal_jobs;
+      finish(JobState::kCancelled,
+             Status::Cancelled("cancelled before restart"), true);
       continue;
     }
 
@@ -1067,23 +1060,14 @@ void JobManager::ReplayJournal() {
                           Status::NotFound("admit record has no dataset"))
                     : ReadCsvString(csv);
     if (!dataset.ok()) {
-      job->state = JobState::kFailed;
-      job->error = Status::Internal("dataset lost from journal: " +
-                                    dataset.status().ToString());
-      job->started = now;
-      job->finished = now;
-      jobs_[id] = job;
-      PublishLifecycle(*job, "terminal");
-      job->events->Close();
-      JournalAppend(JobJournalRecordType::kTerminal, id,
-                    TerminalPayloadLocked(*job));
-      ++terminal_jobs;
+      finish(JobState::kFailed,
+             Status::Internal("dataset lost from journal: " +
+                              dataset.status().ToString()),
+             true);
       continue;
     }
     dataset->set_name(job->dataset_name);
     job->dataset = *std::move(dataset);
-    job->state = JobState::kQueued;
-    jobs_[id] = job;
     tenant.queues[static_cast<size_t>(job->priority)].push_back(job);
     ++tenant.pending;
     ++num_queued_;

@@ -38,6 +38,11 @@
 // the token (between phases, between tuner fold evaluations, and inside
 // training loops) and the job reaches the terminal "cancelled" state within
 // a bounded latency, observed into smartml_cancel_latency_seconds.
+//
+// Each piece of bookkeeping exists once: a job is one record (Job derives
+// from JobSnapshot), every terminal edge goes through FinishLocked, and the
+// kAdmit/kTerminal payloads and the API's run options are each written and
+// read from one field list in job_manager.cc.
 #ifndef SMARTML_API_JOB_MANAGER_H_
 #define SMARTML_API_JOB_MANAGER_H_
 
@@ -88,6 +93,23 @@ JobPriority ParseJobPriority(const std::string& name);
 /// The tenant id jobs fall into when no X-Tenant header is sent.
 inline const char kDefaultTenant[] = "default";
 
+struct JsonValue;
+
+/// Where run options are set from. Each source accepts its own subset of
+/// the one option list in job_manager.cc: the kAdmit journal record all 11,
+/// the query string of POST /v1/runs and /v1/batch 8 (budget, evals,
+/// deadline, selection_only, ensemble, interpretability, threads,
+/// nominations), a /v1/batch item 3 (budget, evals, selection_only).
+enum class RunOptionSource { kJournal, kQuery, kBatchItem };
+
+/// Applies the options `source` accepts from the JSON object `values`
+/// (kQuery: each value read as a JSON scalar) to `options`; absent and
+/// unknown keys change nothing. InvalidArgument names the first key whose
+/// value has the wrong type, is not finite, does not fit the field, or —
+/// from clients — is a negative budget, deadline, evals or nominations.
+Status ApplyRunOptions(const JsonValue& values, RunOptionSource source,
+                       SmartMlOptions* options);
+
 struct JobManagerOptions {
   /// Concurrent experiments cap (threads executing SmartML::Run).
   int num_workers = 1;
@@ -130,7 +152,9 @@ struct JobManagerOptions {
   double burst_refill_per_second = 1.0;
 };
 
-/// Copyable point-in-time view of one job (what GET /v1/runs/{id} reports).
+/// Copyable point-in-time view of one job (what GET /v1/runs/{id} reports),
+/// and the base of the manager's own job record, so each field is declared
+/// once.
 struct JobSnapshot {
   std::string id;
   std::string dataset_name;
@@ -301,30 +325,15 @@ class JobManager {
   size_t TenantQuota(const std::string& tenant) const;
 
  private:
-  struct Job {
-    std::string id;
-    std::string dataset_name;  // Outlives the dataset itself.
-    std::string tenant;
-    JobPriority priority = JobPriority::kNormal;
-    std::string batch_id;
-    Dataset dataset;
+  /// One job record: the public JobSnapshot fields plus what only the
+  /// manager needs to run and time the job.
+  struct Job : JobSnapshot {
+    Dataset dataset;  // Released at the terminal transition.
     SmartMlOptions run_options;
-    JobState state = JobState::kQueued;
-    uint64_t dispatch_sequence = 0;
-    Status error;
-    std::string result_json;
-    double preprocessing_seconds = 0.0;
-    double selection_seconds = 0.0;
-    double tuning_seconds = 0.0;
-    double output_seconds = 0.0;
-    double total_seconds = 0.0;
+    std::string idempotency_key;
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point started;
     std::chrono::steady_clock::time_point finished;
-    std::string best_algorithm;
-    double best_validation_accuracy = 0.0;
-    bool degraded = false;
-    size_t failed_candidates = 0;
     /// Shared with the experiment thread through the RunBudget.
     std::shared_ptr<CancelToken> cancel = std::make_shared<CancelToken>();
     bool cancel_requested = false;
@@ -333,10 +342,6 @@ class JobManager {
     /// terminal transition. Shared with SSE readers, which may outlive the
     /// connection that created them.
     std::shared_ptr<RunEventBuffer> events;
-    /// Durability (see JobSnapshot for semantics).
-    bool recovered = false;
-    bool resumed_from_checkpoint = false;
-    std::string idempotency_key;
   };
 
   /// Per-tenant admission + dispatch state. Never removed once created (a
@@ -372,8 +377,14 @@ class JobManager {
   /// instead of failing the caller — a degraded journal beats a dead server.
   void JournalAppend(JobJournalRecordType type, const std::string& key,
                      std::string payload);
-  /// Encodes the terminal record for `job`; mutex_ must be held.
-  std::string TerminalPayloadLocked(const Job& job) const;
+  /// The one terminal transition: records `state` and `error`, stamps the
+  /// finish time, publishes the "terminal" event, closes the event stream,
+  /// releases the dataset, journals kTerminal (unless `journal` is false:
+  /// replay of a record already in the journal) and wakes Wait(). Queue
+  /// accounting and per-site metrics stay with the caller. mutex_ must be
+  /// held.
+  void FinishLocked(Job& job, JobState state, Status error,
+                    bool journal = true);
   /// Rebuilds the queue from the journal; runs in the constructor before
   /// any worker starts, so no locking is needed.
   void ReplayJournal();

@@ -122,23 +122,6 @@ std::string JsonWriter::Escape(const std::string& s) {
   return out;
 }
 
-std::string ConfigToJson(const ParamConfig& config) {
-  JsonWriter w;
-  w.BeginObject();
-  for (const auto& [key, value] : config.values()) {
-    w.Key(key);
-    if (const double* d = std::get_if<double>(&value)) {
-      w.Number(*d);
-    } else if (const int64_t* i = std::get_if<int64_t>(&value)) {
-      w.Int(*i);
-    } else {
-      w.String(std::get<std::string>(value));
-    }
-  }
-  w.EndObject();
-  return std::move(w).Take();
-}
-
 namespace {
 
 void WriteConfig(JsonWriter* w, const ParamConfig& config) {
@@ -172,6 +155,12 @@ void WriteNomination(JsonWriter* w, const Nomination& nomination) {
 }
 
 }  // namespace
+
+std::string ConfigToJson(const ParamConfig& config) {
+  JsonWriter w;
+  WriteConfig(&w, config);
+  return std::move(w).Take();
+}
 
 std::string MetaFeaturesToJson(const MetaFeatureVector& mf) {
   JsonWriter w;

@@ -110,42 +110,6 @@ int HttpStatusFor(const Status& status) {
   }
 }
 
-/// Per-request option overrides (the Figure 2 configuration screen),
-/// applied to a copy — the shared framework options are never mutated.
-SmartMlOptions OptionsFromQuery(const SmartMlOptions& base,
-                                const HttpRequest& request) {
-  SmartMlOptions options = base;
-  auto get = [&](const char* key) -> const std::string* {
-    auto q = request.query.find(key);
-    return q == request.query.end() ? nullptr : &q->second;
-  };
-  if (const std::string* v = get("budget")) {
-    options.time_budget_seconds = std::atof(v->c_str());
-  }
-  if (const std::string* v = get("evals")) {
-    options.max_evaluations = std::atoi(v->c_str());
-  }
-  if (const std::string* v = get("deadline")) {
-    options.run_deadline_seconds = std::atof(v->c_str());
-  }
-  if (const std::string* v = get("selection_only")) {
-    options.selection_only = *v == "1" || *v == "true";
-  }
-  if (const std::string* v = get("ensemble")) {
-    options.enable_ensembling = !(*v == "0" || *v == "false");
-  }
-  if (const std::string* v = get("interpretability")) {
-    options.enable_interpretability = !(*v == "0" || *v == "false");
-  }
-  if (const std::string* v = get("threads")) {
-    options.num_threads = std::atoi(v->c_str());
-  }
-  if (const std::string* v = get("nominations")) {
-    options.max_nominations = static_cast<size_t>(std::atoi(v->c_str()));
-  }
-  return options;
-}
-
 /// The in-flight request's correlation id. Thread-local so ErrorResponse can
 /// echo it into the envelope from any call depth without changing handler
 /// signatures; one server worker drives one request at a time.
@@ -158,6 +122,138 @@ class ScopedRequestId {
   ScopedRequestId(const ScopedRequestId&) = delete;
   ScopedRequestId& operator=(const ScopedRequestId&) = delete;
 };
+
+/// Per-request option overrides (the Figure 2 configuration screen),
+/// applied to a copy — the shared framework options are never mutated —
+/// and tagged with the request id. InvalidArgument names the malformed
+/// query parameter.
+StatusOr<SmartMlOptions> OptionsFromQuery(const SmartMlOptions& base,
+                                          const HttpRequest& request) {
+  JsonValue values;
+  values.kind = JsonValue::Kind::kObject;
+  for (const auto& [key, text] : request.query) {
+    // A value reads as a JSON scalar ("5", "2.5", "true"); anything else
+    // stays text and fails the option's type check.
+    StatusOr<JsonValue> value = ParseJson(text);
+    if (!value.ok()) {
+      value = JsonValue{};
+      value->kind = JsonValue::Kind::kString;
+      value->string = text;
+    }
+    values.object.emplace_back(key, *std::move(value));
+  }
+  SmartMlOptions options = base;
+  const Status status =
+      ApplyRunOptions(values, RunOptionSource::kQuery, &options);
+  if (!status.ok()) {
+    return Status::InvalidArgument("query parameter " + status.message());
+  }
+  if (current_request_id != nullptr) options.trace_tag = *current_request_id;
+  return options;
+}
+
+/// Writes all of `bytes` to the socket; false once the peer stops reading.
+/// MSG_NOSIGNAL turns a client that hung up into an EPIPE error instead of
+/// a SIGPIPE that would kill the server.
+bool SendAll(int fd, const std::string& bytes) {
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + written,
+                             bytes.size() - written, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    written += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+HttpResponse JobsDisabled() {
+  return ErrorResponse(503, "unavailable",
+                       "async runs are disabled (no job manager)");
+}
+
+/// How much of a run a response shows: id, state and a done run's outcome
+/// (DELETE /v1/runs/{id}, items of GET /v1/batches/{id}), an entry of
+/// GET /v1/runs, or GET /v1/runs/{id}.
+enum class RunView { kBrief, kListEntry, kFull };
+
+/// The one serializer of a run's fields, as members of an open object.
+void WriteRun(const JobSnapshot& run, RunView view, JsonWriter* w) {
+  w->Key("id");
+  w->String(run.id);
+  w->Key("state");
+  w->String(JobStateName(run.state));
+  if (view != RunView::kBrief) {
+    w->Key("dataset");
+    w->String(run.dataset_name);
+    w->Key("tenant");
+    w->String(run.tenant);
+    w->Key("priority");
+    w->String(JobPriorityName(run.priority));
+    if (!run.batch_id.empty()) {
+      w->Key("batch_id");
+      w->String(run.batch_id);
+    }
+    if (run.dispatch_sequence > 0) {
+      w->Key("dispatch_sequence");
+      w->Int(static_cast<int64_t>(run.dispatch_sequence));
+    }
+    if (view == RunView::kFull) {
+      // Durability markers, reported only when set: the job survived a
+      // server restart via the journal / its tuners resumed from
+      // checkpoints.
+      if (run.recovered) {
+        w->Key("recovered");
+        w->Bool(true);
+      }
+      if (run.resumed_from_checkpoint) {
+        w->Key("resumed_from_checkpoint");
+        w->Bool(true);
+      }
+      w->Key("events");
+      w->String("/v1/runs/" + run.id + "/events");
+    }
+    w->Key("queue_seconds");
+    w->Number(run.queue_seconds);
+    w->Key("run_seconds");
+    w->Number(run.run_seconds);
+  }
+  if (run.state == JobState::kDone) {
+    w->Key("best_algorithm");
+    w->String(run.best_algorithm);
+    w->Key("best_validation_accuracy");
+    w->Number(run.best_validation_accuracy);
+    if (view != RunView::kFull) return;
+    w->Key("degraded");
+    w->Bool(run.degraded);
+    w->Key("failed_candidates");
+    w->Int(static_cast<int64_t>(run.failed_candidates));
+    w->Key("phase_seconds");
+    w->BeginObject();
+    w->Key("preprocessing");
+    w->Number(run.preprocessing_seconds);
+    w->Key("selection");
+    w->Number(run.selection_seconds);
+    w->Key("tuning");
+    w->Number(run.tuning_seconds);
+    w->Key("output");
+    w->Number(run.output_seconds);
+    w->Key("total");
+    w->Number(run.total_seconds);
+    w->EndObject();
+    w->Key("result");
+    w->Raw(run.result_json.empty() ? "null" : run.result_json);
+  } else if (view == RunView::kFull &&
+             (run.state == JobState::kFailed ||
+              (run.state == JobState::kCancelled && !run.error.ok()))) {
+    w->Key("error");
+    w->BeginObject();
+    w->Key("code");
+    w->String(StatusCodeSlug(run.error.code()));
+    w->Key("message");
+    w->String(run.error.message());
+    w->EndObject();
+  }
+}
 
 /// Echoes a client-supplied X-Request-Id (sanitized: printable ASCII, max
 /// 64 chars) or mints a process-unique one.
@@ -176,38 +272,45 @@ std::string RequestIdFor(const HttpRequest& request) {
                                       counter.fetch_add(1) + 1));
 }
 
-/// The tenant this request acts as (X-Tenant header, "default" otherwise).
-std::string TenantFor(const HttpRequest& request) {
-  auto it = request.headers.find("x-tenant");
-  if (it == request.headers.end() || it->second.empty()) {
-    return kDefaultTenant;
-  }
-  // Keep tenant ids label-safe (they become Prometheus label values).
-  std::string tenant;
+/// A header value reduced to label-safe characters (tenant ids become
+/// Prometheus label values), at most 64; empty when the header is absent.
+std::string LabelSafeHeader(const HttpRequest& request, const char* name) {
+  auto it = request.headers.find(name);
+  if (it == request.headers.end()) return "";
+  std::string out;
   for (char c : it->second) {
     if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
         (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.') {
-      tenant += c;
+      out += c;
     }
-    if (tenant.size() >= 64) break;
+    if (out.size() >= 64) break;
   }
+  return out;
+}
+
+/// The tenant this request acts as (X-Tenant header, "default" otherwise).
+std::string TenantFor(const HttpRequest& request) {
+  const std::string tenant = LabelSafeHeader(request, "x-tenant");
   return tenant.empty() ? kDefaultTenant : tenant;
 }
 
-/// The client's at-most-once key (Idempotency-Key header), sanitized the
-/// same way as tenant ids; empty when the header is absent.
+/// The client's at-most-once key (the Idempotency-Key header).
 std::string IdempotencyKeyFor(const HttpRequest& request) {
-  auto it = request.headers.find("idempotency-key");
-  if (it == request.headers.end()) return "";
-  std::string key;
-  for (char c : it->second) {
-    if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-        (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.') {
-      key += c;
-    }
-    if (key.size() >= 64) break;
-  }
-  return key;
+  return LabelSafeHeader(request, "idempotency-key");
+}
+
+/// The query parameter `key`, or null when absent.
+const std::string* QueryParam(const HttpRequest& request, const char* key) {
+  auto it = request.query.find(key);
+  return it == request.query.end() ? nullptr : &it->second;
+}
+
+/// A JSON response with `body`.
+HttpResponse JsonResponse(std::string body, int status = 200) {
+  HttpResponse response;
+  response.status = status;
+  response.body = std::move(body);
+  return response;
 }
 
 void WriteRetryAfter(HttpResponse* response, double seconds) {
@@ -233,10 +336,7 @@ HttpResponse ErrorResponse(int http_status, const std::string& code,
   }
   w.EndObject();
   w.EndObject();
-  HttpResponse response;
-  response.status = http_status;
-  response.body = std::move(w).Take();
-  return response;
+  return JsonResponse(std::move(w).Take(), http_status);
 }
 
 HttpResponse ErrorResponseFromStatus(const Status& status) {
@@ -325,6 +425,8 @@ std::string SerializeHttpResponse(const HttpResponse& response,
   for (const auto& [name, value] : response.headers) {
     out += name + ": " + value + "\r\n";
   }
+  // A streamed body follows the head until the connection closes.
+  if (response.stream) return out + "Connection: close\r\n\r\n";
   out += StrFormat("Content-Length: %zu\r\n", response.body.size());
   out += keep_alive ? "Connection: keep-alive\r\n\r\n"
                     : "Connection: close\r\n\r\n";
@@ -544,9 +646,7 @@ HttpResponse RestService::HandleHealth() {
   }
   w.EndObject();
   w.EndObject();
-  HttpResponse response;
-  response.body = std::move(w).Take();
-  return response;
+  return JsonResponse(std::move(w).Take());
 }
 
 HttpResponse RestService::HandleMetrics() {
@@ -574,15 +674,11 @@ HttpResponse RestService::HandleAlgorithms() {
     w.EndObject();
   }
   w.EndArray();
-  HttpResponse response;
-  response.body = std::move(w).Take();
-  return response;
+  return JsonResponse(std::move(w).Take());
 }
 
 HttpResponse RestService::HandleKb() {
-  HttpResponse response;
-  response.body = KbToJson(framework_->kb());
-  return response;
+  return JsonResponse(KbToJson(framework_->kb()));
 }
 
 HttpResponse RestService::HandleMetaFeatures(const HttpRequest& request) {
@@ -596,9 +692,7 @@ HttpResponse RestService::HandleMetaFeatures(const HttpRequest& request) {
   if (!mf.ok()) {
     return ErrorResponseFromStatus(mf.status());
   }
-  HttpResponse response;
-  response.body = MetaFeaturesToJson(*mf);
-  return response;
+  return JsonResponse(MetaFeaturesToJson(*mf));
 }
 
 HttpResponse RestService::HandleSelectV1(const HttpRequest& request) {
@@ -646,34 +740,28 @@ HttpResponse RestService::HandleSelectV1(const HttpRequest& request) {
         400, "invalid_argument",
         "missing meta-features: " + Join(missing, ", "));
   }
-  HttpResponse response;
-  response.body = NominationsToJson(framework_->SelectAlgorithms(mf));
-  return response;
+  return JsonResponse(NominationsToJson(framework_->SelectAlgorithms(mf)));
 }
 
 HttpResponse RestService::HandleSubmitRun(const HttpRequest& request) {
-  if (jobs_ == nullptr) {
-    return ErrorResponse(503, "unavailable",
-                         "async runs are disabled (no job manager)");
-  }
+  if (jobs_ == nullptr) return JobsDisabled();
   auto dataset = ReadCsvString(request.body);
   if (!dataset.ok()) {
     return ErrorResponseFromStatus(dataset.status());
   }
-  auto it = request.query.find("name");
-  dataset->set_name(it != request.query.end() ? it->second : "api_dataset");
+  const std::string* name = QueryParam(request, "name");
+  dataset->set_name(name != nullptr ? *name : "api_dataset");
 
   JobRequest job;
   job.dataset = std::move(*dataset);
-  job.run_options = OptionsFromQuery(framework_->options(), request);
-  if (current_request_id != nullptr) {
-    job.run_options.trace_tag = *current_request_id;
-  }
+  StatusOr<SmartMlOptions> options =
+      OptionsFromQuery(framework_->options(), request);
+  if (!options.ok()) return ErrorResponseFromStatus(options.status());
+  job.run_options = *std::move(options);
   job.tenant = TenantFor(request);
   job.idempotency_key = IdempotencyKeyFor(request);
-  auto priority = request.query.find("priority");
-  if (priority != request.query.end()) {
-    job.priority = ParseJobPriority(priority->second);
+  if (const std::string* priority = QueryParam(request, "priority")) {
+    job.priority = ParseJobPriority(*priority);
   }
 
   auto id = jobs_->Submit(std::move(job));
@@ -698,18 +786,13 @@ HttpResponse RestService::HandleSubmitRun(const HttpRequest& request) {
   w.Key("events");
   w.String("/v1/runs/" + *id + "/events");
   w.EndObject();
-  HttpResponse response;
-  response.status = 202;
+  HttpResponse response = JsonResponse(std::move(w).Take(), 202);
   response.headers["Location"] = "/v1/runs/" + *id;
-  response.body = std::move(w).Take();
   return response;
 }
 
 HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
-  if (jobs_ == nullptr) {
-    return ErrorResponse(503, "unavailable",
-                         "async runs are disabled (no job manager)");
-  }
+  if (jobs_ == nullptr) return JobsDisabled();
   auto parsed = ParseJson(request.body);
   if (!parsed.ok()) {
     return ErrorResponseFromStatus(parsed.status());
@@ -731,7 +814,9 @@ HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
   // reaches the scheduler whole or not at all (admission itself may still
   // reject individual items on quota).
   const std::string tenant = TenantFor(request);
-  const SmartMlOptions base = OptionsFromQuery(framework_->options(), request);
+  const StatusOr<SmartMlOptions> base =
+      OptionsFromQuery(framework_->options(), request);
+  if (!base.ok()) return ErrorResponseFromStatus(base.status());
   std::vector<JobRequest> requests;
   for (size_t i = 0; i < items->array.size(); ++i) {
     const JsonValue& item = items->array[i];
@@ -753,10 +838,7 @@ HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
     }
     JobRequest job;
     job.dataset = std::move(*dataset);
-    job.run_options = base;
-    if (current_request_id != nullptr) {
-      job.run_options.trace_tag = *current_request_id;
-    }
+    job.run_options = *base;
     job.tenant = tenant;
     job.priority = JobPriority::kBatch;
     if (const JsonValue* v = item.Find("name")) {
@@ -768,16 +850,12 @@ HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
     if (const JsonValue* v = item.Find("priority")) {
       if (v->is_string()) job.priority = ParseJobPriority(v->string);
     }
-    if (const JsonValue* v = item.Find("budget")) {
-      if (v->is_number()) job.run_options.time_budget_seconds = v->number;
-    }
-    if (const JsonValue* v = item.Find("evals")) {
-      if (v->is_number()) {
-        job.run_options.max_evaluations = static_cast<int>(v->number);
-      }
-    }
-    if (const JsonValue* v = item.Find("selection_only")) {
-      if (v->is_bool()) job.run_options.selection_only = v->boolean;
+    const Status overrides = ApplyRunOptions(
+        item, RunOptionSource::kBatchItem, &job.run_options);
+    if (!overrides.ok()) {
+      return ErrorResponse(400, "invalid_argument",
+                           StrFormat("items[%zu]: %s", i,
+                                     overrides.message().c_str()));
     }
     requests.push_back(std::move(job));
   }
@@ -845,21 +923,16 @@ HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
   }
   w.EndArray();
   w.EndObject();
-  HttpResponse response;
-  response.status = 202;
+  HttpResponse response = JsonResponse(std::move(w).Take(), 202);
   response.headers["Location"] = "/v1/batches/" + batch->batch_id;
   if (admitted < batch->items.size() && shed) {
     WriteRetryAfter(&response, jobs_->retry_after_seconds());
   }
-  response.body = std::move(w).Take();
   return response;
 }
 
 HttpResponse RestService::HandleGetBatch(const std::string& id) {
-  if (jobs_ == nullptr) {
-    return ErrorResponse(503, "unavailable",
-                         "async runs are disabled (no job manager)");
-  }
+  if (jobs_ == nullptr) return JobsDisabled();
   auto batch = jobs_->GetBatch(id);
   if (!batch.ok()) {
     return ErrorResponseFromStatus(batch.status());
@@ -877,48 +950,30 @@ HttpResponse RestService::HandleGetBatch(const std::string& id) {
     w.BeginObject();
     w.Key("index");
     w.Int(static_cast<int64_t>(i));
-    if (!item.job_id.empty()) {
-      w.Key("id");
-      w.String(item.job_id);
-      auto snapshot = jobs_->Get(item.job_id);
-      if (snapshot.ok()) {
-        w.Key("state");
-        w.String(JobStateName(snapshot->state));
-        if (snapshot->state == JobState::kDone) {
-          w.Key("best_algorithm");
-          w.String(snapshot->best_algorithm);
-          w.Key("best_validation_accuracy");
-          w.Number(snapshot->best_validation_accuracy);
-        }
-      }
-    } else {
+    if (item.job_id.empty()) {
       w.Key("error");
       w.String(item.error);
+    } else if (auto run = jobs_->Get(item.job_id); run.ok()) {
+      WriteRun(*run, RunView::kBrief, &w);
+    } else {
+      w.Key("id");
+      w.String(item.job_id);
     }
     w.EndObject();
   }
   w.EndArray();
   w.EndObject();
-  HttpResponse response;
-  response.body = std::move(w).Take();
-  return response;
+  return JsonResponse(std::move(w).Take());
 }
 
 HttpResponse RestService::HandleListRuns(const HttpRequest& request) {
-  if (jobs_ == nullptr) {
-    return ErrorResponse(503, "unavailable",
-                         "async runs are disabled (no job manager)");
-  }
+  if (jobs_ == nullptr) return JobsDisabled();
   JobFilter filter;
-  auto get = [&](const char* key) -> const std::string* {
-    auto q = request.query.find(key);
-    return q == request.query.end() ? nullptr : &q->second;
-  };
-  if (const std::string* v = get("status")) filter.status = *v;
-  if (const std::string* v = get("tenant")) filter.tenant = *v;
-  if (const std::string* v = get("after")) filter.after_id = *v;
+  if (const std::string* v = QueryParam(request, "status")) filter.status = *v;
+  if (const std::string* v = QueryParam(request, "tenant")) filter.tenant = *v;
+  if (const std::string* v = QueryParam(request, "after")) filter.after_id = *v;
   size_t limit = 50;
-  if (const std::string* v = get("limit")) {
+  if (const std::string* v = QueryParam(request, "limit")) {
     const int parsed_limit = std::atoi(v->c_str());
     if (parsed_limit > 0) limit = static_cast<size_t>(parsed_limit);
   }
@@ -931,34 +986,7 @@ HttpResponse RestService::HandleListRuns(const HttpRequest& request) {
   w.BeginArray();
   for (const JobSnapshot& run : runs) {
     w.BeginObject();
-    w.Key("id");
-    w.String(run.id);
-    w.Key("state");
-    w.String(JobStateName(run.state));
-    w.Key("tenant");
-    w.String(run.tenant);
-    w.Key("priority");
-    w.String(JobPriorityName(run.priority));
-    w.Key("dataset");
-    w.String(run.dataset_name);
-    if (!run.batch_id.empty()) {
-      w.Key("batch_id");
-      w.String(run.batch_id);
-    }
-    if (run.dispatch_sequence > 0) {
-      w.Key("dispatch_sequence");
-      w.Int(static_cast<int64_t>(run.dispatch_sequence));
-    }
-    w.Key("queue_seconds");
-    w.Number(run.queue_seconds);
-    w.Key("run_seconds");
-    w.Number(run.run_seconds);
-    if (run.state == JobState::kDone) {
-      w.Key("best_algorithm");
-      w.String(run.best_algorithm);
-      w.Key("best_validation_accuracy");
-      w.Number(run.best_validation_accuracy);
-    }
+    WriteRun(run, RunView::kListEntry, &w);
     w.EndObject();
   }
   w.EndArray();
@@ -969,9 +997,7 @@ HttpResponse RestService::HandleListRuns(const HttpRequest& request) {
     w.String(runs.back().id);
   }
   w.EndObject();
-  HttpResponse response;
-  response.body = std::move(w).Take();
-  return response;
+  return JsonResponse(std::move(w).Take());
 }
 
 namespace {
@@ -1010,10 +1036,7 @@ std::string SseFrame(const RunEvent& event) {
 
 HttpResponse RestService::HandleRunEvents(const HttpRequest& request,
                                           const std::string& id) {
-  if (jobs_ == nullptr) {
-    return ErrorResponse(503, "unavailable",
-                         "async runs are disabled (no job manager)");
-  }
+  if (jobs_ == nullptr) return JobsDisabled();
   auto buffer = jobs_->Events(id);
   if (!buffer.ok()) {
     return ErrorResponseFromStatus(buffer.status());
@@ -1025,11 +1048,8 @@ HttpResponse RestService::HandleRunEvents(const HttpRequest& request,
   auto header = request.headers.find("last-event-id");
   if (header != request.headers.end()) {
     last_seen = std::strtoull(header->second.c_str(), nullptr, 10);
-  } else {
-    auto q = request.query.find("after");
-    if (q != request.query.end()) {
-      last_seen = std::strtoull(q->second.c_str(), nullptr, 10);
-    }
+  } else if (const std::string* after = QueryParam(request, "after")) {
+    last_seen = std::strtoull(after->c_str(), nullptr, 10);
   }
 
   struct StreamState {
@@ -1091,96 +1111,20 @@ HttpResponse RestService::HandleRunEvents(const HttpRequest& request,
 }
 
 HttpResponse RestService::HandleGetRun(const std::string& id) {
-  if (jobs_ == nullptr) {
-    return ErrorResponse(503, "unavailable",
-                         "async runs are disabled (no job manager)");
-  }
+  if (jobs_ == nullptr) return JobsDisabled();
   auto snapshot = jobs_->Get(id);
   if (!snapshot.ok()) {
     return ErrorResponseFromStatus(snapshot.status());
   }
   JsonWriter w;
   w.BeginObject();
-  w.Key("id");
-  w.String(snapshot->id);
-  w.Key("state");
-  w.String(JobStateName(snapshot->state));
-  w.Key("dataset");
-  w.String(snapshot->dataset_name);
-  w.Key("tenant");
-  w.String(snapshot->tenant);
-  w.Key("priority");
-  w.String(JobPriorityName(snapshot->priority));
-  if (!snapshot->batch_id.empty()) {
-    w.Key("batch_id");
-    w.String(snapshot->batch_id);
-  }
-  if (snapshot->dispatch_sequence > 0) {
-    w.Key("dispatch_sequence");
-    w.Int(static_cast<int64_t>(snapshot->dispatch_sequence));
-  }
-  // Durability markers, reported only when set: the job survived a server
-  // restart via the journal / its tuners resumed from checkpoints.
-  if (snapshot->recovered) {
-    w.Key("recovered");
-    w.Bool(true);
-  }
-  if (snapshot->resumed_from_checkpoint) {
-    w.Key("resumed_from_checkpoint");
-    w.Bool(true);
-  }
-  w.Key("events");
-  w.String("/v1/runs/" + snapshot->id + "/events");
-  w.Key("queue_seconds");
-  w.Number(snapshot->queue_seconds);
-  w.Key("run_seconds");
-  w.Number(snapshot->run_seconds);
-  if (snapshot->state == JobState::kDone) {
-    w.Key("best_algorithm");
-    w.String(snapshot->best_algorithm);
-    w.Key("best_validation_accuracy");
-    w.Number(snapshot->best_validation_accuracy);
-    w.Key("degraded");
-    w.Bool(snapshot->degraded);
-    w.Key("failed_candidates");
-    w.Int(static_cast<int64_t>(snapshot->failed_candidates));
-    w.Key("phase_seconds");
-    w.BeginObject();
-    w.Key("preprocessing");
-    w.Number(snapshot->preprocessing_seconds);
-    w.Key("selection");
-    w.Number(snapshot->selection_seconds);
-    w.Key("tuning");
-    w.Number(snapshot->tuning_seconds);
-    w.Key("output");
-    w.Number(snapshot->output_seconds);
-    w.Key("total");
-    w.Number(snapshot->total_seconds);
-    w.EndObject();
-    w.Key("result");
-    w.Raw(snapshot->result_json.empty() ? "null" : snapshot->result_json);
-  } else if (snapshot->state == JobState::kFailed ||
-             (snapshot->state == JobState::kCancelled &&
-              !snapshot->error.ok())) {
-    w.Key("error");
-    w.BeginObject();
-    w.Key("code");
-    w.String(StatusCodeSlug(snapshot->error.code()));
-    w.Key("message");
-    w.String(snapshot->error.message());
-    w.EndObject();
-  }
+  WriteRun(*snapshot, RunView::kFull, &w);
   w.EndObject();
-  HttpResponse response;
-  response.body = std::move(w).Take();
-  return response;
+  return JsonResponse(std::move(w).Take());
 }
 
 HttpResponse RestService::HandleCancelRun(const std::string& id) {
-  if (jobs_ == nullptr) {
-    return ErrorResponse(503, "unavailable",
-                         "async runs are disabled (no job manager)");
-  }
+  if (jobs_ == nullptr) return JobsDisabled();
   auto snapshot = jobs_->Cancel(id);
   if (!snapshot.ok()) {
     return ErrorResponseFromStatus(snapshot.status());
@@ -1190,15 +1134,10 @@ HttpResponse RestService::HandleCancelRun(const std::string& id) {
   // thread observes the token). Repeating the DELETE is idempotent.
   JsonWriter w;
   w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("state");
-  w.String(JobStateName(snapshot->state));
+  WriteRun(*snapshot, RunView::kBrief, &w);
   w.EndObject();
-  HttpResponse response;
-  response.status = snapshot->state == JobState::kCancelling ? 202 : 200;
-  response.body = std::move(w).Take();
-  return response;
+  return JsonResponse(std::move(w).Take(),
+                      snapshot->state == JobState::kCancelling ? 202 : 200);
 }
 
 // ---------------------------------------------------------------------------
@@ -1338,7 +1277,7 @@ Status HttpServer::Serve(int max_requests) {
     if (shed) {
       // Load shedding on the accept thread — cheap, never blocks long
       // thanks to SO_SNDTIMEO.
-      (void)!::write(client, shed_wire.data(), shed_wire.size());
+      (void)SendAll(client, shed_wire);
       ::close(client);
       metrics_.shed->Increment();
       metrics_.requests_by_class[5 - 2]->Increment();
@@ -1498,49 +1437,10 @@ void HttpServer::HandleConnection(int client) {
     ++requests_on_connection;
     if (requests_on_connection > 1) metrics_.keepalive_reuses->Increment();
 
-    if (framed_ok && response.stream) {
-      // Streaming (SSE) response: the connection is dedicated to the stream
-      // from here on (any pipelined follow-up bytes are discarded) and
-      // closes when it ends. Writes use MSG_NOSIGNAL so a client that
-      // disconnects mid-stream surfaces as a write error, not SIGPIPE —
-      // the loop then drops the puller, releasing its event-buffer
-      // reference.
-      const int status_class = response.status / 100;
-      if (status_class >= 2 && status_class <= 5) {
-        metrics_.requests_by_class[status_class - 2]->Increment();
-      }
-      served_.fetch_add(1);
-      std::string head = StrFormat("HTTP/1.1 %d %s\r\n", response.status,
-                                   StatusText(response.status));
-      head += "Content-Type: " + response.content_type + "\r\n";
-      for (const auto& [name, value] : response.headers) {
-        head += name + ": " + value + "\r\n";
-      }
-      head += "Connection: close\r\n\r\n";
-      auto send_all = [client](const std::string& bytes) {
-        size_t written = 0;
-        while (written < bytes.size()) {
-          const ssize_t n = ::send(client, bytes.data() + written,
-                                   bytes.size() - written, MSG_NOSIGNAL);
-          if (n <= 0) return false;
-          written += static_cast<size_t>(n);
-        }
-        return true;
-      };
-      bool writable = send_all(head);
-      std::string chunk;
-      while (writable && !stopping_.load() && !draining_.load()) {
-        const bool more = response.stream(&chunk);
-        if (!chunk.empty()) writable = send_all(chunk);
-        if (!more) break;
-      }
-      break;  // Streamed connections always close.
-    }
-
     // Keep-alive decision: HTTP/1.1 defaults to keep, HTTP/1.0 and
-    // `Connection: close` to close; framing errors, the per-connection
-    // request cap and a draining server always close.
-    keep_alive = framed_ok;
+    // `Connection: close` to close; framing errors, streamed responses, the
+    // per-connection request cap and a draining server always close.
+    keep_alive = framed_ok && !response.stream;
     if (keep_alive) {
       if (request.version == "HTTP/1.0") keep_alive = false;
       auto it = request.headers.find("connection");
@@ -1558,18 +1458,27 @@ void HttpServer::HandleConnection(int client) {
     if (status_class >= 2 && status_class <= 5) {
       metrics_.requests_by_class[status_class - 2]->Increment();
     }
-    const std::string wire = SerializeHttpResponse(response, keep_alive);
     // Count before writing: a client that reads the response must be able
     // to observe the updated requests_served().
     served_.fetch_add(1);
-    size_t written = 0;
-    while (written < wire.size()) {
-      const ssize_t n =
-          ::write(client, wire.data() + written, wire.size() - written);
-      if (n <= 0) break;
-      written += static_cast<size_t>(n);
+    if (!SendAll(client, SerializeHttpResponse(response, keep_alive))) {
+      break;  // Client stopped reading.
     }
-    if (written < wire.size()) break;  // Client stopped reading.
+    if (response.stream) {
+      // Streaming (SSE) response: the connection is dedicated to the stream
+      // from here on (any pipelined follow-up bytes are discarded) and
+      // closes when it ends. A client that disconnects mid-stream surfaces
+      // as a send error; the loop then drops the puller, releasing its
+      // event-buffer reference.
+      std::string chunk;
+      bool writable = true;
+      while (writable && !stopping_.load() && !draining_.load()) {
+        const bool more = response.stream(&chunk);
+        if (!chunk.empty()) writable = SendAll(client, chunk);
+        if (!more) break;
+      }
+      break;
+    }
   }
   ::close(client);
 }

@@ -13,6 +13,8 @@
 //     Connections are kept alive across requests (HTTP/1.1 default,
 //     pipelining included) up to a bounded request count and idle timeout;
 //     `Connection: close` and HTTP/1.0 requests close after one response.
+//     Every write goes through one MSG_NOSIGNAL send loop, so a client that
+//     hangs up costs only its own connection.
 //
 // Versioned v1 routes (all non-2xx responses carry the uniform envelope
 // {"error":{"code":"...","message":"...","request_id":"..."}}; every
@@ -29,7 +31,8 @@
 //   POST   /v1/runs         (CSV)     -> 202 + {"id": ...}; async job
 //          query params: name=, budget=SECONDS, evals=N, selection_only=1,
 //                        ensemble=0, interpretability=0, nominations=K,
-//                        priority=interactive|normal|batch
+//                        priority=interactive|normal|batch (a malformed
+//                        option value is a 400 naming the parameter)
 //   GET    /v1/runs                   -> job list; filters status=, tenant=,
 //                                        cursor pagination after=/limit=
 //   GET    /v1/runs/{id}              -> queued|running|done|failed|

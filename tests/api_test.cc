@@ -535,6 +535,103 @@ TEST_F(RestServiceTest, V1RunsShedLoadAndCancelQueued) {
   EXPECT_EQ(Call("POST", "/v1/runs", DatasetCsv()).status, 202);
 }
 
+// A malformed run option fails the submission with 400 naming the query
+// parameter, and nothing is admitted. atoi/atof used to read these as 0
+// (evals: no evaluation cap; deadline: no whole-run cap) or wrap them
+// (nominations=-1 became SIZE_MAX).
+TEST_F(RestServiceTest, MalformedRunOptionsAre400) {
+  const std::pair<const char*, const char*> kBad[] = {
+      {"evals", "abc"},        {"deadline", "abc"},
+      {"nominations", "-1"},   {"budget", "-1"},
+      {"evals", "-3"},         {"deadline", "-0.5"},
+      {"evals", "5x"},         {"budget", "1.5s"},
+      {"budget", "inf"},       {"budget", "nan"},
+      {"budget", "1e999"},     {"evals", "2x"},
+      {"evals", "99999999999"}, {"threads", "two"},
+      {"selection_only", "yes"}, {"ensemble", ""},
+      {"interpretability", "off"},
+  };
+  for (const auto& [key, value] : kBad) {
+    for (const char* path : {"/v1/runs", "/v1/batch"}) {
+      const std::string body =
+          std::string(path) == "/v1/runs"
+              ? DatasetCsv()
+              : "{\"items\":[{\"csv\":\"" + JsonWriter::Escape(DatasetCsv()) +
+                    "\"}]}";
+      const HttpResponse response = Call("POST", path, body, {{key, value}});
+      EXPECT_EQ(response.status, 400)
+          << path << "?" << key << "=" << value << ": " << response.body;
+      EXPECT_NE(response.body.find("\"invalid_argument\""), std::string::npos)
+          << response.body;
+      EXPECT_NE(response.body.find(std::string("\\\"") + key + "\\\""),
+                std::string::npos)
+          << response.body;
+    }
+  }
+  EXPECT_TRUE(jobs_.List({}).empty());
+}
+
+// A batch item override of the wrong JSON type, or out of range, fails the
+// whole call with 400 naming the item index and the key. A string "budget"
+// used to be dropped silently.
+TEST_F(RestServiceTest, MalformedBatchItemOverridesAre400) {
+  const std::string csv = JsonWriter::Escape(DatasetCsv());
+  const std::pair<const char*, const char*> kBad[] = {
+      {"budget", R"("budget":"5")"},         {"evals", R"("evals":true)"},
+      {"evals", R"("evals":-1)"},            {"budget", R"("budget":-2.5)"},
+      {"selection_only", R"("selection_only":1)"},
+      {"evals", R"("evals":1e300)"},
+  };
+  for (const auto& [key, member] : kBad) {
+    const std::string body = "{\"items\":[{\"csv\":\"" + csv +
+                             "\"},{\"csv\":\"" + csv + "\"," + member + "}]}";
+    const HttpResponse response = Call("POST", "/v1/batch", body);
+    EXPECT_EQ(response.status, 400) << member << ": " << response.body;
+    EXPECT_NE(response.body.find("\"invalid_argument\""), std::string::npos)
+        << response.body;
+    EXPECT_NE(response.body.find("items[1]"), std::string::npos)
+        << response.body;
+    EXPECT_NE(response.body.find(std::string("\\\"") + key + "\\\""),
+              std::string::npos)
+        << response.body;
+  }
+  EXPECT_TRUE(jobs_.List({}).empty());
+}
+
+// Well-formed values keep their meaning: booleans take 0/1/true/false,
+// threads <= 0 still means "auto", and zero budgets, caps and deadlines are
+// valid.
+TEST_F(RestServiceTest, WellFormedRunOptionsAreAccepted) {
+  const std::string id = RunToCompletion(
+      DatasetCsv(), {{"selection_only", "true"},
+                     {"ensemble", "false"},
+                     {"interpretability", "0"},
+                     {"threads", "-1"},
+                     {"budget", "2.5"},
+                     {"evals", "0"},
+                     {"deadline", "0"},
+                     {"nominations", "2"}});
+  const HttpResponse done = Call("GET", "/v1/runs/" + id);
+  EXPECT_NE(done.body.find("\"state\":\"done\""), std::string::npos)
+      << done.body;
+  EXPECT_NE(done.body.find("\"best_algorithm\":\"\""), std::string::npos)
+      << done.body;
+
+  const HttpResponse batch = Call(
+      "POST", "/v1/batch",
+      "{\"items\":[{\"csv\":\"" + JsonWriter::Escape(DatasetCsv()) +
+          "\",\"budget\":1.5,\"evals\":4,\"selection_only\":true}]}",
+      {{"threads", "0"}, {"ensemble", "1"}});
+  ASSERT_EQ(batch.status, 202) << batch.body;
+  auto parsed = ParseJson(batch.body);
+  ASSERT_TRUE(parsed.ok());
+  const std::string item = parsed->Find("items")->array[0].Find("id")->string;
+  auto finished = jobs_.Wait(item, 60.0);
+  ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+  EXPECT_EQ(finished->state, JobState::kDone);
+  EXPECT_EQ(finished->best_algorithm, "");  // selection_only took effect.
+}
+
 // ---------------------------------------------------------------------------
 // Real socket round trip
 // ---------------------------------------------------------------------------

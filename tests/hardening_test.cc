@@ -516,5 +516,57 @@ TEST(HttpFramingTest, HeaderTerminatorSplitAcrossReads) {
   EXPECT_EQ(served, 1);
 }
 
+// A client that pipelines requests and hangs up without reading the
+// responses makes the server's later writes fail with EPIPE. That must drop
+// the connection, not raise SIGPIPE and kill the process: a fresh
+// connection afterwards still gets its 200. One server worker, so the fresh
+// connection is served only after the hung-up one was handled.
+TEST(HttpFramingTest, ClientHangupDoesNotKillTheServer) {
+  SmartML framework;
+  RestService service(&framework);
+  HttpServerOptions options;
+  options.num_workers = 1;
+  HttpServer server(&service, options);
+  auto port = server.Bind(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  std::thread serve([&] { EXPECT_TRUE(server.Serve().ok()); });
+
+  auto connect = [&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(*port));
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  };
+  std::string pipelined;
+  for (int i = 0; i < 8; ++i) {
+    pipelined += "GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n";
+  }
+  const int hangup = connect();
+  ASSERT_EQ(::write(hangup, pipelined.data(), pipelined.size()),
+            static_cast<ssize_t>(pipelined.size()));
+  ::close(hangup);
+
+  const std::string health =
+      "GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+  const int fd = connect();
+  ASSERT_EQ(::write(fd, health.data(), health.size()),
+            static_cast<ssize_t>(health.size()));
+  std::string reply;  // Read to EOF: Connection: close.
+  char buffer[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
+    reply.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  server.Stop();
+  serve.join();
+  EXPECT_EQ(reply.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << reply;
+}
+
 }  // namespace
 }  // namespace smartml

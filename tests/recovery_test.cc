@@ -14,6 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +24,8 @@
 #include <vector>
 
 #include "src/api/job_manager.h"
+#include "src/api/json.h"
+#include "src/api/rest.h"
 #include "src/common/cancellation.h"
 #include "src/data/csv.h"
 #include "src/data/synthetic.h"
@@ -186,6 +191,25 @@ TEST(RecoveryTest, TerminalJobStaysPollableAfterRestart) {
               1e-9);
   EXPECT_EQ(after->result_json, before.result_json);
   EXPECT_EQ(after->dataset_name, before.dataset_name);
+  // Every other JobSnapshot field survives too, except the queue and run
+  // spans (a replayed job reports zero for both).
+  EXPECT_FALSE(before.recovered);
+  EXPECT_EQ(after->id, before.id);
+  EXPECT_EQ(after->tenant, before.tenant);
+  EXPECT_EQ(after->priority, before.priority);
+  EXPECT_EQ(after->batch_id, before.batch_id);
+  EXPECT_EQ(after->dispatch_sequence, before.dispatch_sequence);
+  EXPECT_EQ(after->error.code(), before.error.code());
+  EXPECT_EQ(after->error.message(), before.error.message());
+  EXPECT_NEAR(after->preprocessing_seconds, before.preprocessing_seconds,
+              1e-9);
+  EXPECT_NEAR(after->selection_seconds, before.selection_seconds, 1e-9);
+  EXPECT_NEAR(after->tuning_seconds, before.tuning_seconds, 1e-9);
+  EXPECT_NEAR(after->output_seconds, before.output_seconds, 1e-9);
+  EXPECT_NEAR(after->total_seconds, before.total_seconds, 1e-9);
+  EXPECT_EQ(after->degraded, before.degraded);
+  EXPECT_EQ(after->failed_candidates, before.failed_candidates);
+  EXPECT_EQ(after->resumed_from_checkpoint, before.resumed_from_checkpoint);
   // Reconstructed terminal jobs must not be re-executed.
   EXPECT_EQ(restarted.NumQueued(), 0u);
 }
@@ -409,6 +433,337 @@ TEST(RecoveryTest, RestartWithoutJournalDirStartsEmpty) {
   EXPECT_EQ(jobs.journal(), nullptr);
   EXPECT_EQ(jobs.checkpoints(), nullptr);
   EXPECT_TRUE(jobs.List({}).empty());
+}
+
+// --------------------------------------------------------------------------
+// Journal format parity
+// --------------------------------------------------------------------------
+
+struct FixtureRecord {
+  JobJournalRecordType type;
+  const char* key;
+  const char* payload;
+};
+
+// Payloads copied byte for byte from the (compacted) journal of a server
+// built before the job record, its terminal transition and the run-option
+// codec were each written once. run-000001 finished, run-000002 failed,
+// run-000003 is batch-000001's admitted item whose dataset is gone (an admit
+// record without "csv" and no terminal record), run-000004 had a cancel
+// requested mid-run and no terminal record, and run-000005 was cancelled
+// while queued. batch-000001's second item was rejected at admission.
+const FixtureRecord kParentJournal[] = {
+    {JobJournalRecordType::kAdmit, "run-000001",
+     R"json({"tenant":"default","priority":"normal","batch_id":"","dataset)json"
+     R"json(_name":"done_job","idempotency_key":"key-1","options":{"budget)json"
+     R"json(":10,"evals":4,"deadline":0,"cv_folds":2,"nominations":3,"sele)json"
+     R"json(ction_only":false,"ensemble":false,"interpretability":false,"t)json"
+     R"json(hreads":4,"seed":42,"update_kb":true}})json"},
+    {JobJournalRecordType::kTerminal, "run-000001",
+     R"json({"state":"done","error_code":0,"error":"","best_algorithm":"ra)json"
+     R"json(ndom_forest","best_validation_accuracy":1,"preprocessing_secon)json"
+     R"json(ds":0.000105711,"selection_seconds":8.4259e-05,"tuning_seconds)json"
+     R"json(":0.00117283,"output_seconds":2.8967e-05,"total_seconds":0.001)json"
+     R"json(42477,"degraded":false,"failed_candidates":0,"resumed_from_che)json"
+     R"json(ckpoint":false,"dispatch_sequence":1,"result_json":"{\"dataset)json"
+     R"json(\":\"done_job\",\"used_meta_learning\":false,\"selected_featur)json"
+     R"json(es\":[\"f1\",\"f2\",\"f3\"],\"meta_features\":{\"num_instances)json"
+     R"json(\":30,\"log_num_instances\":3.40119738166,\"num_features\":3,\)json"
+     R"json("log_num_features\":1.09861228867,\"num_classes\":2,\"num_nume)json"
+     R"json(ric\":3,\"num_categorical\":0,\"ratio_numeric\":1,\"ratio_cate)json"
+     R"json(gorical\":0,\"dimensionality\":0.1,\"missing_ratio\":0,\"class)json"
+     R"json(_entropy\":1,\"class_imbalance\":1,\"majority_ratio\":0.5,\"mi)json"
+     R"json(nority_ratio\":0.5,\"skewness_mean\":0.0165687806057,\"skewnes)json"
+     R"json(s_min\":-0.0510222061261,\"skewness_max\":0.100728547943,\"kur)json"
+     R"json(tosis_mean\":-1.4709981135,\"kurtosis_min\":-2,\"kurtosis_max\)json"
+     R"json(":-1.12815456754,\"symbols_mean\":0,\"symbols_min\":0,\"symbol)json"
+     R"json(s_max\":0,\"symbols_sum\":0},\"nominations\":[],\"algorithms\")json"
+     R"json(:[{\"algorithm\":\"random_forest\",\"validation_accuracy\":1,\)json"
+     R"json("cv_error\":0,\"evaluations\":1,\"seconds\":0.000920839,\"best)json"
+     R"json(_config\":{\"mtry_frac\":0.3,\"nodesize\":1,\"ntree\":100}},{\)json"
+     R"json("algorithm\":\"svm\",\"validation_accuracy\":1,\"cv_error\":0,)json"
+     R"json(\"evaluations\":2,\"seconds\":0.000942834,\"best_config\":{\"C)json"
+     R"json(\":1,\"coef0\":0,\"degree\":3,\"gamma\":0.1,\"kernel\":\"rbf\")json"
+     R"json(}},{\"algorithm\":\"naive_bayes\",\"validation_accuracy\":1,\")json"
+     R"json(cv_error\":0,\"evaluations\":1,\"seconds\":0.000122522,\"best_)json"
+     R"json(config\":{\"adjust\":1,\"laplace\":1}}],\"degraded\":false,\"f)json"
+     R"json(ailed_candidates\":[],\"best_algorithm\":\"random_forest\",\"b)json"
+     R"json(est_config\":{\"mtry_frac\":0.3,\"nodesize\":1,\"ntree\":100},)json"
+     R"json(\"best_validation_accuracy\":1,\"ensemble\":null,\"importances)json"
+     R"json(\":[],\"trace\":[{\"name\":\"request/req-000000000001\",\"star)json"
+     R"json(t_seconds\":4.453e-06,\"duration_seconds\":9.4e-07,\"children\)json"
+     R"json(":[]},{\"name\":\"preprocess\",\"start_seconds\":1.6717e-05,\")json"
+     R"json(duration_seconds\":9.6412e-05,\"children\":[{\"name\":\"metafe)json"
+     R"json(atures\",\"start_seconds\":5.1549e-05,\"duration_seconds\":6.1)json"
+     R"json(27e-05,\"children\":[]}]},{\"name\":\"select\",\"start_seconds)json"
+     R"json(\":0.000140058,\"duration_seconds\":8.2566e-05,\"children\":[])json"
+     R"json(},{\"name\":\"tune\",\"start_seconds\":0.000257018,\"duration_)json"
+     R"json(seconds\":0.001138668,\"children\":[{\"name\":\"tune/random_fo)json"
+     R"json(rest\",\"start_seconds\":0.000272207,\"duration_seconds\":0.00)json"
+     R"json(0928377,\"children\":[{\"name\":\"tune/smac\",\"start_seconds\)json"
+     R"json(":0.000300992,\"duration_seconds\":0.000473311,\"children\":[])json"
+     R"json(},{\"name\":\"tune/refit\",\"start_seconds\":0.000775258,\"dur)json"
+     R"json(ation_seconds\":0.000418157,\"children\":[]}]},{\"name\":\"tun)json"
+     R"json(e/svm\",\"start_seconds\":0.000289017,\"duration_seconds\":0.0)json"
+     R"json(00951166,\"children\":[{\"name\":\"tune/smac\",\"start_seconds)json"
+     R"json(\":0.000328343,\"duration_seconds\":0.000865283,\"children\":[)json"
+     R"json(]},{\"name\":\"tune/refit\",\"start_seconds\":0.00119516,\"dur)json"
+     R"json(ation_seconds\":3.7707e-05,\"children\":[]}]},{\"name\":\"tune)json"
+     R"json(/naive_bayes\",\"start_seconds\":0.000293067,\"duration_second)json"
+     R"json(s\":0.000128057,\"children\":[{\"name\":\"tune/smac\",\"start_)json"
+     R"json(seconds\":0.000318023,\"duration_seconds\":9.0242e-05,\"childr)json"
+     R"json(en\":[]},{\"name\":\"tune/refit\",\"start_seconds\":0.00040944)json"
+     R"json(,\"duration_seconds\":6.725e-06,\"children\":[]}]}]},{\"name\")json"
+     R"json(:\"output\",\"start_seconds\":0.001398154,\"duration_seconds\")json"
+     R"json(:2.7006e-05,\"children\":[{\"name\":\"kb_update\",\"start_seco)json"
+     R"json(nds\":0.001412465,\"duration_seconds\":1.2602e-05,\"children\")json"
+     R"json(:[]}]}],\"total_seconds\":0.00142477}"})json"},
+    {JobJournalRecordType::kAdmit, "run-000002",
+     R"json({"tenant":"default","priority":"normal","batch_id":"","dataset)json"
+     R"json(_name":"failed_job","idempotency_key":"","options":{"budget":1)json"
+     R"json(0,"evals":4,"deadline":0,"cv_folds":2,"nominations":3,"selecti)json"
+     R"json(on_only":false,"ensemble":true,"interpretability":true,"thread)json"
+     R"json(s":4,"seed":42,"update_kb":true}})json"},
+    {JobJournalRecordType::kTerminal, "run-000002",
+     R"json({"state":"failed","error_code":1,"error":"SmartML: need at lea)json"
+     R"json(st 10 rows","best_algorithm":"","best_validation_accuracy":0,")json"
+     R"json(preprocessing_seconds":0,"selection_seconds":0,"tuning_seconds)json"
+     R"json(":0,"output_seconds":0,"total_seconds":0,"degraded":false,"fai)json"
+     R"json(led_candidates":0,"resumed_from_checkpoint":false,"dispatch_se)json"
+     R"json(quence":2,"result_json":""})json"},
+    {JobJournalRecordType::kAdmit, "run-000003",
+     R"json({"tenant":"batcher","priority":"batch","batch_id":"batch-00000)json"
+     R"json(1","dataset_name":"b0","idempotency_key":"","options":{"budget)json"
+     R"json(":10,"evals":4,"deadline":0,"cv_folds":2,"nominations":3,"sele)json"
+     R"json(ction_only":true,"ensemble":true,"interpretability":true,"thre)json"
+     R"json(ads":4,"seed":42,"update_kb":true}})json"},
+    {JobJournalRecordType::kBatch, "batch-000001",
+     R"json({"tenant":"batcher","idempotency_key":"","items":[{"job_id":"r)json"
+     R"json(un-000003","error":""},{"job_id":"","error":"ResourceExhausted)json"
+     R"json(: tenant 'batcher' at quota (1 pending, quota 1)"}]})json"},
+    {JobJournalRecordType::kAdmit, "run-000004",
+     R"json({"tenant":"default","priority":"normal","batch_id":"","dataset)json"
+     R"json(_name":"blocker","idempotency_key":"","options":{"budget":30,")json"
+     R"json(evals":0,"deadline":0,"cv_folds":2,"nominations":3,"selection_)json"
+     R"json(only":false,"ensemble":true,"interpretability":true,"threads":)json"
+     R"json(4,"seed":42,"update_kb":true}})json"},
+    {JobJournalRecordType::kDispatch, "run-000004", ""},
+    {JobJournalRecordType::kAdmit, "run-000005",
+     R"json({"tenant":"q","priority":"interactive","batch_id":"","dataset_)json"
+     R"json(name":"queued_job","idempotency_key":"","options":{"budget":10)json"
+     R"json(,"evals":4,"deadline":0,"cv_folds":2,"nominations":3,"selectio)json"
+     R"json(n_only":false,"ensemble":true,"interpretability":true,"threads)json"
+     R"json(":4,"seed":42,"update_kb":true}})json"},
+    {JobJournalRecordType::kTerminal, "run-000005",
+     R"json({"state":"cancelled","error_code":9,"error":"run cancelled","b)json"
+     R"json(est_algorithm":"","best_validation_accuracy":0,"preprocessing_)json"
+     R"json(seconds":0,"selection_seconds":0,"tuning_seconds":0,"output_se)json"
+     R"json(conds":0,"total_seconds":0,"degraded":false,"failed_candidates)json"
+     R"json(":0,"resumed_from_checkpoint":false,"dispatch_sequence":0,"res)json"
+     R"json(ult_json":""})json"},
+    {JobJournalRecordType::kCancelRequest, "run-000004", ""},
+};
+
+std::string WriteParentJournal() {
+  const std::string dir = JournalDir("parent_journal");
+  std::filesystem::create_directories(dir);
+  std::ofstream out(dir + "/journal-000001.wal", std::ios::binary);
+  for (const FixtureRecord& record : kParentJournal) {
+    out << EncodeJournalFrame(
+        {static_cast<uint8_t>(record.type), record.key, record.payload});
+  }
+  return dir;
+}
+
+// A JSON value with object members sorted by key, so two documents that
+// differ only in member order compare equal.
+std::string Canonical(const JsonValue& value) {
+  JsonWriter w;
+  std::function<void(const JsonValue&)> write = [&](const JsonValue& v) {
+    switch (v.kind) {
+      case JsonValue::Kind::kNull:
+        w.Null();
+        break;
+      case JsonValue::Kind::kBool:
+        w.Bool(v.boolean);
+        break;
+      case JsonValue::Kind::kNumber:
+        w.Number(v.number);
+        break;
+      case JsonValue::Kind::kString:
+        w.String(v.string);
+        break;
+      case JsonValue::Kind::kArray:
+        w.BeginArray();
+        for (const JsonValue& item : v.array) write(item);
+        w.EndArray();
+        break;
+      case JsonValue::Kind::kObject: {
+        std::map<std::string, const JsonValue*> sorted;
+        for (const auto& [key, member] : v.object) sorted[key] = &member;
+        w.BeginObject();
+        for (const auto& [key, member] : sorted) {
+          w.Key(key);
+          write(*member);
+        }
+        w.EndObject();
+        break;
+      }
+    }
+  };
+  write(value);
+  return std::move(w).Take();
+}
+
+TEST(RecoveryTest, ParentJournalReplaysToRecordedBodies) {
+  const std::string dir = WriteParentJournal();
+  SmartML framework;
+  MetricsRegistry registry;
+  auto options = Durable(dir, 1);
+  options.metrics = &registry;
+  JobManager jobs(&framework, options);
+  RestService service(&framework, &jobs, &registry);
+  auto get = [&](const std::string& path) {
+    HttpRequest request;
+    request.method = "GET";
+    request.path = path;
+    const HttpResponse response = service.Handle(request);
+    EXPECT_EQ(response.status, 200) << path << ": " << response.body;
+    return response.body;
+  };
+  // Every replayed job is terminal: nothing re-runs.
+  EXPECT_EQ(jobs.NumQueued(), 0u);
+
+  // Replayed jobs report zero queue and run time, so every body below is
+  // deterministic. Each was recorded from the same fixture at the same
+  // parent build.
+  auto terminal = ParseJson(kParentJournal[1].payload);
+  ASSERT_TRUE(terminal.ok());
+  const std::string done_head =
+    R"json({"id":"run-000001","state":"done","dataset":"done_job","tena)json"
+    R"json(nt":"default","priority":"normal","dispatch_sequence":1,"rec)json"
+    R"json(overed":true,"events":"/v1/runs/run-000001/events","queue_se)json"
+    R"json(conds":0,"run_seconds":0,"best_algorithm":"random_forest","b)json"
+    R"json(est_validation_accuracy":1,"degraded":false,"failed_candidat)json"
+    R"json(es":0,"phase_seconds":{"preprocessing":0.000105711,"selectio)json"
+    R"json(n":8.4259e-05,"tuning":0.00117283,"output":2.8967e-05,"total)json"
+    R"json(":0.00142477},"result":)json";
+  EXPECT_EQ(get("/v1/runs/run-000001"),
+            done_head + terminal->Find("result_json")->string + "}");
+  const std::pair<const char*, const char*> kBodies[] = {
+      {"/v1/runs/run-000002",
+      R"json({"id":"run-000002","state":"failed","dataset":"failed_job",")json"
+      R"json(tenant":"default","priority":"normal","dispatch_sequence":2,)json"
+      R"json("recovered":true,"events":"/v1/runs/run-000002/events","queu)json"
+      R"json(e_seconds":0,"run_seconds":0,"error":{"code":"invalid_argume)json"
+      R"json(nt","message":"SmartML: need at least 10 rows"}})json"},
+      {"/v1/runs/run-000003",
+      R"json({"id":"run-000003","state":"failed","dataset":"b0","tenant":)json"
+      R"json("batcher","priority":"batch","batch_id":"batch-000001","reco)json"
+      R"json(vered":true,"events":"/v1/runs/run-000003/events","queue_sec)json"
+      R"json(onds":0,"run_seconds":0,"error":{"code":"internal","message")json"
+      R"json(:"dataset lost from journal: NotFound: admit record has no d)json"
+      R"json(ataset"}})json"},
+      {"/v1/runs/run-000004",
+      R"json({"id":"run-000004","state":"cancelled","dataset":"blocker",")json"
+      R"json(tenant":"default","priority":"normal","recovered":true,"even)json"
+      R"json(ts":"/v1/runs/run-000004/events","queue_seconds":0,"run_seco)json"
+      R"json(nds":0,"error":{"code":"cancelled","message":"cancelled befo)json"
+      R"json(re restart"}})json"},
+      {"/v1/runs/run-000005",
+      R"json({"id":"run-000005","state":"cancelled","dataset":"queued_job)json"
+      R"json(","tenant":"q","priority":"interactive","recovered":true,"ev)json"
+      R"json(ents":"/v1/runs/run-000005/events","queue_seconds":0,"run_se)json"
+      R"json(conds":0,"error":{"code":"cancelled","message":"run cancelle)json"
+      R"json(d"}})json"},
+      {"/v1/batches/batch-000001",
+      R"json({"id":"batch-000001","tenant":"batcher","items":[{"index":0,)json"
+      R"json("id":"run-000003","state":"failed"},{"index":1,"error":"Reso)json"
+      R"json(urceExhausted: tenant 'batcher' at quota (1 pending, quota 1)json"
+      R"json()"}]})json"},
+  };
+  for (const auto& [path, body] : kBodies) EXPECT_EQ(get(path), body);
+
+  // GET /v1/runs entries keep their members and values; their member order
+  // follows GET /v1/runs/{id}.
+  auto listed = ParseJson(get("/v1/runs"));
+  auto recorded = ParseJson(
+      R"json({"runs":[{"id":"run-000001","state":"done","tenant":"default)json"
+      R"json(","priority":"normal","dataset":"done_job","dispatch_sequenc)json"
+      R"json(e":1,"queue_seconds":0,"run_seconds":0,"best_algorithm":"ran)json"
+      R"json(dom_forest","best_validation_accuracy":1},{"id":"run-000002")json"
+      R"json(,"state":"failed","tenant":"default","priority":"normal","da)json"
+      R"json(taset":"failed_job","dispatch_sequence":2,"queue_seconds":0,)json"
+      R"json("run_seconds":0},{"id":"run-000003","state":"failed","tenant)json"
+      R"json(":"batcher","priority":"batch","dataset":"b0","batch_id":"ba)json"
+      R"json(tch-000001","queue_seconds":0,"run_seconds":0},{"id":"run-00)json"
+      R"json(0004","state":"cancelled","tenant":"default","priority":"nor)json"
+      R"json(mal","dataset":"blocker","queue_seconds":0,"run_seconds":0},)json"
+      R"json({"id":"run-000005","state":"cancelled","tenant":"q","priorit)json"
+      R"json(y":"interactive","dataset":"queued_job","queue_seconds":0,"r)json"
+      R"json(un_seconds":0}]})json");
+  ASSERT_TRUE(listed.ok());
+  ASSERT_TRUE(recorded.ok());
+  EXPECT_EQ(Canonical(*listed), Canonical(*recorded));
+}
+
+// The member order of the kAdmit, kTerminal and kBatch payloads a live job
+// writes, as recorded before the one-field-list codec.
+TEST(RecoveryTest, JournalPayloadKeyOrderIsUnchanged) {
+  const std::string dir = JournalDir("key_order");
+  {
+    SmartML framework;
+    JobManager jobs(&framework, Durable(dir, 1));
+    std::vector<JobRequest> requests;
+    requests.push_back(FastRequest());
+    auto batch = jobs.SubmitBatch(std::move(requests), "batch-key");
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_TRUE(batch->items[0].ok());
+    ASSERT_TRUE(jobs.Wait(*batch->items[0], 60.0).ok());
+  }
+  auto keys = [](const JsonValue& object) {
+    std::vector<std::string> out;
+    for (const auto& [key, member] : object.object) out.push_back(key);
+    return out;
+  };
+  std::map<JobJournalRecordType, JsonValue> payloads;
+  auto journal = JobJournal::Open(dir);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*journal)
+                  ->Replay([&](const JournalRecord& record) {
+                    auto parsed = ParseJson(record.payload);
+                    if (parsed.ok()) {
+                      payloads[static_cast<JobJournalRecordType>(
+                          record.type)] = *std::move(parsed);
+                    }
+                  })
+                  .ok());
+  const JsonValue& admit = payloads[JobJournalRecordType::kAdmit];
+  EXPECT_EQ(keys(admit),
+            (std::vector<std::string>{"tenant", "priority", "batch_id",
+                                      "dataset_name", "idempotency_key",
+                                      "options", "csv"}));
+  ASSERT_NE(admit.Find("options"), nullptr);
+  EXPECT_EQ(keys(*admit.Find("options")),
+            (std::vector<std::string>{
+                "budget", "evals", "deadline", "cv_folds", "nominations",
+                "selection_only", "ensemble", "interpretability", "threads",
+                "seed", "update_kb"}));
+  EXPECT_EQ(keys(payloads[JobJournalRecordType::kTerminal]),
+            (std::vector<std::string>{
+                "state", "error_code", "error", "best_algorithm",
+                "best_validation_accuracy", "preprocessing_seconds",
+                "selection_seconds", "tuning_seconds", "output_seconds",
+                "total_seconds", "degraded", "failed_candidates",
+                "resumed_from_checkpoint", "dispatch_sequence",
+                "result_json"}));
+  const JsonValue& batch = payloads[JobJournalRecordType::kBatch];
+  EXPECT_EQ(keys(batch), (std::vector<std::string>{"tenant", "idempotency_key",
+                                                   "items"}));
+  ASSERT_NE(batch.Find("items"), nullptr);
+  ASSERT_EQ(batch.Find("items")->array.size(), 1u);
+  EXPECT_EQ(keys(batch.Find("items")->array[0]),
+            (std::vector<std::string>{"job_id", "error"}));
 }
 
 // --------------------------------------------------------------------------
