@@ -14,7 +14,9 @@ quota of 2 and drives the serving surface end to end:
   * every response carries an X-Request-Id header, and the removed
     pre-versioning aliases answer with the structured 404 envelope,
   * a client that pipelines two requests and hangs up without reading
-    leaves the server alive: /v1/health still answers 200.
+    leaves the server alive: /v1/health still answers 200,
+  * GET /v1/algorithms lists the 15 learners in the paper's Table-3 order,
+    each with its five fields.
 
 Usage: scripts/api_conformance.py path/to/rest_server
 """
@@ -35,6 +37,20 @@ CSV = "f1,f2,f3,label\n" + "\n".join(
 )
 
 TENANT = "smoke-tenant"
+
+# The paper's Table 3, in order: the ids /v1/algorithms must list.
+TABLE3 = [
+    "svm", "naive_bayes", "knn", "bagging", "part", "j48", "random_forest",
+    "c50", "rpart", "lda", "plsda", "lmt", "rda", "neuralnet", "deepboost",
+]
+
+ALGORITHM_FIELDS = {
+    "name": str,
+    "paper_name": str,
+    "paper_package": str,
+    "categorical_params": int,
+    "numerical_params": int,
+}
 
 
 def fetch(url, data=None, method=None, headers=None):
@@ -66,6 +82,25 @@ def wait_done(base, run_id):
             return state
         time.sleep(0.2)
     raise SystemExit("run %s never reached a terminal state" % run_id)
+
+
+def check_algorithms(base):
+    """The registry table, end to end: 15 rows in Table-3 order, each with
+    exactly the five AlgorithmInfo fields."""
+    status, _, body = fetch(base + "/v1/algorithms")
+    if status != 200:
+        raise SystemExit("algorithms: %d %s" % (status, body))
+    entries = json.loads(body)
+    names = [entry.get("name") for entry in entries]
+    if names != TABLE3:
+        raise SystemExit("algorithms out of Table-3 order: %r" % names)
+    for entry in entries:
+        if set(entry) != set(ALGORITHM_FIELDS):
+            raise SystemExit("algorithm entry has wrong fields: %r" % entry)
+        for field, kind in ALGORITHM_FIELDS.items():
+            if not isinstance(entry[field], kind):
+                raise SystemExit("algorithm field %s is not %s: %r"
+                                 % (field, kind.__name__, entry))
 
 
 def hang_up_mid_pipeline(port):
@@ -131,6 +166,8 @@ def main():
             raise SystemExit("404 lacks the error envelope: %r" % body)
         if not headers.get("X-Request-Id"):
             raise SystemExit("response lacks X-Request-Id")
+
+        check_algorithms(base)
 
         # A 2-dataset batch in exactly one scheduler pass.
         passes_before = counter(base, "smartml_scheduler_passes_total")

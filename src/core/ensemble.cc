@@ -77,23 +77,21 @@ std::vector<double> EnsembleWeights(
 
 void WeightedEnsemble::AddMember(std::shared_ptr<const Classifier> model,
                                  double accuracy) {
+  if (members_.empty()) MarkFitted(model->num_features(), model->num_classes());
   members_.push_back(std::move(model));
   // Clamp so a 0-accuracy member cannot zero out, which would break
   // normalization for degenerate validation sets.
   weights_.push_back(accuracy > 1e-6 ? accuracy : 1e-6);
 }
 
-Status WeightedEnsemble::Fit(const Dataset& /*train*/,
-                             const ParamConfig& /*config*/) {
+Status WeightedEnsemble::FitImpl(const Dataset& /*train*/,
+                                 const ParamConfig& /*config*/) {
   return Status::Unimplemented(
       "WeightedEnsemble members are trained individually; use AddMember");
 }
 
-StatusOr<ProbaMatrix> WeightedEnsemble::PredictProba(
+StatusOr<ProbaMatrix> WeightedEnsemble::PredictProbaImpl(
     const Dataset& data) const {
-  if (members_.empty()) {
-    return Status::FailedPrecondition("ensemble: no members");
-  }
   std::vector<ProbaMatrix> proba(members_.size());
   std::vector<const ProbaMatrix*> views;
   for (size_t m = 0; m < members_.size(); ++m) {

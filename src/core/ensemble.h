@@ -32,7 +32,8 @@ std::vector<double> EnsembleWeights(
 class WeightedEnsemble : public Classifier {
  public:
   /// Adds a trained member with its validation accuracy. Weights are
-  /// normalized lazily at prediction time.
+  /// normalized lazily at prediction time. The first member's training
+  /// schema becomes the ensemble's, and marks the ensemble fitted.
   void AddMember(std::shared_ptr<const Classifier> model, double accuracy);
 
   size_t NumMembers() const { return members_.size(); }
@@ -43,12 +44,6 @@ class WeightedEnsemble : public Classifier {
   const std::vector<double>& weights() const { return weights_; }
 
   std::string name() const override { return "weighted_ensemble"; }
-
-  /// Fit is not supported: members arrive pre-trained.
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-
-  /// Each member's PredictProba, then Combine.
-  StatusOr<ProbaMatrix> PredictProba(const Dataset& data) const override;
 
   /// The weighted average of the members' probabilities (`proba[m]` from
   /// member m, non-empty), rows renormalized. Scoring stored member
@@ -62,6 +57,12 @@ class WeightedEnsemble : public Classifier {
   }
 
  private:
+  /// Fit is not supported (Unimplemented): members arrive pre-trained.
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+
+  /// Each member's PredictProba, then Combine.
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   std::vector<std::shared_ptr<const Classifier>> members_;
   std::vector<double> weights_;
 };

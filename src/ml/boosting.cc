@@ -156,12 +156,9 @@ ParamSpace C50Classifier::Space() {
   return space;
 }
 
-Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
-  if (train.NumRows() == 0) {
-    return Status::InvalidArgument("c50: empty training data");
-  }
-  num_features_ = train.NumFeatures();
-  num_classes_ = static_cast<int>(train.NumClasses());
+Status C50Classifier::FitImpl(const Dataset& train, const ParamConfig& config) {
+  const size_t num_features = train.NumFeatures();
+  const int num_classes = static_cast<int>(train.NumClasses());
   const int trials = static_cast<int>(
       std::clamp<int64_t>(config.GetInt("trials", 10), 1, 200));
   const bool winnow = config.GetChoice("winnow", "no") == "yes";
@@ -184,22 +181,22 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   options.max_depth = rules ? 8 : 30;
 
   std::shared_ptr<const BinnedColumns> binned = train.Binned();
-  active_features_.assign(num_features_, true);
-  if (winnow && num_features_ > 2) {
+  active_features_.assign(num_features, true);
+  if (winnow && num_features > 2) {
     // Screening pass: drop features that contribute no split gain to an
     // unboosted tree (C5.0's winnowing estimates predictive value upfront).
     DecisionTree probe;
-    SMARTML_RETURN_NOT_OK(probe.Fit(x, schema, train.labels(), num_classes_,
+    SMARTML_RETURN_NOT_OK(probe.Fit(x, schema, train.labels(), num_classes,
                                     {}, options, binned));
-    const std::vector<double> imp = probe.FeatureImportances(num_features_);
+    const std::vector<double> imp = probe.FeatureImportances(num_features);
     size_t kept = 0;
-    for (size_t f = 0; f < num_features_; ++f) {
+    for (size_t f = 0; f < num_features; ++f) {
       active_features_[f] = imp[f] > 0.0;
       if (active_features_[f]) ++kept;
     }
     if (kept == 0) {
-      active_features_.assign(num_features_, true);
-    } else if (kept < num_features_) {
+      active_features_.assign(num_features, true);
+    } else if (kept < num_features) {
       x = ApplyFeatureMask(x, active_features_);
       binned = std::make_shared<const BinnedColumns>(BinnedColumns::FromMatrix(
           x, schema.categorical, schema.cardinalities));
@@ -208,7 +205,7 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
 
   BoostResult result;
   SMARTML_RETURN_NOT_OK(RunSamme(x, schema, binned, train.labels(),
-                                 num_classes_, trials, options, early,
+                                 num_classes, trials, options, early,
                                  /*beta=*/0.0, /*lambda=*/0.0,
                                  /*logistic_weights=*/false, seed, &result));
   trees_ = std::move(result.trees);
@@ -216,15 +213,9 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> C50Classifier::PredictProba(
+StatusOr<ProbaMatrix> C50Classifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("c50: not fitted");
-  }
-  if (data.NumFeatures() != num_features_) {
-    return Status::InvalidArgument("c50: schema mismatch");
-  }
-  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes_);
+  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes());
 }
 
 // ---------------------------------------------------------------------------
@@ -242,13 +233,8 @@ ParamSpace DeepBoostClassifier::Space() {
   return space;
 }
 
-Status DeepBoostClassifier::Fit(const Dataset& train,
-                                const ParamConfig& config) {
-  if (train.NumRows() == 0) {
-    return Status::InvalidArgument("deepboost: empty training data");
-  }
-  num_features_ = train.NumFeatures();
-  num_classes_ = static_cast<int>(train.NumClasses());
+Status DeepBoostClassifier::FitImpl(const Dataset& train,
+                                    const ParamConfig& config) {
   const int rounds = static_cast<int>(
       std::clamp<int64_t>(config.GetInt("num_iter", 30), 1, 500));
   const double beta = std::clamp(config.GetDouble("beta", 0.0), 0.0, 5.0);
@@ -269,22 +255,16 @@ Status DeepBoostClassifier::Fit(const Dataset& train,
   BoostResult result;
   SMARTML_RETURN_NOT_OK(RunSamme(
       train.ToRawMatrix(), TreeSchema::FromDataset(train), train.Binned(),
-      train.labels(), num_classes_, rounds, options, /*early_stopping=*/false,
-      beta, lambda, logistic, seed, &result));
+      train.labels(), static_cast<int>(train.NumClasses()), rounds, options,
+      /*early_stopping=*/false, beta, lambda, logistic, seed, &result));
   trees_ = std::move(result.trees);
   alphas_ = std::move(result.alphas);
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> DeepBoostClassifier::PredictProba(
+StatusOr<ProbaMatrix> DeepBoostClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("deepboost: not fitted");
-  }
-  if (data.NumFeatures() != num_features_) {
-    return Status::InvalidArgument("deepboost: schema mismatch");
-  }
-  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes_);
+  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes());
 }
 
 }  // namespace smartml

@@ -18,9 +18,6 @@ class C50Classifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "c50"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<C50Classifier>();
   }
@@ -28,11 +25,12 @@ class C50Classifier : public Classifier {
   size_t NumRounds() const { return trees_.size(); }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   std::vector<DecisionTree> trees_;
   std::vector<double> alphas_;
   std::vector<bool> active_features_;  // Winnowing mask.
-  size_t num_features_ = 0;
-  int num_classes_ = 0;
 };
 
 /// DeepBoost: boosting over depth-limited trees where each tree's vote
@@ -46,9 +44,6 @@ class DeepBoostClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "deepboost"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<DeepBoostClassifier>();
   }
@@ -56,10 +51,11 @@ class DeepBoostClassifier : public Classifier {
   size_t NumRounds() const { return trees_.size(); }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   std::vector<DecisionTree> trees_;
   std::vector<double> alphas_;
-  size_t num_features_ = 0;
-  int num_classes_ = 0;
 };
 
 }  // namespace smartml

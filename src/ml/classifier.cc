@@ -4,6 +4,34 @@
 
 namespace smartml {
 
+Status Classifier::Fit(const Dataset& train, const ParamConfig& config) {
+  fitted_ = false;
+  num_features_ = 0;
+  num_classes_ = 0;
+  if (train.NumRows() == 0) {
+    return Status::InvalidArgument(name() + ": empty training data");
+  }
+  SMARTML_RETURN_NOT_OK(FitImpl(train, config));
+  MarkFitted(train.NumFeatures(), static_cast<int>(train.NumClasses()));
+  return Status::OK();
+}
+
+StatusOr<ProbaMatrix> Classifier::PredictProba(const Dataset& data) const {
+  if (!fitted_) {
+    return Status::FailedPrecondition(name() + ": not fitted");
+  }
+  if (data.NumFeatures() != num_features_) {
+    return Status::InvalidArgument(name() + ": schema mismatch");
+  }
+  return PredictProbaImpl(data);
+}
+
+void Classifier::MarkFitted(size_t num_features, int num_classes) {
+  fitted_ = true;
+  num_features_ = num_features;
+  num_classes_ = num_classes;
+}
+
 StatusOr<std::vector<int>> Classifier::Predict(const Dataset& data) const {
   SMARTML_ASSIGN_OR_RETURN(ProbaMatrix proba, PredictProba(data));
   return ArgMaxRows(proba);

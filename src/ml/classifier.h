@@ -17,9 +17,16 @@
 
 namespace smartml {
 
+/// Per-row class probability vectors, as PredictProba returns them.
+using ProbaMatrix = std::vector<std::vector<double>>;
+
 /// Abstract classifier. Implementations must be copy-free value semantics
 /// via Clone() and be deterministic given the seed in their ParamConfig
 /// ("seed" key, optional).
+///
+/// The base owns the learner contract: the fitted state, the training
+/// schema and the checks on both. Implementations supply FitImpl and
+/// PredictProbaImpl and never repeat those checks.
 class Classifier {
  public:
   virtual ~Classifier() = default;
@@ -29,24 +36,50 @@ class Classifier {
 
   /// Trains on `train` with hyperparameters `config` (missing keys fall back
   /// to the space defaults). Must be callable repeatedly; each call fully
-  /// replaces the previous model.
-  virtual Status Fit(const Dataset& train, const ParamConfig& config) = 0;
+  /// replaces the previous model. The model is unfitted from the start of
+  /// the call and fitted again only if training succeeds, so a failed Fit
+  /// never leaves an earlier model servable. A training set with no rows is
+  /// InvalidArgument.
+  Status Fit(const Dataset& train, const ParamConfig& config);
 
   /// Per-row class probability vectors (size = training NumClasses) for
-  /// every row of `data`. `data` must share the training schema.
-  virtual StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const = 0;
+  /// every row of `data`. FailedPrecondition when the model is unfitted;
+  /// InvalidArgument when `data` has a different feature count than the
+  /// training set.
+  StatusOr<std::vector<std::vector<double>>> PredictProba(
+      const Dataset& data) const;
 
-  /// Class index predictions; default implementation takes the argmax of
-  /// PredictProba.
-  virtual StatusOr<std::vector<int>> Predict(const Dataset& data) const;
+  /// Class index predictions: the argmax of PredictProba.
+  StatusOr<std::vector<int>> Predict(const Dataset& data) const;
 
   /// Fresh untrained copy of this algorithm.
   virtual std::unique_ptr<Classifier> Clone() const = 0;
-};
 
-/// Per-row class probability vectors, as PredictProba returns them.
-using ProbaMatrix = std::vector<std::vector<double>>;
+  /// Feature count of the training set (0 when unfitted).
+  size_t num_features() const { return num_features_; }
+  /// Class count of the training set (0 when unfitted).
+  int num_classes() const { return num_classes_; }
+
+ protected:
+  /// Trains the model. Called by Fit on a training set with rows; the
+  /// model's num_features() and num_classes() are recorded after it
+  /// succeeds, so it reads both from `train`.
+  virtual Status FitImpl(const Dataset& train, const ParamConfig& config) = 0;
+
+  /// Predicts every row of `data`. Called by PredictProba only on a fitted
+  /// model and a dataset with the training feature count.
+  virtual StatusOr<ProbaMatrix> PredictProbaImpl(
+      const Dataset& data) const = 0;
+
+  /// Marks the model fitted on a `num_features`-column, `num_classes`-class
+  /// schema, for models assembled from already-trained parts.
+  void MarkFitted(size_t num_features, int num_classes);
+
+ private:
+  bool fitted_ = false;
+  size_t num_features_ = 0;
+  int num_classes_ = 0;
+};
 
 /// Argmax helper shared by implementations.
 int ArgMax(const std::vector<double>& v);

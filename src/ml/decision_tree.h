@@ -116,7 +116,6 @@ class DecisionTree {
   /// Majority class of the leaf a row lands in.
   int PredictRow(const double* row) const;
 
-  bool fitted() const { return !nodes_.empty(); }
   int num_classes() const { return num_classes_; }
   /// Every node grown, including subtrees that pruning detached.
   size_t NumNodes() const { return nodes_.size(); }

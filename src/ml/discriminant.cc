@@ -90,7 +90,7 @@ ParamSpace LdaClassifier::Space() {
   return space;
 }
 
-Status LdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
+Status LdaClassifier::FitImpl(const Dataset& train, const ParamConfig& config) {
   if (train.NumRows() < 2) {
     return Status::InvalidArgument("lda: need at least 2 rows");
   }
@@ -100,15 +100,15 @@ Status LdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
 
   SMARTML_RETURN_NOT_OK(encoder_.Fit(train, /*standardize=*/false));
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(train));
-  num_classes_ = static_cast<int>(train.NumClasses());
-  const ClassMoments moments = ComputeClassMoments(x, train.labels(),
-                                                   num_classes_);
-  Matrix cov = PooledCovariance(x, train.labels(), moments, num_classes_);
+  const int num_classes = static_cast<int>(train.NumClasses());
+  const ClassMoments moments =
+      ComputeClassMoments(x, train.labels(), num_classes);
+  Matrix cov = PooledCovariance(x, train.labels(), moments, num_classes);
   if (mle) {
     // MLE divides by n rather than n - K.
     const double scale =
         (static_cast<double>(x.rows()) -
-         static_cast<double>(num_classes_)) /
+         static_cast<double>(num_classes)) /
         std::max(1.0, static_cast<double>(x.rows()));
     cov = cov.Scale(scale);
   }
@@ -118,28 +118,25 @@ Status LdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> LdaClassifier::PredictProba(
+StatusOr<ProbaMatrix> LdaClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (num_classes_ == 0) {
-    return Status::FailedPrecondition("lda: not fitted");
-  }
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
   const size_t d = x.cols();
   // Precompute Σ⁻¹ μ_k and μ_k^T Σ⁻¹ μ_k.
   std::vector<std::vector<double>> sigma_mu(
-      static_cast<size_t>(num_classes_));
-  std::vector<double> quad(static_cast<size_t>(num_classes_));
-  for (int k = 0; k < num_classes_; ++k) {
+      static_cast<size_t>(num_classes()));
+  std::vector<double> quad(static_cast<size_t>(num_classes()));
+  for (int k = 0; k < num_classes(); ++k) {
     const auto uk = static_cast<size_t>(k);
     sigma_mu[uk] = sigma_inverse_.Multiply(means_[uk]);
     quad[uk] = Dot(means_[uk], sigma_mu[uk]);
   }
   std::vector<std::vector<double>> out(
-      x.rows(), std::vector<double>(static_cast<size_t>(num_classes_)));
-  std::vector<double> score(static_cast<size_t>(num_classes_));
+      x.rows(), std::vector<double>(static_cast<size_t>(num_classes())));
+  std::vector<double> score(static_cast<size_t>(num_classes()));
   for (size_t r = 0; r < x.rows(); ++r) {
     const double* row = x.RowPtr(r);
-    for (int k = 0; k < num_classes_; ++k) {
+    for (int k = 0; k < num_classes(); ++k) {
       const auto uk = static_cast<size_t>(k);
       double lin = 0.0;
       for (size_t c = 0; c < d; ++c) lin += row[c] * sigma_mu[uk][c];
@@ -147,7 +144,7 @@ StatusOr<std::vector<std::vector<double>>> LdaClassifier::PredictProba(
     }
     const double max_score = *std::max_element(score.begin(), score.end());
     double total = 0.0;
-    for (int k = 0; k < num_classes_; ++k) {
+    for (int k = 0; k < num_classes(); ++k) {
       const auto uk = static_cast<size_t>(k);
       out[r][uk] = std::exp(score[uk] - max_score);
       total += out[r][uk];
@@ -168,7 +165,7 @@ ParamSpace RdaClassifier::Space() {
   return space;
 }
 
-Status RdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
+Status RdaClassifier::FitImpl(const Dataset& train, const ParamConfig& config) {
   if (train.NumRows() < 2) {
     return Status::InvalidArgument("rda: need at least 2 rows");
   }
@@ -177,19 +174,19 @@ Status RdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
 
   SMARTML_RETURN_NOT_OK(encoder_.Fit(train, /*standardize=*/false));
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(train));
-  num_classes_ = static_cast<int>(train.NumClasses());
+  const int num_classes = static_cast<int>(train.NumClasses());
   const size_t d = x.cols();
-  const ClassMoments moments = ComputeClassMoments(x, train.labels(),
-                                                   num_classes_);
-  const Matrix pooled = PooledCovariance(x, train.labels(), moments,
-                                         num_classes_);
+  const ClassMoments moments =
+      ComputeClassMoments(x, train.labels(), num_classes);
+  const Matrix pooled =
+      PooledCovariance(x, train.labels(), moments, num_classes);
 
   sigma_inverse_.clear();
   log_det_.clear();
-  sigma_inverse_.reserve(static_cast<size_t>(num_classes_));
-  log_det_.reserve(static_cast<size_t>(num_classes_));
+  sigma_inverse_.reserve(static_cast<size_t>(num_classes));
+  log_det_.reserve(static_cast<size_t>(num_classes));
 
-  for (int k = 0; k < num_classes_; ++k) {
+  for (int k = 0; k < num_classes; ++k) {
     const auto uk = static_cast<size_t>(k);
     // Per-class covariance.
     Matrix cov_k(d, d);
@@ -237,20 +234,17 @@ Status RdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> RdaClassifier::PredictProba(
+StatusOr<ProbaMatrix> RdaClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (num_classes_ == 0) {
-    return Status::FailedPrecondition("rda: not fitted");
-  }
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
   const size_t d = x.cols();
   std::vector<std::vector<double>> out(
-      x.rows(), std::vector<double>(static_cast<size_t>(num_classes_)));
-  std::vector<double> score(static_cast<size_t>(num_classes_));
+      x.rows(), std::vector<double>(static_cast<size_t>(num_classes())));
+  std::vector<double> score(static_cast<size_t>(num_classes()));
   std::vector<double> diff(d);
   for (size_t r = 0; r < x.rows(); ++r) {
     const double* row = x.RowPtr(r);
-    for (int k = 0; k < num_classes_; ++k) {
+    for (int k = 0; k < num_classes(); ++k) {
       const auto uk = static_cast<size_t>(k);
       for (size_t c = 0; c < d; ++c) diff[c] = row[c] - means_[uk][c];
       const std::vector<double> tmp = sigma_inverse_[uk].Multiply(diff);
@@ -258,7 +252,7 @@ StatusOr<std::vector<std::vector<double>>> RdaClassifier::PredictProba(
     }
     const double max_score = *std::max_element(score.begin(), score.end());
     double total = 0.0;
-    for (int k = 0; k < num_classes_; ++k) {
+    for (int k = 0; k < num_classes(); ++k) {
       const auto uk = static_cast<size_t>(k);
       out[r][uk] = std::exp(score[uk] - max_score);
       total += out[r][uk];

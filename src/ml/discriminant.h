@@ -17,19 +17,18 @@ class LdaClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "lda"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<LdaClassifier>();
   }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   NumericEncoder encoder_;
   Matrix sigma_inverse_;
   std::vector<std::vector<double>> means_;  // Per class.
   std::vector<double> log_prior_;
-  int num_classes_ = 0;
 };
 
 /// Regularized discriminant analysis: per-class covariances shrunk toward
@@ -41,20 +40,19 @@ class RdaClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "rda"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<RdaClassifier>();
   }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   NumericEncoder encoder_;
   std::vector<Matrix> sigma_inverse_;     // Per class.
   std::vector<double> log_det_;           // Per class.
   std::vector<std::vector<double>> means_;
   std::vector<double> log_prior_;
-  int num_classes_ = 0;
 };
 
 }  // namespace smartml

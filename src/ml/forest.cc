@@ -11,32 +11,34 @@ namespace smartml {
 
 namespace {
 
-// Bootstrap (or subsampled) row draw.
-std::vector<size_t> DrawSample(size_t n, double fraction, bool with_replacement,
-                               Rng* rng) {
-  const size_t m = std::max<size_t>(
+// Fits `count` trees, each on its own draw of `fraction` * n rows with
+// replacement, given to the tree as per-row weights so every tree shares one
+// feature matrix and one binned view. Tree t draws from the stream keyed on
+// (base_seed, t), so the forest is identical at any thread count.
+Status FitBootstrapTrees(const Dataset& train, const TreeOptions& options,
+                         size_t count, double fraction, uint64_t base_seed,
+                         std::vector<DecisionTree>* trees) {
+  const Matrix x = train.ToRawMatrix();
+  const TreeSchema schema = TreeSchema::FromDataset(train);
+  const std::shared_ptr<const BinnedColumns> binned = train.Binned();
+  const int num_classes = static_cast<int>(train.NumClasses());
+  const size_t n = train.NumRows();
+  const size_t draws = std::max<size_t>(
       1, static_cast<size_t>(fraction * static_cast<double>(n) + 0.5));
-  std::vector<size_t> rows(m);
-  if (with_replacement) {
-    for (size_t i = 0; i < m; ++i) rows[i] = rng->UniformInt(n);
-  } else {
-    std::vector<size_t> perm = rng->Permutation(n);
-    perm.resize(std::min(m, n));
-    rows = std::move(perm);
-  }
-  return rows;
-}
-
-StatusOr<std::vector<std::vector<double>>> ForestPredict(
-    const std::vector<DecisionTree>& trees, const Dataset& data,
-    size_t num_features, int num_classes) {
-  if (trees.empty()) {
-    return Status::FailedPrecondition("forest: not fitted");
-  }
-  if (data.NumFeatures() != num_features) {
-    return Status::InvalidArgument("forest: schema mismatch");
-  }
-  return VoteTrees(trees, /*weights=*/{}, data.ToRawMatrix(), num_classes);
+  trees->clear();
+  trees->resize(count);
+  return ParallelFor(
+      count,
+      [&](size_t t) -> Status {
+        Rng rng(TaskSeed(base_seed, t));
+        std::vector<double> weights(n, 0.0);
+        for (size_t i = 0; i < draws; ++i) weights[rng.UniformInt(n)] += 1.0;
+        TreeOptions tree_options = options;
+        tree_options.seed = rng.NextU64();
+        return (*trees)[t].Fit(x, schema, train.labels(), num_classes, weights,
+                               tree_options, binned);
+      },
+      CurrentCancelToken());
 }
 
 }  // namespace
@@ -53,11 +55,8 @@ ParamSpace RandomForestClassifier::Space() {
   return space;
 }
 
-Status RandomForestClassifier::Fit(const Dataset& train,
-                                   const ParamConfig& config) {
-  if (train.NumRows() == 0) {
-    return Status::InvalidArgument("random_forest: empty training data");
-  }
+Status RandomForestClassifier::FitImpl(const Dataset& train,
+                                       const ParamConfig& config) {
   const int ntree = static_cast<int>(
       std::clamp<int64_t>(config.GetInt("ntree", 100), 1, 2000));
   const double mtry_frac =
@@ -65,16 +64,12 @@ Status RandomForestClassifier::Fit(const Dataset& train,
   const auto nodesize = static_cast<size_t>(
       std::max<int64_t>(1, config.GetInt("nodesize", 1)));
 
-  num_features_ = train.NumFeatures();
-  num_classes_ = static_cast<int>(train.NumClasses());
-  const Matrix x = train.ToRawMatrix();
-  const TreeSchema schema = TreeSchema::FromDataset(train);
-
   // randomForest's default mtry is sqrt(d); mtry_frac scales around that by
   // interpolating between 1 and d.
-  int mtry = static_cast<int>(std::lround(
-      mtry_frac * static_cast<double>(num_features_)));
-  mtry = std::clamp(mtry, 1, static_cast<int>(num_features_));
+  const auto num_features = static_cast<int>(train.NumFeatures());
+  int mtry = static_cast<int>(
+      std::lround(mtry_frac * static_cast<double>(num_features)));
+  mtry = std::clamp(mtry, 1, num_features);
 
   TreeOptions options;
   options.criterion = TreeCriterion::kGini;
@@ -84,46 +79,22 @@ Status RandomForestClassifier::Fit(const Dataset& train,
   options.max_depth = 40;
   options.mtry = mtry;
 
-  // One binned view of the training table, built once and shared read-only
-  // by every tree worker (bootstraps are per-row weights, so all trees see
-  // the same rows).
-  const std::shared_ptr<const BinnedColumns> binned = train.Binned();
-
-  const uint64_t base_seed =
-      static_cast<uint64_t>(config.GetInt("seed", 11));
-  trees_.clear();
-  trees_.resize(static_cast<size_t>(ntree));
-  // Each tree gets its own decorrelated RNG stream keyed on (seed, index),
-  // so the forest is identical at any thread count.
-  SMARTML_RETURN_NOT_OK(ParallelFor(
-      static_cast<size_t>(ntree),
-      [&](size_t t) -> Status {
-        Rng rng(TaskSeed(base_seed, t));
-        const std::vector<size_t> rows = DrawSample(train.NumRows(), 1.0,
-                                                    /*with_replacement=*/true,
-                                                    &rng);
-        // Bootstrap via per-row weights so trees share one feature matrix.
-        std::vector<double> weights(train.NumRows(), 0.0);
-        for (size_t r : rows) weights[r] += 1.0;
-        TreeOptions tree_options = options;
-        tree_options.seed = rng.NextU64();
-        return trees_[t].Fit(x, schema, train.labels(), num_classes_, weights,
-                             tree_options, binned);
-      },
-      CurrentCancelToken()));
-  return Status::OK();
+  return FitBootstrapTrees(train, options, static_cast<size_t>(ntree),
+                           /*fraction=*/1.0,
+                           static_cast<uint64_t>(config.GetInt("seed", 11)),
+                           &trees_);
 }
 
-StatusOr<std::vector<std::vector<double>>> RandomForestClassifier::PredictProba(
+StatusOr<ProbaMatrix> RandomForestClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  return ForestPredict(trees_, data, num_features_, num_classes_);
+  return VoteTrees(trees_, /*weights=*/{}, data.ToRawMatrix(), num_classes());
 }
 
 std::vector<double> RandomForestClassifier::FeatureImportances() const {
-  std::vector<double> imp(num_features_, 0.0);
+  std::vector<double> imp(num_features(), 0.0);
   for (const auto& tree : trees_) {
-    const std::vector<double> t = tree.FeatureImportances(num_features_);
-    for (size_t f = 0; f < num_features_; ++f) imp[f] += t[f];
+    const std::vector<double> t = tree.FeatureImportances(num_features());
+    for (size_t f = 0; f < num_features(); ++f) imp[f] += t[f];
   }
   double total = 0.0;
   for (double v : imp) total += v;
@@ -147,19 +118,12 @@ ParamSpace BaggingClassifier::Space() {
   return space;
 }
 
-Status BaggingClassifier::Fit(const Dataset& train, const ParamConfig& config) {
-  if (train.NumRows() == 0) {
-    return Status::InvalidArgument("bagging: empty training data");
-  }
+Status BaggingClassifier::FitImpl(const Dataset& train,
+                                  const ParamConfig& config) {
   const int nbagg = static_cast<int>(
       std::clamp<int64_t>(config.GetInt("nbagg", 25), 1, 1000));
   const double subsample =
       std::clamp(config.GetDouble("subsample", 1.0), 0.05, 1.0);
-
-  num_features_ = train.NumFeatures();
-  num_classes_ = static_cast<int>(train.NumClasses());
-  const Matrix x = train.ToRawMatrix();
-  const TreeSchema schema = TreeSchema::FromDataset(train);
 
   TreeOptions options;
   options.criterion = TreeCriterion::kGini;
@@ -172,34 +136,15 @@ Status BaggingClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   options.min_impurity_decrease =
       std::clamp(config.GetDouble("cp", 0.01), 0.0, 1.0);
 
-  const std::shared_ptr<const BinnedColumns> binned = train.Binned();
-
-  const uint64_t base_seed =
-      static_cast<uint64_t>(config.GetInt("seed", 13));
-  trees_.clear();
-  trees_.resize(static_cast<size_t>(nbagg));
-  // Per-tree RNG streams keyed on (seed, index), as in RandomForest.
-  SMARTML_RETURN_NOT_OK(ParallelFor(
-      static_cast<size_t>(nbagg),
-      [&](size_t t) -> Status {
-        Rng rng(TaskSeed(base_seed, t));
-        const std::vector<size_t> rows =
-            DrawSample(train.NumRows(), subsample, /*with_replacement=*/true,
-                       &rng);
-        std::vector<double> weights(train.NumRows(), 0.0);
-        for (size_t r : rows) weights[r] += 1.0;
-        TreeOptions tree_options = options;
-        tree_options.seed = rng.NextU64();
-        return trees_[t].Fit(x, schema, train.labels(), num_classes_, weights,
-                             tree_options, binned);
-      },
-      CurrentCancelToken()));
-  return Status::OK();
+  return FitBootstrapTrees(train, options, static_cast<size_t>(nbagg),
+                           subsample,
+                           static_cast<uint64_t>(config.GetInt("seed", 13)),
+                           &trees_);
 }
 
-StatusOr<std::vector<std::vector<double>>> BaggingClassifier::PredictProba(
+StatusOr<ProbaMatrix> BaggingClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  return ForestPredict(trees_, data, num_features_, num_classes_);
+  return VoteTrees(trees_, /*weights=*/{}, data.ToRawMatrix(), num_classes());
 }
 
 }  // namespace smartml

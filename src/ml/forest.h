@@ -16,9 +16,6 @@ class RandomForestClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "random_forest"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<RandomForestClassifier>();
   }
@@ -29,9 +26,10 @@ class RandomForestClassifier : public Classifier {
   std::vector<double> FeatureImportances() const;
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   std::vector<DecisionTree> trees_;
-  size_t num_features_ = 0;
-  int num_classes_ = 0;
 };
 
 /// Bagging: bootstrap samples of full (deterministic-split) CART trees.
@@ -42,9 +40,6 @@ class BaggingClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "bagging"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<BaggingClassifier>();
   }
@@ -52,9 +47,10 @@ class BaggingClassifier : public Classifier {
   size_t NumTrees() const { return trees_.size(); }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   std::vector<DecisionTree> trees_;
-  size_t num_features_ = 0;
-  int num_classes_ = 0;
 };
 
 }  // namespace smartml

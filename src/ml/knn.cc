@@ -11,33 +11,26 @@ ParamSpace KnnClassifier::Space() {
   return space;
 }
 
-Status KnnClassifier::Fit(const Dataset& train, const ParamConfig& config) {
-  if (train.NumRows() == 0) {
-    return Status::InvalidArgument("knn: empty training data");
-  }
+Status KnnClassifier::FitImpl(const Dataset& train, const ParamConfig& config) {
   k_ = static_cast<int>(config.GetInt("k", 5));
   k_ = std::clamp<int>(k_, 1, static_cast<int>(train.NumRows()));
   distance_weighted_ = config.GetChoice("weighted", "no") == "yes";
   SMARTML_RETURN_NOT_OK(encoder_.Fit(train, /*standardize=*/true));
   SMARTML_ASSIGN_OR_RETURN(train_x_, encoder_.Transform(train));
   train_y_ = train.labels();
-  num_classes_ = static_cast<int>(train.NumClasses());
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> KnnClassifier::PredictProba(
+StatusOr<ProbaMatrix> KnnClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (train_x_.rows() == 0) {
-    return Status::FailedPrecondition("knn: not fitted");
-  }
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
   const size_t n = x.rows();
   const size_t m = train_x_.rows();
   const size_t d = train_x_.cols();
   const auto k = static_cast<size_t>(k_);
 
-  std::vector<std::vector<double>> out(
-      n, std::vector<double>(static_cast<size_t>(num_classes_), 0.0));
+  ProbaMatrix out(n,
+                  std::vector<double>(static_cast<size_t>(num_classes()), 0.0));
   std::vector<std::pair<double, int>> dist(m);
   for (size_t i = 0; i < n; ++i) {
     const double* q = x.RowPtr(i);

@@ -16,18 +16,17 @@ class KnnClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "knn"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<KnnClassifier>();
   }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   NumericEncoder encoder_;
   Matrix train_x_;
   std::vector<int> train_y_;
-  int num_classes_ = 0;
   int k_ = 5;
   bool distance_weighted_ = false;
 };

@@ -10,12 +10,11 @@ ParamSpace LmtClassifier::Space() {
   return space;
 }
 
-Status LmtClassifier::Fit(const Dataset& train, const ParamConfig& config) {
+Status LmtClassifier::FitImpl(const Dataset& train, const ParamConfig& config) {
   if (train.NumRows() < 4) {
     return Status::InvalidArgument("lmt: need at least 4 rows");
   }
-  num_features_ = train.NumFeatures();
-  num_classes_ = static_cast<int>(train.NumClasses());
+  const int num_classes = static_cast<int>(train.NumClasses());
   const auto min_instances = static_cast<size_t>(
       std::max<int64_t>(2, config.GetInt("M", 15)));
 
@@ -32,7 +31,7 @@ Status LmtClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   const Matrix raw = train.ToRawMatrix();
   SMARTML_RETURN_NOT_OK(tree_.Fit(raw, TreeSchema::FromDataset(train),
                                   train.labels(),
-                                  num_classes_, {}, options));
+                                  num_classes, {}, options));
 
   SMARTML_RETURN_NOT_OK(encoder_.Fit(train, /*standardize=*/true));
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(train));
@@ -43,7 +42,7 @@ Status LmtClassifier::Fit(const Dataset& train, const ParamConfig& config) {
 
   // Root model: trained on everything; used as leaf fallback.
   SMARTML_RETURN_NOT_OK(
-      root_model_.Fit(x, train.labels(), num_classes_, {}, lr_options));
+      root_model_.Fit(x, train.labels(), num_classes, {}, lr_options));
 
   // Group training rows by leaf.
   std::unordered_map<int, std::vector<size_t>> rows_by_leaf;
@@ -65,24 +64,18 @@ Status LmtClassifier::Fit(const Dataset& train, const ParamConfig& config) {
     if (!multi_class_leaf) continue;  // Pure leaf: tree posterior suffices.
     LogisticModel model;
     SMARTML_RETURN_NOT_OK(
-        model.Fit(x, train.labels(), num_classes_, weights, lr_options));
+        model.Fit(x, train.labels(), num_classes, weights, lr_options));
     leaf_models_.emplace(leaf, std::move(model));
   }
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> LmtClassifier::PredictProba(
+StatusOr<ProbaMatrix> LmtClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (!tree_.fitted()) {
-    return Status::FailedPrecondition("lmt: not fitted");
-  }
-  if (data.NumFeatures() != num_features_) {
-    return Status::InvalidArgument("lmt: schema mismatch");
-  }
   const Matrix raw = data.ToRawMatrix();
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
   std::vector<std::vector<double>> out(data.NumRows());
-  std::vector<double> tp(static_cast<size_t>(num_classes_));
+  std::vector<double> tp(static_cast<size_t>(num_classes()));
   for (size_t r = 0; r < data.NumRows(); ++r) {
     const int leaf = tree_.LeafIndexForRow(raw.RowPtr(r));
     std::fill(tp.begin(), tp.end(), 0.0);

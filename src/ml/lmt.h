@@ -19,9 +19,6 @@ class LmtClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "lmt"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<LmtClassifier>();
   }
@@ -29,12 +26,13 @@ class LmtClassifier : public Classifier {
   size_t NumLeafModels() const { return leaf_models_.size(); }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   DecisionTree tree_;
   NumericEncoder encoder_;
   std::unordered_map<int, LogisticModel> leaf_models_;  // Keyed by leaf index.
   LogisticModel root_model_;  // Fallback for leaves too small to fit.
-  size_t num_features_ = 0;
-  int num_classes_ = 0;
 };
 
 }  // namespace smartml

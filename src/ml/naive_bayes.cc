@@ -16,40 +16,37 @@ ParamSpace NaiveBayesClassifier::Space() {
   return space;
 }
 
-Status NaiveBayesClassifier::Fit(const Dataset& train,
-                                 const ParamConfig& config) {
-  if (train.NumRows() == 0) {
-    return Status::InvalidArgument("naive_bayes: empty training data");
-  }
+Status NaiveBayesClassifier::FitImpl(const Dataset& train,
+                                     const ParamConfig& config) {
   const double laplace = std::max(0.0, config.GetDouble("laplace", 1.0));
   const double adjust =
       std::clamp(config.GetDouble("adjust", 1.0), 0.05, 100.0);
 
-  num_classes_ = static_cast<int>(train.NumClasses());
-  num_features_ = train.NumFeatures();
-  is_categorical_.assign(num_features_, false);
-  numeric_.assign(num_features_, {});
-  categorical_.assign(num_features_, {});
+  const int num_classes = static_cast<int>(train.NumClasses());
+  const size_t num_features = train.NumFeatures();
+  is_categorical_.assign(num_features, false);
+  numeric_.assign(num_features, {});
+  categorical_.assign(num_features, {});
 
   const auto counts = train.ClassCounts();
   const double n = static_cast<double>(train.NumRows());
-  log_prior_.resize(static_cast<size_t>(num_classes_));
-  for (int k = 0; k < num_classes_; ++k) {
+  log_prior_.resize(static_cast<size_t>(num_classes));
+  for (int k = 0; k < num_classes; ++k) {
     log_prior_[static_cast<size_t>(k)] =
         std::log((static_cast<double>(counts[static_cast<size_t>(k)]) + 1.0) /
-                 (n + num_classes_));
+                 (n + num_classes));
   }
 
-  for (size_t f = 0; f < num_features_; ++f) {
+  for (size_t f = 0; f < num_features; ++f) {
     const auto& col = train.feature(f);
     is_categorical_[f] = col.is_categorical();
     if (!col.is_categorical()) {
       auto& stats = numeric_[f];
-      stats.mean.assign(static_cast<size_t>(num_classes_), 0.0);
-      stats.stddev.assign(static_cast<size_t>(num_classes_), 1.0);
-      std::vector<double> sum(static_cast<size_t>(num_classes_), 0.0);
-      std::vector<double> sum_sq(static_cast<size_t>(num_classes_), 0.0);
-      std::vector<double> cnt(static_cast<size_t>(num_classes_), 0.0);
+      stats.mean.assign(static_cast<size_t>(num_classes), 0.0);
+      stats.stddev.assign(static_cast<size_t>(num_classes), 1.0);
+      std::vector<double> sum(static_cast<size_t>(num_classes), 0.0);
+      std::vector<double> sum_sq(static_cast<size_t>(num_classes), 0.0);
+      std::vector<double> cnt(static_cast<size_t>(num_classes), 0.0);
       for (size_t r = 0; r < train.NumRows(); ++r) {
         const double v = col.values[r];
         if (IsMissing(v)) continue;
@@ -60,7 +57,7 @@ Status NaiveBayesClassifier::Fit(const Dataset& train,
       }
       // Global variance as a smoothing floor for sparse classes.
       double gsum = 0.0, gsq = 0.0, gcnt = 0.0;
-      for (int k = 0; k < num_classes_; ++k) {
+      for (int k = 0; k < num_classes; ++k) {
         gsum += sum[static_cast<size_t>(k)];
         gsq += sum_sq[static_cast<size_t>(k)];
         gcnt += cnt[static_cast<size_t>(k)];
@@ -68,7 +65,7 @@ Status NaiveBayesClassifier::Fit(const Dataset& train,
       const double gmean = gcnt > 0 ? gsum / gcnt : 0.0;
       const double gvar =
           gcnt > 1 ? std::max(1e-9, gsq / gcnt - gmean * gmean) : 1.0;
-      for (int k = 0; k < num_classes_; ++k) {
+      for (int k = 0; k < num_classes; ++k) {
         const auto uk = static_cast<size_t>(k);
         if (cnt[uk] >= 2) {
           const double mean = sum[uk] / cnt[uk];
@@ -85,10 +82,10 @@ Status NaiveBayesClassifier::Fit(const Dataset& train,
       auto& stats = categorical_[f];
       const size_t cards = std::max<size_t>(col.num_categories(), 1);
       stats.log_prob.assign(
-          static_cast<size_t>(num_classes_),
+          static_cast<size_t>(num_classes),
           std::vector<double>(cards + 1, 0.0));
       std::vector<std::vector<double>> freq(
-          static_cast<size_t>(num_classes_), std::vector<double>(cards, 0.0));
+          static_cast<size_t>(num_classes), std::vector<double>(cards, 0.0));
       for (size_t r = 0; r < train.NumRows(); ++r) {
         const double v = col.values[r];
         if (IsMissing(v)) continue;
@@ -97,7 +94,7 @@ Status NaiveBayesClassifier::Fit(const Dataset& train,
         freq[static_cast<size_t>(train.label(r))][code] += 1.0;
       }
       const double alpha = std::max(laplace, 1e-3);
-      for (int k = 0; k < num_classes_; ++k) {
+      for (int k = 0; k < num_classes; ++k) {
         const auto uk = static_cast<size_t>(k);
         double total = 0.0;
         for (double c : freq[uk]) total += c;
@@ -112,26 +109,20 @@ Status NaiveBayesClassifier::Fit(const Dataset& train,
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> NaiveBayesClassifier::PredictProba(
+StatusOr<ProbaMatrix> NaiveBayesClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (num_classes_ == 0) {
-    return Status::FailedPrecondition("naive_bayes: not fitted");
-  }
-  if (data.NumFeatures() != num_features_) {
-    return Status::InvalidArgument("naive_bayes: schema mismatch");
-  }
   const size_t n = data.NumRows();
   std::vector<std::vector<double>> out(
-      n, std::vector<double>(static_cast<size_t>(num_classes_), 0.0));
-  std::vector<double> log_post(static_cast<size_t>(num_classes_));
+      n, std::vector<double>(static_cast<size_t>(num_classes()), 0.0));
+  std::vector<double> log_post(static_cast<size_t>(num_classes()));
   for (size_t r = 0; r < n; ++r) {
     log_post = log_prior_;
-    for (size_t f = 0; f < num_features_; ++f) {
+    for (size_t f = 0; f < num_features(); ++f) {
       const double v = data.feature(f).values[r];
       if (IsMissing(v)) continue;  // Marginalize missing features away.
       if (!is_categorical_[f]) {
         const auto& stats = numeric_[f];
-        for (int k = 0; k < num_classes_; ++k) {
+        for (int k = 0; k < num_classes(); ++k) {
           const auto uk = static_cast<size_t>(k);
           const double sd = stats.stddev[uk];
           const double z = (v - stats.mean[uk]) / sd;
@@ -142,7 +133,7 @@ StatusOr<std::vector<std::vector<double>>> NaiveBayesClassifier::PredictProba(
         const size_t cards = stats.log_prob[0].size() - 1;
         const auto code = static_cast<size_t>(v);
         const size_t slot = code < cards ? code : cards;
-        for (int k = 0; k < num_classes_; ++k) {
+        for (int k = 0; k < num_classes(); ++k) {
           log_post[static_cast<size_t>(k)] +=
               stats.log_prob[static_cast<size_t>(k)][slot];
         }
@@ -152,7 +143,7 @@ StatusOr<std::vector<std::vector<double>>> NaiveBayesClassifier::PredictProba(
     const double max_log =
         *std::max_element(log_post.begin(), log_post.end());
     double total = 0.0;
-    for (int k = 0; k < num_classes_; ++k) {
+    for (int k = 0; k < num_classes(); ++k) {
       const auto uk = static_cast<size_t>(k);
       out[r][uk] = std::exp(log_post[uk] - max_log);
       total += out[r][uk];

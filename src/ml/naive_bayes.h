@@ -19,14 +19,14 @@ class NaiveBayesClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "naive_bayes"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<NaiveBayesClassifier>();
   }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   struct NumericStats {
     std::vector<double> mean;    // Per class.
     std::vector<double> stddev;  // Per class.
@@ -36,8 +36,6 @@ class NaiveBayesClassifier : public Classifier {
     std::vector<std::vector<double>> log_prob;
   };
 
-  int num_classes_ = 0;
-  size_t num_features_ = 0;
   std::vector<bool> is_categorical_;
   std::vector<double> log_prior_;
   std::vector<NumericStats> numeric_;          // Indexed by feature.

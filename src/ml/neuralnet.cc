@@ -14,8 +14,8 @@ ParamSpace NeuralNetClassifier::Space() {
   return space;
 }
 
-Status NeuralNetClassifier::Fit(const Dataset& train,
-                                const ParamConfig& config) {
+Status NeuralNetClassifier::FitImpl(const Dataset& train,
+                                    const ParamConfig& config) {
   if (train.NumRows() < 2) {
     return Status::InvalidArgument("neuralnet: need at least 2 rows");
   }
@@ -27,12 +27,11 @@ Status NeuralNetClassifier::Fit(const Dataset& train,
 
   SMARTML_RETURN_NOT_OK(encoder_.Fit(train, /*standardize=*/true));
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(train));
-  num_classes_ = static_cast<int>(train.NumClasses());
   input_dim_ = x.cols();
   const size_t n = x.rows();
   const size_t d = input_dim_;
   const auto h = static_cast<size_t>(hidden_);
-  const auto k = static_cast<size_t>(num_classes_);
+  const size_t k = train.NumClasses();
 
   Rng rng(static_cast<uint64_t>(config.GetInt("seed", 41)));
   const double init_scale = 0.7 / std::sqrt(static_cast<double>(d + 1));
@@ -129,15 +128,12 @@ Status NeuralNetClassifier::Fit(const Dataset& train,
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> NeuralNetClassifier::PredictProba(
+StatusOr<ProbaMatrix> NeuralNetClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (num_classes_ == 0) {
-    return Status::FailedPrecondition("neuralnet: not fitted");
-  }
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
   const size_t d = input_dim_;
   const auto h = static_cast<size_t>(hidden_);
-  const auto k = static_cast<size_t>(num_classes_);
+  const auto k = static_cast<size_t>(num_classes());
   std::vector<std::vector<double>> out(x.rows(), std::vector<double>(k));
   std::vector<double> hidden_act(h), logits(k);
   for (size_t r = 0; r < x.rows(); ++r) {

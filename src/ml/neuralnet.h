@@ -16,9 +16,6 @@ class NeuralNetClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "neuralnet"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<NeuralNetClassifier>();
   }
@@ -26,9 +23,11 @@ class NeuralNetClassifier : public Classifier {
   int hidden_size() const { return hidden_; }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   NumericEncoder encoder_;
   int hidden_ = 8;
-  int num_classes_ = 0;
   size_t input_dim_ = 0;
   // w1_[h * (d+1) + j] (j = d is bias); w2_[k * (hidden+1) + h].
   std::vector<double> w1_;

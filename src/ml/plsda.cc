@@ -16,7 +16,8 @@ ParamSpace PlsdaClassifier::Space() {
   return space;
 }
 
-Status PlsdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
+Status PlsdaClassifier::FitImpl(const Dataset& train,
+                                const ParamConfig& config) {
   if (train.NumRows() < 3) {
     return Status::InvalidArgument("plsda: need at least 3 rows");
   }
@@ -24,10 +25,9 @@ Status PlsdaClassifier::Fit(const Dataset& train, const ParamConfig& config) {
 
   SMARTML_RETURN_NOT_OK(encoder_.Fit(train, /*standardize=*/true));
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(train));
-  num_classes_ = static_cast<int>(train.NumClasses());
   const size_t n = x.rows();
   const size_t d = x.cols();
-  const auto k_classes = static_cast<size_t>(num_classes_);
+  const size_t k_classes = train.NumClasses();
   ncomp_ = static_cast<int>(std::clamp<int64_t>(
       config.GetInt("ncomp", 2), 1,
       static_cast<int64_t>(std::min(d, n - 1))));
@@ -199,13 +199,10 @@ std::vector<double> PlsdaClassifier::LatentScores(const double* row) const {
   return scores;
 }
 
-StatusOr<std::vector<std::vector<double>>> PlsdaClassifier::PredictProba(
+StatusOr<ProbaMatrix> PlsdaClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (num_classes_ == 0) {
-    return Status::FailedPrecondition("plsda: not fitted");
-  }
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
-  const auto k_classes = static_cast<size_t>(num_classes_);
+  const auto k_classes = static_cast<size_t>(num_classes());
   const auto h_max = static_cast<size_t>(ncomp_);
   std::vector<std::vector<double>> out(
       x.rows(), std::vector<double>(k_classes, 0.0));

@@ -16,9 +16,6 @@ class PlsdaClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "plsda"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<PlsdaClassifier>();
   }
@@ -26,11 +23,13 @@ class PlsdaClassifier : public Classifier {
   int num_components() const { return ncomp_; }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   /// Projects a centered row onto the latent components.
   std::vector<double> LatentScores(const double* row) const;
 
   NumericEncoder encoder_;
-  int num_classes_ = 0;
   int ncomp_ = 2;
   bool bayes_ = false;
 

@@ -1,7 +1,5 @@
 #include "src/ml/registry.h"
 
-#include <algorithm>
-
 #include "src/ml/boosting.h"
 #include "src/ml/discriminant.h"
 #include "src/ml/forest.h"
@@ -15,92 +13,84 @@
 
 namespace smartml {
 
-const std::vector<AlgorithmInfo>& AllAlgorithms() {
-  // Table 3 of the paper, in order. Parameter counts match the table.
-  static const std::vector<AlgorithmInfo> kAlgorithms = {
-      {"svm", "SVM", "e1071", 1, 4},
-      {"naive_bayes", "NaiveBayes", "klaR", 0, 2},
-      {"knn", "KNN", "FNN", 0, 1},
-      {"bagging", "Bagging", "ipred", 0, 5},
-      {"part", "part", "RWeka", 1, 2},
-      {"j48", "J48", "RWeka", 1, 2},
-      {"random_forest", "RandomForest", "randomForest", 0, 3},
-      {"c50", "c50", "C50", 3, 2},
-      {"rpart", "rpart", "rpart", 0, 4},
-      {"lda", "LDA", "MASS", 1, 1},
-      {"plsda", "PLSDA", "caret", 1, 1},
-      {"lmt", "LMT", "RWeka", 0, 1},
-      {"rda", "RDA", "klaR", 0, 2},
-      {"neuralnet", "NeuralNet", "nnet", 0, 1},
-      {"deepboost", "DeepBoost", "deepboost", 1, 4},
+namespace {
+
+// One row of Table 3: the paper's metadata, a factory and the declared
+// hyperparameter space.
+struct Row {
+  AlgorithmInfo info;
+  std::unique_ptr<Classifier> (*create)();
+  ParamSpace (*space)();
+};
+
+template <typename T>
+Row Learner(AlgorithmInfo info) {
+  return {std::move(info),
+          []() -> std::unique_ptr<Classifier> { return std::make_unique<T>(); },
+          &T::Space};
+}
+
+// Table 3 of the paper, in order. Parameter counts match the table.
+const std::vector<Row>& Table() {
+  static const std::vector<Row> kTable = {
+      Learner<SvmClassifier>({"svm", "SVM", "e1071", 1, 4}),
+      Learner<NaiveBayesClassifier>(
+          {"naive_bayes", "NaiveBayes", "klaR", 0, 2}),
+      Learner<KnnClassifier>({"knn", "KNN", "FNN", 0, 1}),
+      Learner<BaggingClassifier>({"bagging", "Bagging", "ipred", 0, 5}),
+      Learner<PartClassifier>({"part", "part", "RWeka", 1, 2}),
+      Learner<J48Classifier>({"j48", "J48", "RWeka", 1, 2}),
+      Learner<RandomForestClassifier>(
+          {"random_forest", "RandomForest", "randomForest", 0, 3}),
+      Learner<C50Classifier>({"c50", "c50", "C50", 3, 2}),
+      Learner<RpartClassifier>({"rpart", "rpart", "rpart", 0, 4}),
+      Learner<LdaClassifier>({"lda", "LDA", "MASS", 1, 1}),
+      Learner<PlsdaClassifier>({"plsda", "PLSDA", "caret", 1, 1}),
+      Learner<LmtClassifier>({"lmt", "LMT", "RWeka", 0, 1}),
+      Learner<RdaClassifier>({"rda", "RDA", "klaR", 0, 2}),
+      Learner<NeuralNetClassifier>({"neuralnet", "NeuralNet", "nnet", 0, 1}),
+      Learner<DeepBoostClassifier>(
+          {"deepboost", "DeepBoost", "deepboost", 1, 4}),
   };
+  return kTable;
+}
+
+StatusOr<const Row*> Find(const std::string& name) {
+  for (const Row& row : Table()) {
+    if (row.info.name == name) return &row;
+  }
+  return Status::NotFound("unknown algorithm '" + name + "'");
+}
+
+}  // namespace
+
+const std::vector<AlgorithmInfo>& AllAlgorithms() {
+  static const std::vector<AlgorithmInfo> kAlgorithms = [] {
+    std::vector<AlgorithmInfo> infos;
+    for (const Row& row : Table()) infos.push_back(row.info);
+    return infos;
+  }();
   return kAlgorithms;
 }
 
 std::vector<std::string> AllAlgorithmNames() {
   std::vector<std::string> names;
-  names.reserve(AllAlgorithms().size());
-  for (const auto& info : AllAlgorithms()) names.push_back(info.name);
+  names.reserve(Table().size());
+  for (const Row& row : Table()) names.push_back(row.info.name);
   return names;
 }
 
-bool IsKnownAlgorithm(const std::string& name) {
-  const auto& algos = AllAlgorithms();
-  return std::any_of(algos.begin(), algos.end(),
-                     [&](const AlgorithmInfo& a) { return a.name == name; });
-}
+bool IsKnownAlgorithm(const std::string& name) { return Find(name).ok(); }
 
 StatusOr<std::unique_ptr<Classifier>> CreateClassifier(
     const std::string& name) {
-  if (name == "svm") return std::unique_ptr<Classifier>(new SvmClassifier());
-  if (name == "naive_bayes") {
-    return std::unique_ptr<Classifier>(new NaiveBayesClassifier());
-  }
-  if (name == "knn") return std::unique_ptr<Classifier>(new KnnClassifier());
-  if (name == "bagging") {
-    return std::unique_ptr<Classifier>(new BaggingClassifier());
-  }
-  if (name == "part") return std::unique_ptr<Classifier>(new PartClassifier());
-  if (name == "j48") return std::unique_ptr<Classifier>(new J48Classifier());
-  if (name == "random_forest") {
-    return std::unique_ptr<Classifier>(new RandomForestClassifier());
-  }
-  if (name == "c50") return std::unique_ptr<Classifier>(new C50Classifier());
-  if (name == "rpart") {
-    return std::unique_ptr<Classifier>(new RpartClassifier());
-  }
-  if (name == "lda") return std::unique_ptr<Classifier>(new LdaClassifier());
-  if (name == "plsda") {
-    return std::unique_ptr<Classifier>(new PlsdaClassifier());
-  }
-  if (name == "lmt") return std::unique_ptr<Classifier>(new LmtClassifier());
-  if (name == "rda") return std::unique_ptr<Classifier>(new RdaClassifier());
-  if (name == "neuralnet") {
-    return std::unique_ptr<Classifier>(new NeuralNetClassifier());
-  }
-  if (name == "deepboost") {
-    return std::unique_ptr<Classifier>(new DeepBoostClassifier());
-  }
-  return Status::NotFound("unknown algorithm '" + name + "'");
+  SMARTML_ASSIGN_OR_RETURN(const Row* row, Find(name));
+  return row->create();
 }
 
 StatusOr<ParamSpace> SpaceFor(const std::string& name) {
-  if (name == "svm") return SvmClassifier::Space();
-  if (name == "naive_bayes") return NaiveBayesClassifier::Space();
-  if (name == "knn") return KnnClassifier::Space();
-  if (name == "bagging") return BaggingClassifier::Space();
-  if (name == "part") return PartClassifier::Space();
-  if (name == "j48") return J48Classifier::Space();
-  if (name == "random_forest") return RandomForestClassifier::Space();
-  if (name == "c50") return C50Classifier::Space();
-  if (name == "rpart") return RpartClassifier::Space();
-  if (name == "lda") return LdaClassifier::Space();
-  if (name == "plsda") return PlsdaClassifier::Space();
-  if (name == "lmt") return LmtClassifier::Space();
-  if (name == "rda") return RdaClassifier::Space();
-  if (name == "neuralnet") return NeuralNetClassifier::Space();
-  if (name == "deepboost") return DeepBoostClassifier::Space();
-  return Status::NotFound("unknown algorithm '" + name + "'");
+  SMARTML_ASSIGN_OR_RETURN(const Row* row, Find(name));
+  return row->space();
 }
 
 }  // namespace smartml

@@ -158,7 +158,7 @@ SvmClassifier::BinaryMachine SvmClassifier::TrainBinary(
   return machine;
 }
 
-Status SvmClassifier::Fit(const Dataset& train, const ParamConfig& config) {
+Status SvmClassifier::FitImpl(const Dataset& train, const ParamConfig& config) {
   if (train.NumRows() < 2) {
     return Status::InvalidArgument("svm: need at least 2 rows");
   }
@@ -182,18 +182,17 @@ Status SvmClassifier::Fit(const Dataset& train, const ParamConfig& config) {
 
   SMARTML_RETURN_NOT_OK(encoder_.Fit(train, /*standardize=*/true));
   SMARTML_ASSIGN_OR_RETURN(train_x_, encoder_.Transform(train));
-  num_classes_ = static_cast<int>(train.NumClasses());
+  const int num_classes = static_cast<int>(train.NumClasses());
 
-  std::vector<std::vector<size_t>> by_class(
-      static_cast<size_t>(num_classes_));
+  std::vector<std::vector<size_t>> by_class(static_cast<size_t>(num_classes));
   for (size_t r = 0; r < train.NumRows(); ++r) {
     by_class[static_cast<size_t>(train.label(r))].push_back(r);
   }
 
   machines_.clear();
   uint64_t seed = config.GetInt("seed", 17);
-  for (int a = 0; a < num_classes_; ++a) {
-    for (int b = a + 1; b < num_classes_; ++b) {
+  for (int a = 0; a < num_classes; ++a) {
+    for (int b = a + 1; b < num_classes; ++b) {
       const auto& rows_a = by_class[static_cast<size_t>(a)];
       const auto& rows_b = by_class[static_cast<size_t>(b)];
       if (rows_a.empty() || rows_b.empty()) continue;
@@ -214,16 +213,18 @@ Status SvmClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> SvmClassifier::PredictProba(
+StatusOr<ProbaMatrix> SvmClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (machines_.empty() && num_classes_ > 1) {
-    return Status::FailedPrecondition("svm: not fitted");
+  // A training set whose rows all hold one of several classes trains no
+  // one-vs-one machine.
+  if (machines_.empty() && num_classes() > 1) {
+    return Status::FailedPrecondition("svm: trained on a single class");
   }
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
   const size_t n = x.rows();
   const size_t d = x.cols();
-  std::vector<std::vector<double>> out(
-      n, std::vector<double>(static_cast<size_t>(std::max(num_classes_, 1)),
+  ProbaMatrix out(
+      n, std::vector<double>(static_cast<size_t>(std::max(num_classes(), 1)),
                              0.0));
   for (size_t r = 0; r < n; ++r) {
     const double* q = x.RowPtr(r);

@@ -20,14 +20,14 @@ class SvmClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "svm"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<SvmClassifier>();
   }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   enum class Kernel { kLinear, kRbf, kPoly, kSigmoid };
 
   /// One binary one-vs-one machine over rows of the encoded training matrix.
@@ -47,7 +47,6 @@ class SvmClassifier : public Classifier {
   NumericEncoder encoder_;
   Matrix train_x_;
   std::vector<BinaryMachine> machines_;
-  int num_classes_ = 0;
   Kernel kernel_ = Kernel::kRbf;
   double c_ = 1.0;
   double gamma_ = 0.1;

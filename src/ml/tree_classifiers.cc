@@ -7,16 +7,9 @@ namespace smartml {
 
 namespace {
 
-StatusOr<std::vector<std::vector<double>>> TreePredictProba(
-    const DecisionTree& tree, const Dataset& data, size_t num_features) {
-  if (!tree.fitted()) {
-    return Status::FailedPrecondition("tree classifier: not fitted");
-  }
-  if (data.NumFeatures() != num_features) {
-    return Status::InvalidArgument("tree classifier: schema mismatch");
-  }
+ProbaMatrix TreePredictProba(const DecisionTree& tree, const Dataset& data) {
   const Matrix x = data.ToRawMatrix();
-  std::vector<std::vector<double>> out(
+  ProbaMatrix out(
       x.rows(), std::vector<double>(static_cast<size_t>(tree.num_classes())));
   for (size_t r = 0; r < x.rows(); ++r) {
     tree.AddLeafProba(tree.LeafIndexForRow(x.RowPtr(r)), 1.0, out[r].data());
@@ -39,7 +32,7 @@ ParamSpace J48Classifier::Space() {
   return space;
 }
 
-Status J48Classifier::Fit(const Dataset& train, const ParamConfig& config) {
+Status J48Classifier::FitImpl(const Dataset& train, const ParamConfig& config) {
   TreeOptions options;
   options.criterion = TreeCriterion::kGainRatio;
   options.multiway_categorical = true;
@@ -52,15 +45,14 @@ Status J48Classifier::Fit(const Dataset& train, const ParamConfig& config) {
       unpruned ? 0.0 : std::clamp(config.GetDouble("C", 0.25), 0.001, 0.5);
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
 
-  num_features_ = train.NumFeatures();
   return tree_.Fit(train.ToRawMatrix(), TreeSchema::FromDataset(train),
                    train.labels(), static_cast<int>(train.NumClasses()), {},
                    options, train.Binned());
 }
 
-StatusOr<std::vector<std::vector<double>>> J48Classifier::PredictProba(
+StatusOr<ProbaMatrix> J48Classifier::PredictProbaImpl(
     const Dataset& data) const {
-  return TreePredictProba(tree_, data, num_features_);
+  return TreePredictProba(tree_, data);
 }
 
 // ---------------------------------------------------------------------------
@@ -76,7 +68,8 @@ ParamSpace RpartClassifier::Space() {
   return space;
 }
 
-Status RpartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
+Status RpartClassifier::FitImpl(const Dataset& train,
+                                const ParamConfig& config) {
   TreeOptions options;
   options.criterion = TreeCriterion::kGini;
   options.multiway_categorical = false;
@@ -91,15 +84,14 @@ Status RpartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
                                            60));
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
 
-  num_features_ = train.NumFeatures();
   return tree_.Fit(train.ToRawMatrix(), TreeSchema::FromDataset(train),
                    train.labels(), static_cast<int>(train.NumClasses()), {},
                    options, train.Binned());
 }
 
-StatusOr<std::vector<std::vector<double>>> RpartClassifier::PredictProba(
+StatusOr<ProbaMatrix> RpartClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  return TreePredictProba(tree_, data, num_features_);
+  return TreePredictProba(tree_, data);
 }
 
 // ---------------------------------------------------------------------------
@@ -137,9 +129,9 @@ bool PartClassifier::Matches(const Rule& rule, const double* row) {
   return true;
 }
 
-Status PartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
-  num_classes_ = static_cast<int>(train.NumClasses());
-  num_features_ = train.NumFeatures();
+Status PartClassifier::FitImpl(const Dataset& train,
+                               const ParamConfig& config) {
+  const int num_classes = static_cast<int>(train.NumClasses());
   rules_.clear();
 
   TreeOptions options;
@@ -170,7 +162,7 @@ Status PartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
     for (size_t r : remaining) weights[r] = 1.0;
     DecisionTree tree;
     SMARTML_RETURN_NOT_OK(tree.Fit(full_x, schema, train.labels(),
-                                   num_classes_, weights, options, binned));
+                                   num_classes, weights, options, binned));
     auto leaves = tree.ExtractLeafRules();
     if (leaves.empty()) break;
     // Highest-coverage leaf becomes the next rule.
@@ -197,7 +189,7 @@ Status PartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
 
   // Default rule from whatever remains (or global majority).
   Rule fallback;
-  fallback.proba.assign(static_cast<size_t>(num_classes_), 0.0);
+  fallback.proba.assign(static_cast<size_t>(num_classes), 0.0);
   if (!remaining.empty()) {
     for (size_t r : remaining) {
       fallback.proba[static_cast<size_t>(train.label(r))] += 1.0;
@@ -212,14 +204,8 @@ Status PartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   return Status::OK();
 }
 
-StatusOr<std::vector<std::vector<double>>> PartClassifier::PredictProba(
+StatusOr<ProbaMatrix> PartClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  if (rules_.empty()) {
-    return Status::FailedPrecondition("part: not fitted");
-  }
-  if (data.NumFeatures() != num_features_) {
-    return Status::InvalidArgument("part: schema mismatch");
-  }
   const Matrix x = data.ToRawMatrix();
   std::vector<std::vector<double>> out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {

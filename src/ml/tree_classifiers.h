@@ -18,9 +18,6 @@ class J48Classifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "j48"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<J48Classifier>();
   }
@@ -28,8 +25,10 @@ class J48Classifier : public Classifier {
   const DecisionTree& tree() const { return tree_; }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   DecisionTree tree_;
-  size_t num_features_ = 0;
 };
 
 /// CART tree with Gini splits and cost-complexity-style pre-pruning (cp).
@@ -40,9 +39,6 @@ class RpartClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "rpart"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<RpartClassifier>();
   }
@@ -50,8 +46,10 @@ class RpartClassifier : public Classifier {
   const DecisionTree& tree() const { return tree_; }
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   DecisionTree tree_;
-  size_t num_features_ = 0;
 };
 
 /// PART rule learner: repeatedly grows a pruned C4.5 tree on the instances
@@ -64,9 +62,6 @@ class PartClassifier : public Classifier {
   static ParamSpace Space();
 
   std::string name() const override { return "part"; }
-  Status Fit(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<std::vector<std::vector<double>>> PredictProba(
-      const Dataset& data) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<PartClassifier>();
   }
@@ -77,6 +72,9 @@ class PartClassifier : public Classifier {
   std::vector<std::string> RuleStrings(const Dataset& schema_source) const;
 
  private:
+  Status FitImpl(const Dataset& train, const ParamConfig& config) override;
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+
   struct Rule {
     std::vector<TreeCondition> conditions;  // Empty = default rule.
     std::vector<double> proba;
@@ -86,8 +84,6 @@ class PartClassifier : public Classifier {
   static bool Matches(const Rule& rule, const double* row);
 
   std::vector<Rule> rules_;
-  int num_classes_ = 0;
-  size_t num_features_ = 0;
 };
 
 }  // namespace smartml

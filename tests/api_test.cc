@@ -292,6 +292,61 @@ TEST_F(RestServiceTest, Algorithms) {
   EXPECT_NE(response.body.find("\"deepboost\""), std::string::npos);
 }
 
+// The /v1/algorithms body is pinned byte for byte: Table 3's 15 rows in
+// order with their five fields. Reorganizing the registry must not change
+// a single byte of it.
+TEST_F(RestServiceTest, AlgorithmsBodyIsPinned) {
+  const std::string expected =
+      R"([{"name":"svm","paper_name":"SVM",)"
+      R"("paper_package":"e1071","categorical_params":1,)"
+      R"("numerical_params":4},)"
+      R"({"name":"naive_bayes","paper_name":"NaiveBayes",)"
+      R"("paper_package":"klaR","categorical_params":0,)"
+      R"("numerical_params":2},)"
+      R"({"name":"knn","paper_name":"KNN",)"
+      R"("paper_package":"FNN","categorical_params":0,)"
+      R"("numerical_params":1},)"
+      R"({"name":"bagging","paper_name":"Bagging",)"
+      R"("paper_package":"ipred","categorical_params":0,)"
+      R"("numerical_params":5},)"
+      R"({"name":"part","paper_name":"part",)"
+      R"("paper_package":"RWeka","categorical_params":1,)"
+      R"("numerical_params":2},)"
+      R"({"name":"j48","paper_name":"J48",)"
+      R"("paper_package":"RWeka","categorical_params":1,)"
+      R"("numerical_params":2},)"
+      R"({"name":"random_forest","paper_name":"RandomForest",)"
+      R"("paper_package":"randomForest","categorical_params":0,)"
+      R"("numerical_params":3},)"
+      R"({"name":"c50","paper_name":"c50",)"
+      R"("paper_package":"C50","categorical_params":3,)"
+      R"("numerical_params":2},)"
+      R"({"name":"rpart","paper_name":"rpart",)"
+      R"("paper_package":"rpart","categorical_params":0,)"
+      R"("numerical_params":4},)"
+      R"({"name":"lda","paper_name":"LDA",)"
+      R"("paper_package":"MASS","categorical_params":1,)"
+      R"("numerical_params":1},)"
+      R"({"name":"plsda","paper_name":"PLSDA",)"
+      R"("paper_package":"caret","categorical_params":1,)"
+      R"("numerical_params":1},)"
+      R"({"name":"lmt","paper_name":"LMT",)"
+      R"("paper_package":"RWeka","categorical_params":0,)"
+      R"("numerical_params":1},)"
+      R"({"name":"rda","paper_name":"RDA",)"
+      R"("paper_package":"klaR","categorical_params":0,)"
+      R"("numerical_params":2},)"
+      R"({"name":"neuralnet","paper_name":"NeuralNet",)"
+      R"("paper_package":"nnet","categorical_params":0,)"
+      R"("numerical_params":1},)"
+      R"({"name":"deepboost","paper_name":"DeepBoost",)"
+      R"("paper_package":"deepboost","categorical_params":1,)"
+      R"("numerical_params":4}])";
+  const HttpResponse response = Call("GET", "/v1/algorithms");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, expected);
+}
+
 TEST_F(RestServiceTest, UnknownRouteIs404) {
   EXPECT_EQ(Call("GET", "/nope").status, 404);
 }

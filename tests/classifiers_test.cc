@@ -175,7 +175,35 @@ TEST_P(AllClassifiersTest, DeterministicGivenConfig) {
 
 TEST_P(AllClassifiersTest, PredictBeforeFitFails) {
   auto model = Make();
-  EXPECT_FALSE(model->PredictProba(EasyBinary()).ok()) << GetParam();
+  EXPECT_EQ(model->PredictProba(EasyBinary()).status().code(),
+            StatusCode::kFailedPrecondition)
+      << GetParam();
+}
+
+TEST_P(AllClassifiersTest, EmptyTrainingSetRejected) {
+  auto model = Make();
+  auto space = SpaceFor(GetParam());
+  ASSERT_TRUE(space.ok());
+  const Dataset empty = EasyBinary().Subset({});
+  ASSERT_EQ(empty.NumRows(), 0u);
+  EXPECT_EQ(model->Fit(empty, space->DefaultConfig()).code(),
+            StatusCode::kInvalidArgument)
+      << GetParam();
+}
+
+// A refit that fails must not leave the previous model servable.
+TEST_P(AllClassifiersTest, FailedFitLeavesModelUnfitted) {
+  auto model = Make();
+  auto space = SpaceFor(GetParam());
+  ASSERT_TRUE(space.ok());
+  const Dataset d = EasyBinary();
+  std::vector<size_t> first_rows(60);
+  for (size_t r = 0; r < first_rows.size(); ++r) first_rows[r] = r;
+  ASSERT_TRUE(model->Fit(d.Subset(first_rows), space->DefaultConfig()).ok());
+  ASSERT_FALSE(model->Fit(d.Subset({}), space->DefaultConfig()).ok());
+  EXPECT_EQ(model->PredictProba(d).status().code(),
+            StatusCode::kFailedPrecondition)
+      << GetParam();
 }
 
 TEST_P(AllClassifiersTest, SchemaMismatchRejected) {
@@ -186,7 +214,9 @@ TEST_P(AllClassifiersTest, SchemaMismatchRejected) {
   Dataset other("wrong");
   other.AddNumericFeature("only", {1, 2, 3, 4});
   other.SetLabels({0, 1, 0, 1}, {"a", "b"});
-  EXPECT_FALSE(model->PredictProba(other).ok()) << GetParam();
+  EXPECT_EQ(model->PredictProba(other).status().code(),
+            StatusCode::kInvalidArgument)
+      << GetParam();
 }
 
 TEST_P(AllClassifiersTest, CloneIsIndependentAndUntrained) {
@@ -194,7 +224,8 @@ TEST_P(AllClassifiersTest, CloneIsIndependentAndUntrained) {
   auto clone = model->Clone();
   ASSERT_NE(clone, nullptr);
   EXPECT_EQ(clone->name(), GetParam());
-  EXPECT_FALSE(clone->PredictProba(EasyBinary()).ok());
+  EXPECT_EQ(clone->PredictProba(EasyBinary()).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_P(AllClassifiersTest, RefitReplacesModel) {

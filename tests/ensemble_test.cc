@@ -25,14 +25,42 @@ Dataset MakeData(uint64_t seed = 71) {
   return GenerateSynthetic(spec);
 }
 
+// An ensemble holding one trained k-NN member.
+std::unique_ptr<WeightedEnsemble> OneMemberEnsemble(const Dataset& d) {
+  auto knn = std::make_unique<KnnClassifier>();
+  EXPECT_TRUE(knn->Fit(d, KnnClassifier::Space().DefaultConfig()).ok());
+  auto ensemble = std::make_unique<WeightedEnsemble>();
+  ensemble->AddMember(std::move(knn), 0.9);
+  return ensemble;
+}
+
 TEST(EnsembleTest, EmptyEnsembleRejectsPredict) {
   WeightedEnsemble ensemble;
-  EXPECT_FALSE(ensemble.PredictProba(MakeData()).ok());
+  EXPECT_EQ(ensemble.PredictProba(MakeData()).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(EnsembleTest, FitIsUnsupported) {
   WeightedEnsemble ensemble;
   EXPECT_EQ(ensemble.Fit(MakeData(), {}).code(), StatusCode::kUnimplemented);
+}
+
+TEST(EnsembleTest, SchemaMismatchRejected) {
+  const auto ensemble = OneMemberEnsemble(MakeData());
+  Dataset other("wrong");
+  other.AddNumericFeature("only", {1, 2, 3, 4});
+  other.SetLabels({0, 1, 0, 1}, {"a", "b"});
+  EXPECT_EQ(ensemble->PredictProba(other).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EnsembleTest, FailedFitLeavesEnsembleUnfitted) {
+  const Dataset d = MakeData();
+  const auto ensemble = OneMemberEnsemble(d);
+  ASSERT_TRUE(ensemble->PredictProba(d).ok());
+  ASSERT_FALSE(ensemble->Fit(d, {}).ok());
+  EXPECT_EQ(ensemble->PredictProba(d).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(EnsembleTest, CombinesMembersWithValidProbabilities) {

@@ -1,10 +1,12 @@
-// Learner-level parity for the tree engine: every tree-based learner's
-// PredictProba output, and the four landmarking meta-features, are pinned
-// as checksums of their exact IEEE-754 bit patterns. The expected values
-// were recorded from the two-grower engine that preceded the single
-// split scan (exact and histogram growth as separate code paths, per-node
-// child/count vectors, three tree walks); any drift in a gain, threshold,
-// tie-break, leaf count or vote summation order changes a checksum.
+// Learner-level parity: every learner's PredictProba output, and the four
+// landmarking meta-features, are pinned as checksums of their exact
+// IEEE-754 bit patterns. The tree learners' values were recorded from the
+// two-grower engine that preceded the single split scan (exact and
+// histogram growth as separate code paths, per-node child/count vectors,
+// three tree walks); any drift in a gain, threshold, tie-break, leaf count
+// or vote summation order changes a checksum. The other seven learners'
+// values were recorded before their fit and predict preconditions moved
+// into the Classifier base.
 //
 // Two fixed synthetic tables: one all-numeric with more than 255 distinct
 // values per column (so the shared view is quantile-binned), one with
@@ -105,6 +107,13 @@ std::vector<Learner> Learners() {
   add("random_forest", "random_forest").SetInt("ntree", 30);
   add("deepboost", "deepboost").SetInt("num_iter", 12);
   add("lmt", "lmt");
+  add("svm", "svm");
+  add("naive_bayes", "naive_bayes");
+  add("knn", "knn");
+  add("lda", "lda");
+  add("rda", "rda");
+  add("plsda", "plsda");
+  add("neuralnet", "neuralnet");
   return out;
 }
 
@@ -166,7 +175,14 @@ TEST(TreeParityTest, NumericTableOverTwoHundredFiftyFiveDistinctValues) {
               {"bagging", 0x684779ebabd45626ull},
               {"random_forest", 0x19e7250f97ba29d3ull},
               {"deepboost", 0x8d507a0b109b59b5ull},
-              {"lmt", 0x550c8244e50d7626ull}},
+              {"lmt", 0x550c8244e50d7626ull},
+              {"svm", 0xe66a9467033fd450ull},
+              {"naive_bayes", 0x9ea67e368a63b883ull},
+              {"knn", 0x11e8120116ddf66eull},
+              {"lda", 0x1f7c3795865fd4c5ull},
+              {"rda", 0xdf197f7bbaf98452ull},
+              {"plsda", 0x6578fc25e1e93d25ull},
+              {"neuralnet", 0xd7d65a4c9d2d7906ull}},
              {0x3fe3a06d3a06d3a0ull, 0x3fe999999999999aull, 0x3fdd0369d0369d03ull,
               0x3feae147ae147ae1ull});
 }
@@ -190,7 +206,14 @@ TEST(TreeParityTest, CategoricalTableWithMissingCells) {
               {"bagging", 0xb386f3e59755a76dull},
               {"random_forest", 0x2405c877c8506445ull},
               {"deepboost", 0xeec968e9b1303bcdull},
-              {"lmt", 0xe335f8346a1a81c0ull}},
+              {"lmt", 0xe335f8346a1a81c0ull},
+              {"svm", 0x555fc3de585b3adaull},
+              {"naive_bayes", 0xf921f20c953cdd45ull},
+              {"knn", 0x271a7ede7efa1f7aull},
+              {"lda", 0x45cba6ebcc44eb77ull},
+              {"rda", 0x9d8aae6a633c6841ull},
+              {"plsda", 0x773c13474fffadc2ull},
+              {"neuralnet", 0xb2245ed7be252c9eull}},
              {0x3fe79435e50d7943ull, 0x3febca1af286bca2ull, 0x3fe21af286bca1afull,
               0x3fe9435e50d79436ull});
 }
