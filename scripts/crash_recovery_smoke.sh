@@ -141,6 +141,13 @@ RECOVERED="$(echo "$METRICS" |
 [ "${RECOVERED:-0}" -ge 3 ] ||
   fail "smartml_runs_recovered_total=$RECOVERED, expected >= 3"
 
+# The durable writers left nothing behind. Startup compaction has finished
+# and no tuner is writing, so a *.tmp or *.bak at the journal dir's top
+# level, or a *.bak under checkpoints/ (only KB saves keep one), is a leak.
+LEFTOVERS="$(find "$JOURNAL" -maxdepth 1 \( -name '*.tmp' -o -name '*.bak' \)
+  find "$JOURNAL/checkpoints" -name '*.bak')"
+[ -z "$LEFTOVERS" ] || fail "durable writes left files behind: $LEFTOVERS"
+
 # 5. Idempotent retries return the original id — also across a restart,
 #    because the key is journaled with the admission.
 I1="$(curl -sf -X POST -H 'Idempotency-Key: smoke-retry' \

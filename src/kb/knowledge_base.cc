@@ -848,7 +848,8 @@ Status KnowledgeBase::SaveToFile(const std::string& path,
                                   ? EncodeKbSnapshot(SnapshotRecords())
                                   : Serialize();
   const Status status =
-      AtomicWriteFile(path, payload, "kb_save_crash", "kb_rename_fail");
+      AtomicWriteFile(path, payload, /*keep_bak=*/true, "kb_save_crash",
+                      "kb_rename_fail");
   if (status.ok()) {
     const KbMetrics& metrics = KbMetrics::Get();
     metrics.snapshot_bytes->Set(static_cast<int64_t>(payload.size()));

@@ -1,20 +1,16 @@
 #include "src/persist/checkpoint.h"
 
-#include <fcntl.h>
+#include <dirent.h>
 #include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <vector>
-
-#include <dirent.h>
 
 #include "src/common/crc32.h"
 #include "src/common/fault_injection.h"
+#include "src/persist/snapshot_io.h"
 
 namespace smartml {
 
@@ -45,43 +41,6 @@ bool StripCrcTrailer(const std::string& text, std::string* body) {
                    16));
   *body = text.substr(0, trailer);
   return Crc32(*body) == expected;
-}
-
-Status WriteFileDurably(const std::string& path, const std::string& payload) {
-  const std::string tmp_path = path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open '" + tmp_path + "' for writing");
-  }
-  size_t written = 0;
-  while (written < payload.size()) {
-    const ssize_t n =
-        ::write(fd, payload.data() + written, payload.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      return Status::IOError("write failed: " + tmp_path);
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return Status::IOError("fsync failed: " + tmp_path);
-  }
-  if (::close(fd) != 0) {
-    return Status::IOError("close failed: " + tmp_path);
-  }
-  if (::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    return Status::IOError("rename failed: " + tmp_path + " -> " + path);
-  }
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    (void)::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -152,16 +111,14 @@ std::string FileCheckpointStore::PathFor(const std::string& key) const {
 Status FileCheckpointStore::Put(const std::string& key,
                                 const std::string& blob) {
   std::lock_guard<std::mutex> lock(mu_);
-  return WriteFileDurably(PathFor(key), WithCrcTrailer(blob));
+  return AtomicWriteFile(PathFor(key), WithCrcTrailer(blob),
+                         /*keep_bak=*/false);
 }
 
 StatusOr<std::string> FileCheckpointStore::Get(const std::string& key) {
-  const std::string path = PathFor(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no checkpoint for '" + key + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
+  auto bytes = ReadFileBytes(PathFor(key));
+  if (!bytes.ok()) return Status::NotFound("no checkpoint for '" + key + "'");
+  std::string text = std::move(*bytes);
   // checkpoint_corrupt simulates silent bit rot: flip one byte so the crc
   // trailer must catch it and the caller falls back to a fresh start.
   if (!text.empty() && FaultShouldFire("checkpoint_corrupt")) {

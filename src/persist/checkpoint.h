@@ -8,11 +8,12 @@
 // tuners (tuning/checkpoint_codec.h) and the store can be swapped
 // (file-backed in the server, in-memory in tests).
 //
-// FileCheckpointStore follows the PR 3 crash-safety discipline: every Put
-// writes a tmp file, fsyncs, and renames into place, and every blob carries
-// a crc32 trailer that Get verifies. A torn or corrupt checkpoint is
-// reported as an error, which callers treat as "no checkpoint" — resuming
-// from nothing is always safe, resuming from garbage never is.
+// FileCheckpointStore writes every Put through AtomicWriteFile
+// (src/persist/snapshot_io.h: tmp file, fsync, rename into place, no .bak),
+// and every blob carries a crc32 trailer that Get verifies. A torn or
+// corrupt checkpoint is reported as an error, which callers treat as "no
+// checkpoint" — resuming from nothing is always safe, resuming from garbage
+// never is.
 #ifndef SMARTML_PERSIST_CHECKPOINT_H_
 #define SMARTML_PERSIST_CHECKPOINT_H_
 
@@ -63,7 +64,7 @@ class MemoryCheckpointStore : public CheckpointSink {
 };
 
 /// File-backed sink: one file per key under `dir`, crc-trailed, written via
-/// tmp+fsync+rename. Keys are sanitized into flat filenames ('/' and any
+/// AtomicWriteFile. Keys are sanitized into flat filenames ('/' and any
 /// other non-[A-Za-z0-9._-] byte become '_'), so distinct keys that collide
 /// after sanitization would overwrite each other — callers use structured
 /// keys ("run-000001/smac/DecisionTree") whose sanitized forms stay unique.

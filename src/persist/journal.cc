@@ -3,84 +3,48 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/common/crc32.h"
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
+#include "src/persist/snapshot_io.h"
 
 namespace smartml {
 
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 8;  // u32 body_len + u32 crc32
-
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
 /// Decodes one segment's bytes into records. A torn or crc-bad frame ends
 /// the segment: everything before it is the salvaged prefix, everything
 /// from it on is dropped and counted in `torn`.
-void DecodeSegment(const std::string& bytes,
+void DecodeSegment(std::string_view bytes,
                    const std::function<void(const JournalRecord&)>& fn,
                    size_t* records, size_t* torn) {
-  size_t pos = 0;
-  while (pos + kFrameHeaderBytes <= bytes.size()) {
-    const uint32_t body_len = GetU32(bytes.data() + pos);
-    const uint32_t expected_crc = GetU32(bytes.data() + pos + 4);
-    const size_t body_start = pos + kFrameHeaderBytes;
-    if (body_start + body_len > bytes.size()) break;  // torn tail
-    const std::string_view body(bytes.data() + body_start, body_len);
-    if (Crc32(body) != expected_crc) break;  // corrupt frame
+  ByteReader frames(bytes);
+  size_t decoded_end = 0;
+  uint32_t body_len = 0;
+  uint32_t expected_crc = 0;
+  std::string_view body;
+  while (frames.ReadU32(&body_len) && frames.ReadU32(&expected_crc) &&
+         frames.ReadBytes(body_len, &body) && Crc32(body) == expected_crc) {
     // body = u8 type | u32 key_len | key | payload
-    if (body_len < 5) break;
-    const uint32_t key_len = GetU32(body.data() + 1);
-    if (5 + static_cast<size_t>(key_len) > body_len) break;
+    ByteReader fields(body);
     JournalRecord record;
-    record.type = static_cast<uint8_t>(body[0]);
-    record.key.assign(body.data() + 5, key_len);
-    record.payload.assign(body.data() + 5 + key_len,
-                          body_len - 5 - key_len);
+    std::string_view key;
+    if (!fields.ReadU8(&record.type) || !fields.ReadLengthPrefixed(&key)) {
+      break;
+    }
+    record.key = key;
+    record.payload = body.substr(fields.position());
     fn(record);
     ++*records;
-    pos = body_start + body_len;
+    decoded_end = frames.position();
   }
-  if (pos < bytes.size()) ++*torn;
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-Status FsyncDir(const std::string& dir) {
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0) return Status::IOError("cannot open dir '" + dir + "'");
-  (void)::fsync(dir_fd);
-  ::close(dir_fd);
-  return Status::OK();
+  if (decoded_end < bytes.size()) ++*torn;
 }
 
 }  // namespace
@@ -88,14 +52,13 @@ Status FsyncDir(const std::string& dir) {
 std::string EncodeJournalFrame(const JournalRecord& record) {
   std::string body;
   body.reserve(5 + record.key.size() + record.payload.size());
-  body.push_back(static_cast<char>(record.type));
-  PutU32(&body, static_cast<uint32_t>(record.key.size()));
-  body += record.key;
+  AppendU8(&body, record.type);
+  AppendLengthPrefixed(&body, record.key);
   body += record.payload;
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  PutU32(&frame, Crc32(body));
+  frame.reserve(8 + body.size());  // u32 body_len + u32 crc32 + body
+  AppendU32(&frame, static_cast<uint32_t>(body.size()));
+  AppendU32(&frame, Crc32(body));
   frame += body;
   return frame;
 }
@@ -204,17 +167,25 @@ Status JobJournal::AppendLocked(const JournalRecord& record) {
   while (written < to_write) {
     const ssize_t n =
         ::write(active_fd_, frame.data() + written, to_write - written);
-    if (n <= 0) return Status::IOError("journal write failed");
+    if (n <= 0) {
+      // Cut the partial frame (e.g. after ENOSPC): replay stops at a torn
+      // frame, so the next acked append must not land behind it. When the
+      // cut fails, seal the segment with the tear as its tail instead.
+      if (::ftruncate(active_fd_, static_cast<off_t>(active_bytes_)) != 0) {
+        segments_.push_back(segments_.back() + 1);
+        SMARTML_RETURN_NOT_OK(OpenActiveLocked());
+      }
+      return Status::IOError("journal write failed");
+    }
     written += static_cast<size_t>(n);
   }
-  if (torn) {
-    active_bytes_ += to_write;
-    return Status::OK();  // ack-then-crash: the caller never learns
-  }
+  // The whole frame is on disk even if its fsync fails below, so count it
+  // before anything can cut back to active_bytes_.
+  active_bytes_ += to_write;
+  if (torn) return Status::OK();  // ack-then-crash: the caller never learns
   if (FaultShouldFire("journal_fsync_fail") || ::fsync(active_fd_) != 0) {
     return Status::IOError("journal fsync failed");
   }
-  active_bytes_ += frame.size();
   if (metrics_) {
     metrics_->appends->Increment();
     metrics_->bytes_written->Increment(frame.size());
@@ -236,7 +207,10 @@ StatusOr<ReplayStats> JobJournal::Replay(
   }
   ReplayStats stats;
   for (const unsigned number : segments) {
+    // Appends cut failed writes back under mu_; never read mid-cut.
+    std::unique_lock<std::mutex> lock(mu_);
     auto bytes = ReadFileBytes(SegmentPath(number));
+    lock.unlock();
     if (!bytes.ok()) continue;  // segment vanished (compaction) — skip
     ++stats.segments;
     DecodeSegment(*bytes, fn, &stats.records, &stats.torn_records);
@@ -279,29 +253,8 @@ Status JobJournal::Compact(const std::function<bool(JournalRecord*)>& keep) {
   // after the rename but before the deletes leaves duplicates, which
   // replayers tolerate (records aggregate per key).
   if (!compacted.empty()) {
-    const std::string path = SegmentPath(compacted_number);
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) return Status::IOError("cannot open '" + tmp + "'");
-    size_t written = 0;
-    while (written < compacted.size()) {
-      const ssize_t n = ::write(fd, compacted.data() + written,
-                                compacted.size() - written);
-      if (n <= 0) {
-        ::close(fd);
-        return Status::IOError("write failed: " + tmp);
-      }
-      written += static_cast<size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      return Status::IOError("fsync failed: " + tmp);
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      return Status::IOError("rename failed: " + tmp + " -> " + path);
-    }
-    SMARTML_RETURN_NOT_OK(FsyncDir(dir_));
+    SMARTML_RETURN_NOT_OK(AtomicWriteFile(SegmentPath(compacted_number),
+                                          compacted, /*keep_bak=*/false));
   }
 
   ::close(active_fd_);
@@ -309,7 +262,7 @@ Status JobJournal::Compact(const std::function<bool(JournalRecord*)>& keep) {
   for (const unsigned number : segments_) {
     (void)::unlink(SegmentPath(number).c_str());
   }
-  (void)FsyncDir(dir_);
+  FsyncDir(dir_);
 
   segments_.clear();
   if (!compacted.empty()) segments_.push_back(compacted_number);

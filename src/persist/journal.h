@@ -13,17 +13,21 @@
 //   u32 body_len (LE) | u32 crc32(body) (LE) | body
 //   body = u8 type | u32 key_len (LE) | key bytes | payload bytes
 //
-// Append writes one frame and fsyncs before acknowledging, mirroring the
-// PR 3 KB discipline. Replay reads segments in numeric order and, when a
-// frame is torn or fails its crc (power loss mid-append), salvages the
-// longest valid prefix of that segment and keeps going with the next one —
-// a torn tail only ever costs the final unacknowledged record.
+// Append writes one frame and fsyncs before acknowledging. A write that
+// fails part-way (ENOSPC, a file-size limit) cuts its partial frame off
+// again — or, if the cut fails, continues in a fresh segment — so later
+// acknowledged records never sit behind a torn frame. Replay reads segments
+// in numeric order and, when a frame is torn or fails its crc (power loss
+// mid-append), salvages the longest valid prefix of that segment and keeps
+// going with the next one — a torn tail only ever costs the final
+// unacknowledged record.
 //
 // Rotation caps segment size; compaction rewrites the sealed segments
 // through a caller-supplied filter (dropping records of terminal jobs) into
-// a single fresh segment via tmp+fsync+rename. A crash mid-compaction can
-// leave both old and compacted segments visible; replayers tolerate this
-// because they aggregate records per key, so duplicates are benign.
+// a single fresh segment via AtomicWriteFile (src/persist/snapshot_io.h).
+// A crash mid-compaction can leave both old and compacted segments
+// visible; replayers tolerate this because they aggregate records per key,
+// so duplicates are benign.
 //
 // Fault points (see fault_injection.h): `journal_write_torn` truncates a
 // frame mid-write and skips the fsync, `journal_fsync_fail` simulates the
@@ -82,7 +86,8 @@ class JobJournal {
 
   /// Appends one record and fsyncs. IOError means the record may not be
   /// durable; callers decide whether that is fatal (JobManager logs and
-  /// keeps serving — a degraded journal beats a dead server).
+  /// keeps serving — a degraded journal beats a dead server). A failed
+  /// write leaves no partial frame, so later acked records stay replayable.
   Status Append(const JournalRecord& record);
 
   /// Streams every decodable record, oldest first, through `fn`. Torn tails

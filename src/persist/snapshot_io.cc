@@ -57,17 +57,19 @@ bool ByteReader::ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
 bool ByteReader::ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
 bool ByteReader::ReadF64(double* v) { return ReadRaw(v, sizeof(*v)); }
 
+bool ByteReader::ReadBytes(size_t n, std::string_view* bytes) {
+  if (data_.size() - pos_ < n) return false;
+  *bytes = data_.substr(pos_, n);
+  pos_ += n;
+  return true;
+}
+
 bool ByteReader::ReadLengthPrefixed(std::string_view* bytes) {
   const size_t start = pos_;
   uint32_t len = 0;
-  if (!ReadU32(&len)) return false;
-  if (data_.size() - pos_ < len) {
-    pos_ = start;
-    return false;
-  }
-  *bytes = data_.substr(pos_, len);
-  pos_ += len;
-  return true;
+  if (ReadU32(&len) && ReadBytes(len, bytes)) return true;
+  pos_ = start;
+  return false;
 }
 
 bool HasSnapshotMagic(std::string_view data, std::string_view magic) {
@@ -151,8 +153,17 @@ StatusOr<SnapshotFileView> DecodeSnapshotFile(std::string_view data,
   return view;
 }
 
+void FsyncDir(const std::string& dir) {
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd >= 0) {
+    (void)::fsync(dir_fd);
+    ::close(dir_fd);
+  }
+}
+
 Status AtomicWriteFile(const std::string& path, std::string_view payload,
-                       const char* crash_fault, const char* rename_fault) {
+                       bool keep_bak, const char* crash_fault,
+                       const char* rename_fault) {
   const std::string tmp_path = path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -184,16 +195,12 @@ Status AtomicWriteFile(const std::string& path, std::string_view payload,
   if (::close(fd) != 0) {
     return Status::IOError("close failed: " + tmp_path);
   }
-  // Keep the previous good file as .bak, then move the new one into place.
-  // rename() is atomic, so a crash between these steps leaves either the
-  // .bak (old state) or `path` (old or new state) loadable — never a torn
-  // main file.
+  // With keep_bak, move the previous good file to .bak first. rename() is
+  // atomic, so a crash between these steps leaves either the .bak (old
+  // state) or `path` (old or new state) loadable — never a torn main file.
   const std::string bak_path = path + ".bak";
-  struct stat st {};
-  bool moved_to_bak = false;
-  if (::stat(path.c_str(), &st) == 0) {
-    moved_to_bak = ::rename(path.c_str(), bak_path.c_str()) == 0;
-  }
+  const bool moved_to_bak =
+      keep_bak && ::rename(path.c_str(), bak_path.c_str()) == 0;
   // The rename fault simulates the final rename failing (e.g. EIO on a
   // dying disk) after the old file already moved to .bak.
   if ((rename_fault != nullptr && FaultShouldFire(rename_fault)) ||
@@ -203,15 +210,8 @@ Status AtomicWriteFile(const std::string& path, std::string_view payload,
     if (moved_to_bak) (void)::rename(bak_path.c_str(), path.c_str());
     return Status::IOError("rename failed: " + tmp_path + " -> " + path);
   }
-  // Persist the directory entry (best effort; not all filesystems need it).
   const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    (void)::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  FsyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
   return Status::OK();
 }
 

@@ -1,13 +1,13 @@
-// Shared binary-snapshot plumbing: little-endian primitive codecs, a
-// bounds-checked byte reader, crc-framed section files, and the PR 3
-// tmp+fsync+rename atomic-write discipline extracted into one place.
+// Shared durable-file plumbing: little-endian primitive codecs, a
+// bounds-checked byte reader, crc-framed section files, the one atomic
+// file writer and the one whole-file reader.
 //
-// The knowledge base's versioned snapshot (src/kb/kb_snapshot.cc) is the
-// first client; the framing is deliberately generic — magic + version +
-// flags header, then self-describing sections each carrying kind, record
-// count, payload length, and a payload crc32 — so future snapshot formats
-// (tuner state, journal compaction images) can reuse the same file
-// discipline and get the same salvage behaviour:
+// Users: the knowledge base's versioned snapshot (src/kb/kb_snapshot.cc)
+// encodes with the section framing; KnowledgeBase::SaveToFile, the tuner
+// checkpoint store (FileCheckpointStore::Put) and journal compaction
+// (JobJournal::Compact) write through AtomicWriteFile; KB loads, checkpoint
+// reads and journal replay read through ReadFileBytes; journal frames are
+// encoded with AppendU32 and decoded with ByteReader. The section framing:
 //
 //   [file header  32B]  magic[8] u32-version u32-flags u64-records
 //                       u32-section-count u32-header-crc
@@ -54,6 +54,8 @@ class ByteReader {
   bool ReadU32(uint32_t* v);
   bool ReadU64(uint64_t* v);
   bool ReadF64(double* v);
+  /// Views the next `n` bytes.
+  bool ReadBytes(size_t n, std::string_view* bytes);
   /// Reads a u32 length prefix then that many bytes.
   bool ReadLengthPrefixed(std::string_view* bytes);
 
@@ -122,18 +124,23 @@ StatusOr<SnapshotFileView> DecodeSnapshotFile(std::string_view data,
                                               std::string_view magic);
 
 // ---------------------------------------------------------------------------
-// Atomic file replacement (the PR 3 discipline, shared): write `path`.tmp,
-// fsync, keep the previous file as `path`.bak, rename into place, fsync the
-// directory. A crash at any point leaves either the old or the new file
-// loadable, never a torn `path`.
+// Atomic file replacement: write `path`.tmp, fsync, rename into place, fsync
+// the directory. A crash at any point leaves either the old or the new file
+// at `path`, never a torn one (at worst an orphaned .tmp).
 //
-// `crash_fault` / `rename_fault` name optional fault-injection points
-// (nullptr disables): the first simulates dying mid-write (torn tmp left
-// behind, `path` untouched), the second a failing final rename (the .bak is
+// `keep_bak` keeps the previous file as `path`.bak before the rename; only
+// the KB save wants it (its loader falls back to the .bak). `crash_fault` /
+// `rename_fault` name optional fault-injection points (nullptr disables):
+// the first simulates dying mid-write (torn tmp left behind, `path`
+// untouched), the second a failing final rename (the .bak, if any, is
 // restored to `path` so readers never see it vanish).
 Status AtomicWriteFile(const std::string& path, std::string_view payload,
-                       const char* crash_fault = nullptr,
+                       bool keep_bak, const char* crash_fault = nullptr,
                        const char* rename_fault = nullptr);
+
+/// Fsyncs directory `dir` so renames and unlinks in it are durable (best
+/// effort; not all filesystems need it).
+void FsyncDir(const std::string& dir);
 
 /// Reads a whole file into memory via mmap when possible (one mapping +
 /// one copy-out, no stdio buffering), falling back to plain reads. IOError

@@ -1,13 +1,17 @@
 // Tests for the durability layer: the write-ahead job journal (framing,
-// rotation, torn-tail salvage, compaction, fault points), the checkpoint
-// stores (crc verification, prefix removal, corruption fault), the
-// checkpoint text codec, and Rng state capture/restore.
+// rotation, torn-tail salvage, compaction, fault points, failed writes),
+// the checkpoint stores (crc verification, prefix removal, corruption
+// fault), the on-disk bytes both write, the checkpoint text codec, and Rng
+// state capture/restore.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
+#include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -461,6 +465,132 @@ TEST_F(PersistTest, CkptConfigRejectsGarbage) {
     ParamConfig decoded;
     EXPECT_FALSE(CkptReadConfig(&in, &decoded)) << text;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Durable files: on-disk bytes, leftovers, failed writes
+// ---------------------------------------------------------------------------
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+// Journals and checkpoints written by one build are read by the next, so
+// the bytes a journal frame, a compacted segment and a checkpoint file put
+// on disk are pinned; a change to the shared writer or codec must not move
+// them.
+TEST_F(PersistTest, JournalFrameBytesArePinned) {
+  EXPECT_EQ(Hex(EncodeJournalFrame({1, "k", "v"})),
+            "070000000a6128cf01010000006b76");
+}
+
+TEST_F(PersistTest, CompactedSegmentBytesArePinned) {
+  const std::string dir = TempDir("journal_pin");
+  auto journal = JobJournal::Open(dir);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*journal)->Append({1, "run-1", "admit"}).ok());
+  ASSERT_TRUE((*journal)->Append({2, "run-1", "dispatch"}).ok());
+  ASSERT_TRUE((*journal)->Append({3, "run-2", "{\"state\":\"done\"}"}).ok());
+  ASSERT_TRUE((*journal)
+                  ->Compact([](JournalRecord* record) {
+                    if (record->type == 2) return false;
+                    if (record->key == "run-2") record->payload = "done";
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(Hex(ReadFile(dir + "/journal-000002.wal")),
+            "0f000000915860b5010500000072756e2d3161646d69740e000000a96e2300"
+            "030500000072756e2d32646f6e65");
+}
+
+TEST_F(PersistTest, CheckpointFileBytesArePinned) {
+  const std::string dir = TempDir("ckpt_pin") + "/store";
+  FileCheckpointStore store(dir);
+  ASSERT_TRUE(store.Put("run-000001/smac/knn", "smac-ckpt 1\nrng 42").ok());
+  EXPECT_EQ(ReadFile(dir + "/run-000001_smac_knn.ckpt"),
+            "smac-ckpt 1\nrng 42#crc32:926c8036\n");
+}
+
+// Only the KB save keeps its previous generation as `.bak`; checkpoint
+// puts and journal compaction replace their files without leaving a
+// `.bak` or a `.tmp` behind.
+TEST_F(PersistTest, CheckpointPutsAndCompactionLeaveNoBakOrTmp) {
+  const std::string dir = TempDir("durable_leftovers");
+  FileCheckpointStore store(dir + "/checkpoints");
+  ASSERT_TRUE(store.Put("run-1/smac/knn", "first").ok());
+  ASSERT_TRUE(store.Put("run-1/smac/knn", "second").ok());
+  auto journal = JobJournal::Open(dir + "/journal");
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*journal)->Append({1, "run-1", "admit"}).ok());
+  ASSERT_TRUE((*journal)->Compact([](JournalRecord*) { return true; }).ok());
+  for (const std::string sub : {"/checkpoints", "/journal"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir + sub)) {
+      const std::string ext = entry.path().extension().string();
+      EXPECT_NE(ext, ".bak") << entry.path();
+      EXPECT_NE(ext, ".tmp") << entry.path();
+    }
+  }
+  auto loaded = store.Get("run-1/smac/knn");
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(*loaded, "second");
+}
+
+// Runs in a forked child, since the file-size limit and the SIGXFSZ
+// disposition are process-wide. Returns 0 when every append reported what
+// it should: acks for the "acked-*" records, IOError for the one whose
+// fsync fails and for the one cut short by the file-size limit.
+int AppendAcrossAShortWrite(const std::string& dir) {
+  auto opened = JobJournal::Open(dir);
+  if (!opened.ok()) return 1;
+  JobJournal& journal = **opened;
+  if (!journal.Append({1, "acked-1", "a"}).ok()) return 2;
+  if (!FaultInjection::Instance().SetSpec("journal_fsync_fail:1x").ok() ||
+      journal.Append({1, "fsync-failed", "b"}).ok()) {
+    return 3;
+  }
+  if (!journal.Append({1, "acked-2", "c"}).ok()) return 4;
+  // Let only 16 bytes of the next frame reach the disk.
+  struct stat st {};
+  if (::stat((dir + "/journal-000001.wal").c_str(), &st) != 0) return 5;
+  rlimit saved {};
+  if (::getrlimit(RLIMIT_FSIZE, &saved) != 0) return 6;
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(st.st_size) + 16;
+  std::signal(SIGXFSZ, SIG_IGN);
+  if (::setrlimit(RLIMIT_FSIZE, &low) != 0) return 7;
+  const Status short_write =
+      journal.Append({1, "short-write", std::string(4096, 'x')});
+  if (::setrlimit(RLIMIT_FSIZE, &saved) != 0) return 8;
+  if (short_write.code() != StatusCode::kIOError) return 9;
+  if (!journal.Append({1, "acked-3", "d"}).ok()) return 10;
+  return 0;
+}
+
+TEST_F(PersistTest, FailedWriteCutsItsPartialFrame) {
+  const std::string dir = TempDir("journal_short_write");
+  EXPECT_EXIT(std::exit(AppendAcrossAShortWrite(dir)),
+              testing::ExitedWithCode(0), "");
+  auto journal = JobJournal::Open(dir);
+  ASSERT_TRUE(journal.ok());
+  const std::vector<std::string> acked = {"acked-1", "acked-2", "acked-3"};
+  auto replayed_acks = [&] {
+    ReplayStats stats;
+    std::vector<std::string> keys;
+    for (const JournalRecord& record : ReplayAll(**journal, &stats)) {
+      if (record.key.rfind("acked-", 0) == 0) keys.push_back(record.key);
+    }
+    EXPECT_EQ(stats.torn_records, 0u);
+    return keys;
+  };
+  EXPECT_EQ(replayed_acks(), acked);
+  ASSERT_TRUE((*journal)->Compact([](JournalRecord*) { return true; }).ok());
+  EXPECT_EQ(replayed_acks(), acked);
 }
 
 }  // namespace
