@@ -395,6 +395,29 @@ BENCHMARK_CAPTURE(BM_ClassifierFit, random_forest, "random_forest");
 BENCHMARK_CAPTURE(BM_ClassifierFit, svm, "svm");
 BENCHMARK_CAPTURE(BM_ClassifierFit, neuralnet, "neuralnet");
 
+// RandomForest fit at the table4 shape (900 rows x 60 features, 10
+// classes, quantile-binned columns) with table4's forest settings. Every
+// node samples features, so this times the occupied-bin split statistics.
+// Reported by the CI bench smoke; not gated.
+void BM_ForestFit(benchmark::State& state) {
+  SyntheticSpec spec;
+  spec.num_instances = 900;
+  spec.num_informative = 30;
+  spec.num_noise = 30;
+  spec.num_classes = 10;
+  spec.seed = 11;
+  const Dataset d = GenerateSynthetic(spec);
+  ParamConfig config = SpaceFor("random_forest")->DefaultConfig();
+  config.SetInt("ntree", 100);
+  config.SetInt("nodesize", 1);
+  config.SetDouble("mtry_frac", 0.3);
+  for (auto _ : state) {
+    auto model = CreateClassifier("random_forest");
+    benchmark::DoNotOptimize((*model)->Fit(d, config));
+  }
+}
+BENCHMARK(BM_ForestFit)->Unit(benchmark::kMillisecond);
+
 // End-to-end 4-candidate run at a given intra-run thread count. Results are
 // bit-identical across the Arg values (see ParallelDeterminismTest); the
 // speedup of threads=4 over threads=1 is the CI acceptance signal for the

@@ -84,6 +84,12 @@ for n in (1000, 10000, 100000):
         "k-d tree %.1fus, speedup %.2fx" % (n, cached / 1e3, tree / 1e3, ratio)
     )
 
+# RandomForest fit at the table4 shape: reported for developers, not gated.
+for b in data.get("benchmarks", []):
+    if b["name"] == "BM_ForestFit":
+        print("bench_smoke: RandomForest fit at table4 shape: %.1f%s"
+              % (b["real_time"], b.get("time_unit", "ns")))
+
 # The tentpole acceptance bar: sublinear lookup must beat the linear scan
 # by >= 5x at 100k records (the measured margin is far larger; 5x absorbs
 # runner noise).

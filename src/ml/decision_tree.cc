@@ -1,6 +1,8 @@
 #include "src/ml/decision_tree.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -56,15 +58,24 @@ int ArgMaxCount(const double* counts, size_t num_k) {
   return best;
 }
 
-// One node's statistics for one feature: class-weight sums
-// wsum[b * K + k] and row counts cnt[b] for each bin b < num_bins, with
-// slot num_bins holding the rows whose value is missing. A numeric split
-// after bin b sends a row to child 0 iff its value <= thresholds[b].
+// One node's statistics for one feature over a list of its bins:
+// class-weight sums wsum[i * K + k] and row counts cnt[i] for the i-th
+// listed bin, with slot size() holding the rows whose value is missing.
+// `bins` names the listed bins in ascending order; when it is null every bin
+// b < num_bins is listed, at slot b. Bin ids index `thresholds` (a numeric
+// split after bin b sends a row to child 0 iff its value <= thresholds[b])
+// and are the category codes of a categorical feature, whose multiway split
+// has num_bins children.
 struct BinStats {
   const double* wsum = nullptr;
   const uint32_t* cnt = nullptr;
   size_t num_bins = 0;
   const double* thresholds = nullptr;
+  const uint16_t* bins = nullptr;
+  size_t num_listed = 0;  // Entries of `bins`.
+
+  size_t size() const { return bins == nullptr ? num_bins : num_listed; }
+  size_t bin(size_t i) const { return bins == nullptr ? i : bins[i]; }
 };
 
 struct SplitCandidate {
@@ -173,10 +184,12 @@ std::string TreeCondition::ToString(const Dataset& schema_source) const {
 }
 
 // Grows one tree: one recursive node builder over one split scan. The bin
-// statistics the scan reads come from the shared view when there is one
-// (histograms, with the larger child of a binary split derived as parent
-// minus the smaller sibling) and from node-local bins otherwise (each
-// distinct value at the node a bin, thresholds the node-local midpoints).
+// statistics the scan reads come from the shared view when there is one and
+// from node-local bins otherwise (each distinct value at the node a bin,
+// thresholds the node-local midpoints). From the view, a full-feature node
+// reads dense histograms (the larger child of a binary split derived as
+// parent minus the smaller sibling), and a node that samples features
+// (mtry) lists just the bins its rows occupy.
 //
 // With lossless view columns and integral weights both sources give the
 // same candidates and bit-equal gains (integer sums are exact in doubles),
@@ -211,6 +224,7 @@ class DecisionTree::Grower {
 
  private:
   BinStats LocalBins(size_t f, const std::vector<size_t>& rows);
+  BinStats OccupiedBins(size_t f, const std::vector<size_t>& rows);
   void Scan(size_t f, const BinStats& s, double parent_weight,
             SplitCandidate* best);
 
@@ -227,9 +241,13 @@ class DecisionTree::Grower {
   // Scratch reused by every node (a node's scan ends before its children
   // grow).
   std::vector<double> left_, right_, total_;
+  std::vector<size_t> features_;
   std::vector<std::pair<double, size_t>> present_;
   std::vector<double> bin_w_, thresholds_;
   std::vector<uint32_t> bin_n_;
+  std::vector<uint8_t> codes_;      // Bin code of each row at the node.
+  std::vector<uint16_t> occupied_;  // Listed bins, ascending.
+  std::array<uint16_t, BinnedColumns::kMaxBins + 1> slot_{};  // Bin -> slot.
 };
 
 void DecisionTree::Grower::Grow(int index, const std::vector<size_t>& rows,
@@ -259,19 +277,19 @@ void DecisionTree::Grower::Grow(int index, const std::vector<size_t>& rows,
 
   // Feature subset (mtry).
   const size_t d = x_.cols();
-  std::vector<size_t> features(d);
-  std::iota(features.begin(), features.end(), size_t{0});
+  features_.resize(d);
+  std::iota(features_.begin(), features_.end(), size_t{0});
   if (options_.mtry > 0 && static_cast<size_t>(options_.mtry) < d) {
-    rng_.Shuffle(&features);
-    features.resize(static_cast<size_t>(options_.mtry));
+    rng_.Shuffle(&features_);
+    features_.resize(static_cast<size_t>(options_.mtry));
   }
 
   // Full-feature nodes keep one view histogram spanning all features so a
   // binary split can hand the larger child `parent - smaller sibling`
   // instead of rescanning its rows; mtry nodes sample different features at
-  // every node, so they accumulate just the sampled columns into scratch
+  // every node, so they list just the occupied bins of each sampled column
   // and retain nothing.
-  const bool full_features = features.size() == d;
+  const bool full_features = features_.size() == d;
   NodeHist own;
   if (view_ != nullptr && full_features) {
     if (inherited != nullptr && inherited->valid) {
@@ -283,26 +301,18 @@ void DecisionTree::Grower::Grow(int index, const std::vector<size_t>& rows,
   }
 
   SplitCandidate best;
-  for (size_t f : features) {
+  for (size_t f : features_) {
     BinStats s;
     if (view_ == nullptr) {
       s = LocalBins(f, rows);
+    } else if (!full_features) {
+      s = OccupiedBins(f, rows);
     } else {
       const BinnedColumn& col = view_->column(f);
       s.num_bins = col.num_bins;
       s.thresholds = col.thresholds.data();
-      if (full_features) {
-        s.wsum = own.wsum.data() + layout_.off_w[f];
-        s.cnt = own.cnt.data() + layout_.off_n[f];
-      } else {
-        bin_w_.assign((s.num_bins + 1) * num_k, 0.0);
-        bin_n_.assign(s.num_bins + 1, 0);
-        AccumulateBinHistogram(col.codes.data(), rows.data(), rows.size(),
-                               y_.data(), w_.data(), num_k, s.num_bins,
-                               bin_w_.data(), bin_n_.data());
-        s.wsum = bin_w_.data();
-        s.cnt = bin_n_.data();
-      }
+      s.wsum = own.wsum.data() + layout_.off_w[f];
+      s.cnt = own.cnt.data() + layout_.off_n[f];
     }
     Scan(f, s, weight, &best);
   }
@@ -458,29 +468,82 @@ BinStats DecisionTree::Grower::LocalBins(size_t f,
   return s;
 }
 
+// Occupied view bins: the view bins the node's rows fall in, listed in
+// ascending order, plus the missing slot. Each listed bin's sums add its
+// rows in the node's row order, as a dense histogram over the view would,
+// and the unlisted bins are exactly the dense histogram's empty ones (zero
+// count, zero weight). A scan over the list therefore sees the dense
+// histogram's candidates and bit-equal sums, at a cost set by the node's
+// rows rather than by the feature's bins times the classes.
+BinStats DecisionTree::Grower::OccupiedBins(size_t f,
+                                            const std::vector<size_t>& rows) {
+  const size_t num_k = num_k_;
+  const BinnedColumn& col = view_->column(f);
+  const size_t nb = col.num_bins;
+  // One bit per bin code; codes past num_bins count as missing (bin nb).
+  uint64_t seen[(BinnedColumns::kMaxBins + 64) / 64] = {};
+  codes_.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto code =
+        static_cast<uint8_t>(std::min<size_t>(col.codes[rows[i]], nb));
+    codes_[i] = code;
+    seen[code >> 6] |= uint64_t{1} << (code & 63);
+  }
+  occupied_.clear();
+  for (size_t word = 0; word < std::size(seen); ++word) {
+    for (uint64_t bits = seen[word]; bits != 0; bits &= bits - 1) {
+      const auto b = static_cast<uint16_t>(word * 64 + std::countr_zero(bits));
+      if (b == nb) break;  // The missing bin is the highest code.
+      slot_[b] = static_cast<uint16_t>(occupied_.size());
+      occupied_.push_back(b);
+    }
+  }
+  const size_t listed = occupied_.size();
+  slot_[nb] = static_cast<uint16_t>(listed);
+  bin_w_.assign((listed + 1) * num_k, 0.0);
+  bin_n_.assign(listed + 1, 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const size_t r = rows[i];
+    const size_t j = slot_[codes_[i]];
+    bin_w_[j * num_k + static_cast<size_t>(y_[r])] += w_[r];
+    ++bin_n_[j];
+  }
+  BinStats s;
+  s.wsum = bin_w_.data();
+  s.cnt = bin_n_.data();
+  s.num_bins = nb;
+  s.thresholds = col.thresholds.data();
+  s.bins = occupied_.data();
+  s.num_listed = listed;
+  return s;
+}
+
 // The one split scan: numeric boundaries between bins, one multiway split,
-// or one-vs-rest category splits, scored from per-bin class sums.
+// or one-vs-rest category splits, scored from per-bin class sums. An empty
+// bin is never a candidate, so the scan reads the same splits from a list of
+// the occupied bins as from all of them.
 void DecisionTree::Grower::Scan(size_t f, const BinStats& s,
                                 double parent_weight, SplitCandidate* best) {
   const size_t num_k = num_k_;
   const size_t nb = s.num_bins;
   if (nb == 0) return;
+  const size_t n = s.size();
   const double* wsum = s.wsum;
   const uint32_t* cnt = s.cnt;
 
   // Present/missing totals straight from the bin slots.
   size_t present_n = 0;
   std::fill(total_.begin(), total_.end(), 0.0);
-  for (size_t b = 0; b < nb; ++b) {
-    present_n += cnt[b];
-    for (size_t k = 0; k < num_k; ++k) total_[k] += wsum[b * num_k + k];
+  for (size_t i = 0; i < n; ++i) {
+    present_n += cnt[i];
+    for (size_t k = 0; k < num_k; ++k) total_[k] += wsum[i * num_k + k];
   }
   if (present_n < 2 * options_.min_leaf) return;
   double present_weight = 0.0;
   for (size_t k = 0; k < num_k; ++k) present_weight += total_[k];
   if (present_weight <= 0) return;
   double missing_weight = 0.0;
-  for (size_t k = 0; k < num_k; ++k) missing_weight += wsum[nb * num_k + k];
+  for (size_t k = 0; k < num_k; ++k) missing_weight += wsum[n * num_k + k];
   // C4.5-style penalty: scale gain by the fraction of known values.
   const double known_fraction =
       present_weight / (present_weight + missing_weight);
@@ -530,16 +593,18 @@ void DecisionTree::Grower::Scan(size_t f, const BinStats& s,
     std::fill(left_.begin(), left_.end(), 0.0);
     double left_weight = 0.0;
     size_t left_n = 0;
-    for (size_t b = 0; b + 1 < nb; ++b) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t b = s.bin(i);
+      if (b + 1 >= nb) break;  // No boundary after the last bin.
       for (size_t k = 0; k < num_k; ++k) {
-        const double c = wsum[b * num_k + k];
+        const double c = wsum[i * num_k + k];
         left_[k] += c;
         left_weight += c;
       }
-      left_n += cnt[b];
+      left_n += cnt[i];
       // An empty bin leaves the partition identical to the previous
       // boundary's, so only the first boundary of each run is a candidate.
-      if (cnt[b] == 0) continue;
+      if (cnt[i] == 0) continue;
       if (left_n < options_.min_leaf ||
           present_n - left_n < options_.min_leaf) {
         continue;
@@ -554,13 +619,13 @@ void DecisionTree::Grower::Scan(size_t f, const BinStats& s,
     double child_impurity = 0.0;
     double split_info = 0.0;
     bool leaf_ok = true;
-    for (size_t c = 0; c < nb; ++c) {
-      if (cnt[c] == 0) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if (cnt[i] == 0) continue;
       ++populated;
-      if (cnt[c] < options_.min_leaf) leaf_ok = false;
+      if (cnt[i] < options_.min_leaf) leaf_ok = false;
       double cw = 0.0;
       for (size_t k = 0; k < num_k; ++k) {
-        left_[k] = wsum[c * num_k + k];
+        left_[k] = wsum[i * num_k + k];
         cw += left_[k];
       }
       child_impurity += cw * Impurity(criterion_, left_.data(), num_k, cw);
@@ -579,18 +644,18 @@ void DecisionTree::Grower::Scan(size_t f, const BinStats& s,
     take(score, gain, static_cast<int>(nb), 0.0, -1);
   } else {
     // Binary one-vs-rest categorical splits.
-    for (size_t c = 0; c < nb; ++c) {
-      if (cnt[c] < options_.min_leaf ||
-          present_n - cnt[c] < options_.min_leaf) {
+    for (size_t i = 0; i < n; ++i) {
+      if (cnt[i] == 0 || cnt[i] < options_.min_leaf ||
+          present_n - cnt[i] < options_.min_leaf) {
         continue;
       }
       double left_weight = 0.0;
       for (size_t k = 0; k < num_k; ++k) {
-        left_[k] = wsum[c * num_k + k];
+        left_[k] = wsum[i * num_k + k];
         left_weight += left_[k];
       }
       if (score_binary(left_weight, &gain, &score)) {
-        take(score, gain, 2, 0.0, static_cast<int>(c));
+        take(score, gain, 2, 0.0, static_cast<int>(s.bin(i)));
       }
     }
   }

@@ -9,8 +9,10 @@
 // Growth is one recursive node builder over one split scan. The scan reads
 // per-node bin statistics (class-weight sums and row counts per bin, plus a
 // missing slot) from one of two sources: a shared BinnedColumns view
-// (histograms, with parent-minus-sibling reuse), or node-local bins made by
-// sorting the node's rows, one bin per distinct value (exact split search).
+// (histograms with parent-minus-sibling reuse at full-feature nodes, only
+// the occupied bins at nodes that sample features), or node-local bins made
+// by sorting the node's rows, one bin per distinct value (exact split
+// search).
 // Nodes are stored flat: contiguous children and one class-count buffer
 // per tree, so prediction is one leaf lookup with no allocation.
 #ifndef SMARTML_ML_DECISION_TREE_H_

@@ -72,7 +72,9 @@ TEST(KbSnapshot, RoundTripsAllFields) {
     EXPECT_EQ(out.dataset_name, in.dataset_name);
     EXPECT_EQ(out.meta_features, in.meta_features);  // Bit-exact doubles.
     EXPECT_EQ(out.has_landmarks, in.has_landmarks);
-    if (in.has_landmarks) EXPECT_EQ(out.landmarks, in.landmarks);
+    if (in.has_landmarks) {
+      EXPECT_EQ(out.landmarks, in.landmarks);
+    }
     ASSERT_EQ(out.results.size(), in.results.size());
     EXPECT_EQ(out.results[0].algorithm, in.results[0].algorithm);
     EXPECT_EQ(out.results[0].accuracy, in.results[0].accuracy);

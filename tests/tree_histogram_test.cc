@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -290,6 +291,72 @@ TEST(TreeHistogramTest, MtrySubsetMatchesExact) {
   options.mtry = 2;
   options.seed = 5;
   ExpectBothSourcesMatchReference(train, FitAll(train, {}, options));
+}
+
+// Sampled-feature nodes read statistics over only the bins their rows
+// occupy. Bootstrap weights and min_leaf 1 on a table built for the edge
+// cases: a column whose present rows mostly share one bin and whose last
+// bin is rare (occupied at some nodes, empty at others), a column missing
+// everywhere, a column missing on a class-correlated half of the rows (so
+// whole nodes see only missing cells), and a categorical column with a rare
+// last category, under one-vs-rest and multiway splits.
+TEST(TreeHistogramTest, MtryOccupiedBinEdgeCasesMatchExact) {
+  const size_t kRows = 240;
+  Rng rng(61);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> grid(kRows);
+  std::vector<double> rare_top(kRows);
+  std::vector<double> all_missing(kRows, nan);
+  std::vector<double> half_missing(kRows);
+  std::vector<double> cat(kRows);
+  std::vector<int> labels(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    const int label = static_cast<int>(rng.UniformInt(3));
+    labels[r] = label;
+    grid[r] = std::round((label + rng.Normal()) * 4.0) / 4.0;
+    const double u = rng.Uniform(0.0, 1.0);
+    rare_top[r] = u < 0.8 ? 0.0 : (u < 0.96 ? 1.0 : 2.0);
+    half_missing[r] =
+        label == 0 ? nan : std::round((label + rng.Normal()) * 2.0) / 2.0;
+    cat[r] = rng.Uniform(0.0, 1.0) < 0.05
+                 ? 3.0
+                 : static_cast<double>((label + rng.UniformInt(2)) % 3);
+  }
+  Dataset train("mtry_edges");
+  train.AddNumericFeature("grid", std::move(grid));
+  train.AddNumericFeature("rare_top", std::move(rare_top));
+  train.AddNumericFeature("all_missing", std::move(all_missing));
+  train.AddNumericFeature("half_missing", std::move(half_missing));
+  train.AddCategoricalFeature("cat", std::move(cat), {"a", "b", "c", "d"});
+  train.SetLabels(std::move(labels), {"x", "y", "z"});
+  ASSERT_TRUE(train.Validate().ok());
+  const auto binned = train.Binned();
+  ASSERT_EQ(binned->column(2).num_bins, 0u);  // all_missing has no bins.
+  for (size_t f : {0u, 1u, 3u, 4u}) {
+    ASSERT_TRUE(binned->column(f).lossless) << "feature " << f;
+  }
+
+  for (uint64_t seed : {3u, 4u, 5u, 6u}) {
+    for (bool multiway : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << seed << " multiway=" << multiway);
+      Rng draw(seed);
+      std::vector<double> weights(kRows, 0.0);
+      for (size_t i = 0; i < kRows; ++i) weights[draw.UniformInt(kRows)] += 1.0;
+      TreeOptions options;
+      options.criterion =
+          multiway ? TreeCriterion::kGainRatio : TreeCriterion::kGini;
+      options.multiway_categorical = multiway;
+      options.max_depth = 16;
+      options.min_split = 2;
+      options.min_leaf = 1;
+      options.mtry = 2;
+      options.seed = seed;
+      const Fits fits = FitAll(train, weights, options);
+      EXPECT_GT(fits.view.Depth(), 5);  // Deep enough to reach small nodes.
+      ExpectBothSourcesMatchReference(train, fits, weights);
+    }
+  }
 }
 
 // Fractional weights: per-bin sums add the same weights in a different

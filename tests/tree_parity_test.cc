@@ -218,5 +218,71 @@ TEST(TreeParityTest, CategoricalTableWithMissingCells) {
               0x3fe9435e50d79436ull});
 }
 
+// RandomForest at the table4 shape: 10 classes, quantile-binned columns
+// (more than 255 distinct values each) with missing cells, every
+// nodesize x mtry_frac pair from {1, 5} x {0.1, 0.5}. Forest nodes sample
+// features, so these pin the sampled-feature split statistics.
+Dataset ForestTable() {
+  SyntheticSpec spec;
+  spec.num_instances = 700;
+  spec.num_informative = 14;
+  spec.num_noise = 6;
+  spec.num_classes = 10;
+  spec.clusters_per_class = 1;
+  spec.class_sep = 1.0;
+  spec.label_noise = 0.05;
+  spec.missing_fraction = 0.05;
+  spec.seed = 303;
+  return GenerateSynthetic(spec);
+}
+
+TEST(TreeParityTest, RandomForestTenClassesQuantileBinnedWithMissingCells) {
+  const Dataset data = ForestTable();
+  ASSERT_EQ(data.NumClasses(), 10u);
+  const auto binned = data.Binned();
+  for (size_t f = 0; f < binned->num_features(); ++f) {
+    ASSERT_FALSE(binned->column(f).lossless) << "feature " << f;
+  }
+  size_t missing = 0;
+  for (size_t f = 0; f < data.NumFeatures(); ++f) {
+    for (double v : data.feature(f).values) missing += IsMissing(v);
+  }
+  ASSERT_GT(missing, 0u);
+
+  std::vector<size_t> train_rows;
+  for (size_t r = 0; r < data.NumRows() * 7 / 10; ++r) train_rows.push_back(r);
+  const Dataset train = data.Subset(train_rows);
+  struct Case {
+    int nodesize;
+    double mtry_frac;
+    uint64_t checksum;
+  };
+  const Case cases[] = {{1, 0.1, 0x1302078625cc15deull},
+                        {1, 0.5, 0x838eb05ac616c50cull},
+                        {5, 0.1, 0x8cf9166131eef529ull},
+                        {5, 0.5, 0xfa12f9db9ec21bd2ull}};
+  for (int threads : {1, 8}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    ScopedPoolScope scope(pool.get());
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads << " nodesize="
+                                      << c.nodesize
+                                      << " mtry_frac=" << c.mtry_frac);
+      ParamConfig config = SpaceFor("random_forest").value().DefaultConfig();
+      config.SetInt("ntree", 12);
+      config.SetInt("nodesize", c.nodesize);
+      config.SetDouble("mtry_frac", c.mtry_frac);
+      auto model = CreateClassifier("random_forest");
+      ASSERT_TRUE(model.ok());
+      ASSERT_TRUE(model.value()->Fit(train, config).ok());
+      auto proba = model.value()->PredictProba(data);
+      ASSERT_TRUE(proba.ok());
+      const uint64_t got = HashBits(proba.value());
+      EXPECT_EQ(got, c.checksum) << "got 0x" << std::hex << got;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace smartml
