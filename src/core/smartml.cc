@@ -258,8 +258,7 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
   if (!ops.empty()) {
     Span span(tracer, "transform");
     PreprocessPipeline pipeline(ops, options.seed);
-    SMARTML_RETURN_NOT_OK(pipeline.Fit(train));
-    SMARTML_ASSIGN_OR_RETURN(train, pipeline.Transform(train));
+    SMARTML_ASSIGN_OR_RETURN(train, pipeline.FitTransform(train));
     SMARTML_ASSIGN_OR_RETURN(validation, pipeline.Transform(validation));
   }
 

@@ -1,7 +1,6 @@
 #include "src/data/dataset.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "src/common/strings.h"
@@ -133,71 +132,6 @@ std::vector<size_t> Dataset::ClassCounts() const {
   std::vector<size_t> counts(NumClasses(), 0);
   for (int y : labels_) counts[static_cast<size_t>(y)]++;
   return counts;
-}
-
-Matrix Dataset::ToNumericMatrix() const {
-  const size_t n = NumRows();
-  size_t width = 0;
-  for (const auto& f : features_) {
-    width += f.is_categorical() ? std::max<size_t>(f.num_categories(), 1) : 1;
-  }
-  Matrix x(n, width);
-  size_t col = 0;
-  for (const auto& f : features_) {
-    if (!f.is_categorical()) {
-      // Mean-impute missing numeric cells.
-      double sum = 0.0;
-      size_t cnt = 0;
-      for (double v : f.values) {
-        if (!IsMissing(v)) {
-          sum += v;
-          ++cnt;
-        }
-      }
-      const double mean = cnt > 0 ? sum / static_cast<double>(cnt) : 0.0;
-      for (size_t r = 0; r < n; ++r) {
-        const double v = f.values[r];
-        x(r, col) = IsMissing(v) ? mean : v;
-      }
-      ++col;
-    } else {
-      const size_t k = std::max<size_t>(f.num_categories(), 1);
-      for (size_t r = 0; r < n; ++r) {
-        const double v = f.values[r];
-        if (!IsMissing(v)) {
-          const auto code = static_cast<size_t>(v);
-          if (code >= f.num_categories() || static_cast<double>(code) != v) {
-            // A code outside the dictionary means the schema is corrupt
-            // (Validate() rejects it); encoding it as an all-zero "missing"
-            // indicator would silently train on garbage.
-            throw std::runtime_error(StrFormat(
-                "ToNumericMatrix: column '%s' row %zu has category code %g "
-                "outside its %zu-entry dictionary",
-                f.name.c_str(), r, v, f.num_categories()));
-          }
-          x(r, col + code) = 1.0;
-        }
-      }
-      col += k;
-    }
-  }
-  return x;
-}
-
-std::vector<std::string> Dataset::NumericMatrixColumnNames() const {
-  std::vector<std::string> names;
-  for (const auto& f : features_) {
-    if (!f.is_categorical()) {
-      names.push_back(f.name);
-    } else if (f.categories.empty()) {
-      names.push_back(f.name + "=<none>");
-    } else {
-      for (const std::string& c : f.categories) {
-        names.push_back(f.name + "=" + c);
-      }
-    }
-  }
-  return names;
 }
 
 Matrix Dataset::ToRawMatrix() const {

@@ -97,15 +97,6 @@ class Dataset {
   /// Class frequencies (size NumClasses()).
   std::vector<size_t> ClassCounts() const;
 
-  /// Dense numeric design matrix: numeric columns pass through, categorical
-  /// columns are one-hot encoded (one indicator per category). Missing
-  /// numeric cells become the column mean; missing categoricals become
-  /// all-zero indicators. Suitable for distance/margin-based learners.
-  Matrix ToNumericMatrix() const;
-
-  /// Names of the columns of ToNumericMatrix(), in order.
-  std::vector<std::string> NumericMatrixColumnNames() const;
-
   /// Raw feature matrix with categorical codes kept as-is (one column per
   /// feature). Missing cells stay NaN. Suitable for tree learners that split
   /// on categories natively.

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/crc32.h"
 #include "src/common/fault_injection.h"
@@ -137,7 +138,7 @@ struct KbMetrics {
 
 /// Folds `from`'s per-algorithm results into `into` (higher accuracy wins;
 /// unseen algorithms append) — the paper's incremental update, shared by
-/// AddRecord merges, bulk loads, and compaction dedup.
+/// MergeRecordInto and compaction dedup.
 void MergeResultsInto(KbRecord* into, const KbRecord& from) {
   for (const auto& incoming : from.results) {
     bool merged = false;
@@ -151,207 +152,155 @@ void MergeResultsInto(KbRecord* into, const KbRecord& from) {
     if (!merged) into->results.push_back(incoming);
   }
 }
+
+/// Folds a re-observation of the same dataset (same name) into `existing`:
+/// the newer meta-features win, landmarks are taken when the newcomer has
+/// them, and results merge per algorithm. The one merge rule for AddRecord
+/// and bulk loads.
+void MergeRecordInto(KbRecord* existing, const KbRecord& record) {
+  existing->meta_features = record.meta_features;
+  if (record.has_landmarks) {
+    existing->has_landmarks = true;
+    existing->landmarks = record.landmarks;
+  }
+  MergeResultsInto(existing, record);
+}
 }  // namespace
 
 KnowledgeBase::KnowledgeBase(const KnowledgeBase& other) {
   std::shared_lock lock(other.mutex_);
-  records_ = other.records_;
-  normalizer_ = other.normalizer_;
-  normalized_ = other.normalized_;
-  strategy_ = other.strategy_;
-  tree_ = other.tree_;
-  tree_records_ = other.tree_records_;
+  state_ = other.state_;
 }
 
 KnowledgeBase& KnowledgeBase::operator=(const KnowledgeBase& other) {
   if (this == &other) return *this;
-  std::vector<KbRecord> records;
-  MetaFeatureNormalizer normalizer;
-  std::vector<MetaFeatureVector> normalized;
-  KbLookupStrategy strategy;
-  KdTree tree;
-  size_t tree_records;
-  {
-    std::shared_lock lock(other.mutex_);
-    records = other.records_;
-    normalizer = other.normalizer_;
-    normalized = other.normalized_;
-    strategy = other.strategy_;
-    tree = other.tree_;
-    tree_records = other.tree_records_;
-  }
-  std::unique_lock lock(mutex_);
-  records_ = std::move(records);
-  normalizer_ = std::move(normalizer);
-  normalized_ = std::move(normalized);
-  strategy_ = strategy;
-  tree_ = std::move(tree);
-  tree_records_ = tree_records;
+  // std::lock takes both without ordering deadlocks (a = b racing b = a).
+  std::unique_lock lock(mutex_, std::defer_lock);
+  std::shared_lock other_lock(other.mutex_, std::defer_lock);
+  std::lock(lock, other_lock);
+  state_ = other.state_;
   return *this;
 }
 
 KnowledgeBase::KnowledgeBase(KnowledgeBase&& other) noexcept {
   std::unique_lock lock(other.mutex_);
-  records_ = std::move(other.records_);
-  normalizer_ = std::move(other.normalizer_);
-  normalized_ = std::move(other.normalized_);
-  strategy_ = other.strategy_;
-  tree_ = std::move(other.tree_);
-  tree_records_ = other.tree_records_;
-  // The moved-from KB stays usable: empty records with a matching unfitted
-  // normalizer and empty index, not a normalizer fitted over records it no
-  // longer holds.
-  other.records_.clear();
-  other.normalizer_ = MetaFeatureNormalizer();
-  other.normalized_.clear();
-  other.tree_.Clear();
-  other.tree_records_ = 0;
+  state_ = std::exchange(other.state_, State());
 }
 
 KnowledgeBase& KnowledgeBase::operator=(KnowledgeBase&& other) noexcept {
   if (this == &other) return *this;
-  std::vector<KbRecord> records;
-  MetaFeatureNormalizer normalizer;
-  std::vector<MetaFeatureVector> normalized;
-  KbLookupStrategy strategy;
-  KdTree tree;
-  size_t tree_records;
-  {
-    std::unique_lock lock(other.mutex_);
-    records = std::move(other.records_);
-    normalizer = std::move(other.normalizer_);
-    normalized = std::move(other.normalized_);
-    strategy = other.strategy_;
-    tree = std::move(other.tree_);
-    tree_records = other.tree_records_;
-    other.records_.clear();
-    other.normalizer_ = MetaFeatureNormalizer();
-    other.normalized_.clear();
-    other.tree_.Clear();
-    other.tree_records_ = 0;
-  }
-  std::unique_lock lock(mutex_);
-  records_ = std::move(records);
-  normalizer_ = std::move(normalizer);
-  normalized_ = std::move(normalized);
-  strategy_ = strategy;
-  tree_ = std::move(tree);
-  tree_records_ = tree_records;
+  std::scoped_lock lock(mutex_, other.mutex_);
+  state_ = std::exchange(other.state_, State());
   return *this;
 }
 
 void KnowledgeBase::AddRecord(const KbRecord& record) {
   KbMetrics::Get().updates->Increment();
   std::unique_lock lock(mutex_);
-  for (auto& existing : records_) {
+  for (auto& existing : state_.records) {
     if (existing.dataset_name != record.dataset_name) continue;
-    // Merge: refresh meta-features, keep the better result per algorithm.
-    existing.meta_features = record.meta_features;
-    if (record.has_landmarks) {
-      existing.has_landmarks = true;
-      existing.landmarks = record.landmarks;
-    }
-    MergeResultsInto(&existing, record);
+    MergeRecordInto(&existing, record);
     // The record may have moved in meta-feature space: the tree's split
     // planes can no longer be trusted, so this is always a full rebuild.
     RebuildIndexLocked(/*appended_one=*/false);
     return;
   }
-  records_.push_back(record);
+  state_.records.push_back(record);
   RebuildIndexLocked(/*appended_one=*/true);
 }
 
 size_t KnowledgeBase::NumRecords() const {
   std::shared_lock lock(mutex_);
-  return records_.size();
+  return state_.records.size();
 }
 
 std::vector<KbRecord> KnowledgeBase::SnapshotRecords() const {
   std::shared_lock lock(mutex_);
-  return records_;
+  return state_.records;
 }
 
 std::optional<KbRecord> KnowledgeBase::Find(
     const std::string& dataset_name) const {
   std::shared_lock lock(mutex_);
-  for (const auto& r : records_) {
+  for (const auto& r : state_.records) {
     if (r.dataset_name == dataset_name) return r;
   }
   return std::nullopt;
 }
 
 bool KnowledgeBase::WantTreeLocked() const {
-  switch (strategy_) {
+  switch (state_.strategy) {
     case KbLookupStrategy::kLinearScan:
       return false;
     case KbLookupStrategy::kKdTree:
-      return !records_.empty();
+      return !state_.records.empty();
     case KbLookupStrategy::kAuto:
-      return records_.size() >= kKdTreeMinRecords;
+      return state_.records.size() >= kKdTreeMinRecords;
   }
   return false;
 }
 
 void KnowledgeBase::RebuildIndexLocked(bool appended_one) {
   const KbMetrics& metrics = KbMetrics::Get();
-  const size_t n = records_.size();
-  if (appended_one && WantTreeLocked() && normalizer_.fitted() &&
-      tree_records_ > 0 && normalized_.size() == n - 1 &&
-      n - tree_records_ <=
-          std::max(kTailRebuildFloor, tree_records_ / 8)) {
+  const size_t n = state_.records.size();
+  if (appended_one && WantTreeLocked() && state_.normalizer.fitted() &&
+      state_.tree_records > 0 && state_.normalized.size() == n - 1 &&
+      n - state_.tree_records <=
+          std::max(kTailRebuildFloor, state_.tree_records / 8)) {
     // Bounded append: freeze the normalizer, put the new record in the
     // linear tail. Large KBs absorb inserts in O(d) instead of paying the
     // O(N·d + N log N) refit+rebuild on every write; the z-statistics of a
     // big KB drift far too slowly for the frozen normalizer to matter, and
     // every query still sees the record via the tail scan.
-    normalized_.push_back(normalizer_.Apply(records_.back().meta_features));
-    metrics.index_tail->Set(static_cast<int64_t>(n - tree_records_));
+    state_.normalized.push_back(
+        state_.normalizer.Apply(state_.records.back().meta_features));
+    metrics.index_tail->Set(static_cast<int64_t>(n - state_.tree_records));
     return;
   }
   std::vector<MetaFeatureVector> vectors;
   vectors.reserve(n);
-  for (const auto& r : records_) vectors.push_back(r.meta_features);
-  normalizer_.Fit(vectors);
-  normalized_.clear();
-  normalized_.reserve(n);
-  for (const auto& r : records_) {
-    normalized_.push_back(normalizer_.Apply(r.meta_features));
+  for (const auto& r : state_.records) vectors.push_back(r.meta_features);
+  state_.normalizer.Fit(vectors);
+  state_.normalized.clear();
+  state_.normalized.reserve(n);
+  for (const auto& r : state_.records) {
+    state_.normalized.push_back(state_.normalizer.Apply(r.meta_features));
   }
   if (WantTreeLocked()) {
-    tree_.Build(normalized_);
-    tree_records_ = n;
+    state_.tree.Build(state_.normalized);
+    state_.tree_records = n;
   } else {
-    tree_.Clear();
-    tree_records_ = 0;
+    state_.tree.Clear();
+    state_.tree_records = 0;
   }
   metrics.index_rebuilds->Increment();
-  metrics.index_depth->Set(static_cast<int64_t>(tree_.depth()));
-  metrics.index_records->Set(static_cast<int64_t>(tree_records_));
-  metrics.index_tail->Set(static_cast<int64_t>(n - tree_records_));
+  metrics.index_depth->Set(static_cast<int64_t>(state_.tree.depth()));
+  metrics.index_records->Set(static_cast<int64_t>(state_.tree_records));
+  metrics.index_tail->Set(static_cast<int64_t>(n - state_.tree_records));
 }
 
 void KnowledgeBase::SetLookupStrategy(KbLookupStrategy strategy) {
   std::unique_lock lock(mutex_);
-  if (strategy_ == strategy) return;
-  strategy_ = strategy;
+  if (state_.strategy == strategy) return;
+  state_.strategy = strategy;
   RebuildIndexLocked(/*appended_one=*/false);
 }
 
 KbLookupStrategy KnowledgeBase::lookup_strategy() const {
   std::shared_lock lock(mutex_);
-  return strategy_;
+  return state_.strategy;
 }
 
 KbIndexStats KnowledgeBase::IndexStats() const {
   std::shared_lock lock(mutex_);
   KbIndexStats stats;
-  stats.strategy = strategy_;
-  stats.records = records_.size();
-  stats.indexed_records = tree_records_;
-  stats.tail_records = records_.size() - tree_records_;
-  stats.tree_active = tree_records_ > 0;
-  stats.tree_depth = tree_.depth();
-  stats.tree_nodes = tree_.node_count();
+  stats.strategy = state_.strategy;
+  stats.records = state_.records.size();
+  stats.indexed_records = state_.tree_records;
+  stats.tail_records = state_.records.size() - state_.tree_records;
+  stats.tree_active = state_.tree_records > 0;
+  stats.tree_depth = state_.tree.depth();
+  stats.tree_nodes = state_.tree.node_count();
   return stats;
 }
 
@@ -368,7 +317,7 @@ std::vector<KbNeighbor> KnowledgeBase::NearestRecords(
   std::vector<KbNeighbor> out;
   out.reserve(neighbors.size());
   for (const auto& [index, distance] : neighbors) {
-    out.push_back(KbNeighbor{records_[index], distance});
+    out.push_back(KbNeighbor{state_.records[index], distance});
   }
   return out;
 }
@@ -379,7 +328,7 @@ std::vector<std::pair<size_t, double>> KnowledgeBase::NearestIndicesLocked(
   const KbMetrics& metrics = KbMetrics::Get();
   ScopedTimer timer(metrics.lookup_seconds);
   std::vector<std::pair<size_t, double>> out;
-  if (records_.empty() || k == 0) {
+  if (state_.records.empty() || k == 0) {
     metrics.lookup_neighbors->Observe(0.0);
     return out;
   }
@@ -387,31 +336,31 @@ std::vector<std::pair<size_t, double>> KnowledgeBase::NearestIndicesLocked(
   // normalized matrix built by RebuildIndexLocked(). The distance itself is
   // the unrolled SquaredDistance kernel (src/common/simd.h), shared by the
   // scan, the k-d tree, and Compact's dedup so all paths agree bit-for-bit.
-  const MetaFeatureVector query = normalizer_.Apply(mf);
+  const MetaFeatureVector query = state_.normalizer.Apply(mf);
   // The landmark term is not part of the indexed space, so combined-distance
   // queries always take the scan.
   const bool combined = landmarks != nullptr && landmark_weight > 0.0;
-  if (!combined && tree_records_ > 0 && WantTreeLocked()) {
+  if (!combined && state_.tree_records > 0 && WantTreeLocked()) {
     // Sublinear path: linear tail first (appends since the last rebuild),
     // then the tree, pruning against the running k-th best. Both feed the
     // same (distance, index) total order as the scan, so the result is
     // byte-identical to the linear oracle.
     TopKCollector collector(k);
-    for (size_t i = tree_records_; i < normalized_.size(); ++i) {
-      collector.Offer(MetaFeatureDistance(query, normalized_[i]), i);
+    for (size_t i = state_.tree_records; i < state_.normalized.size(); ++i) {
+      collector.Offer(MetaFeatureDistance(query, state_.normalized[i]), i);
     }
-    tree_.Search(normalized_, query, &collector);
+    state_.tree.Search(state_.normalized, query, &collector);
     out = collector.TakeSorted();
     metrics.lookups_kdtree->Increment();
     metrics.lookup_neighbors->Observe(static_cast<double>(out.size()));
     return out;
   }
-  out.reserve(records_.size());
-  for (size_t i = 0; i < records_.size(); ++i) {
-    double distance = MetaFeatureDistance(query, normalized_[i]);
-    if (combined && records_[i].has_landmarks) {
+  out.reserve(state_.records.size());
+  for (size_t i = 0; i < state_.records.size(); ++i) {
+    double distance = MetaFeatureDistance(query, state_.normalized[i]);
+    if (combined && state_.records[i].has_landmarks) {
       distance += landmark_weight *
-                  LandmarkDistance(*landmarks, records_[i].landmarks);
+                  LandmarkDistance(*landmarks, state_.records[i].landmarks);
     }
     out.emplace_back(i, distance);
   }
@@ -433,27 +382,27 @@ KbCompactionStats KnowledgeBase::Compact(const KbCompactionOptions& options) {
   const KbMetrics& metrics = KbMetrics::Get();
   std::unique_lock lock(mutex_);
   KbCompactionStats stats;
-  stats.before = records_.size();
+  stats.before = state_.records.size();
   bool mutated = false;
-  if (options.dedup_epsilon > 0.0 && records_.size() >= 2) {
+  if (options.dedup_epsilon > 0.0 && state_.records.size() >= 2) {
     // Cover everything with the tree first so the duplicate probe is a
     // radius search instead of an O(N^2) all-pairs pass.
-    if (WantTreeLocked() && tree_records_ != records_.size()) {
+    if (WantTreeLocked() && state_.tree_records != state_.records.size()) {
       RebuildIndexLocked(/*appended_one=*/false);
     }
-    const size_t n = records_.size();
-    const bool use_tree = tree_records_ == n && n > 0;
+    const size_t n = state_.records.size();
+    const bool use_tree = state_.tree_records == n && n > 0;
     std::vector<bool> absorbed(n, false);
     std::vector<size_t> hits;
     for (size_t i = 0; i < n; ++i) {
       if (absorbed[i]) continue;
       hits.clear();
       if (use_tree) {
-        tree_.SearchRadius(normalized_, normalized_[i], options.dedup_epsilon,
-                           &hits);
+        state_.tree.SearchRadius(state_.normalized, state_.normalized[i],
+                                 options.dedup_epsilon, &hits);
       } else {
         for (size_t j = i + 1; j < n; ++j) {
-          if (MetaFeatureDistance(normalized_[i], normalized_[j]) <=
+          if (MetaFeatureDistance(state_.normalized[i], state_.normalized[j]) <=
               options.dedup_epsilon) {
             hits.push_back(j);
           }
@@ -463,10 +412,11 @@ KbCompactionStats KnowledgeBase::Compact(const KbCompactionOptions& options) {
       for (size_t j : hits) {
         if (j <= i || absorbed[j]) continue;
         // The earliest observation survives; the newcomer's results fold in.
-        MergeResultsInto(&records_[i], records_[j]);
-        if (records_[j].has_landmarks && !records_[i].has_landmarks) {
-          records_[i].has_landmarks = true;
-          records_[i].landmarks = records_[j].landmarks;
+        MergeResultsInto(&state_.records[i], state_.records[j]);
+        if (state_.records[j].has_landmarks &&
+            !state_.records[i].has_landmarks) {
+          state_.records[i].has_landmarks = true;
+          state_.records[i].landmarks = state_.records[j].landmarks;
         }
         absorbed[j] = true;
         ++stats.merged;
@@ -476,22 +426,22 @@ KbCompactionStats KnowledgeBase::Compact(const KbCompactionOptions& options) {
       std::vector<KbRecord> kept;
       kept.reserve(n - stats.merged);
       for (size_t i = 0; i < n; ++i) {
-        if (!absorbed[i]) kept.push_back(std::move(records_[i]));
+        if (!absorbed[i]) kept.push_back(std::move(state_.records[i]));
       }
-      records_ = std::move(kept);
+      state_.records = std::move(kept);
       mutated = true;
     }
   }
-  if (options.max_records > 0 && records_.size() > options.max_records) {
+  if (options.max_records > 0 && state_.records.size() > options.max_records) {
     // Quality-weighted eviction: a record's quality is its best stored
     // accuracy (a dataset where something worked well is worth keeping as
     // warm-start evidence). Lowest quality goes first; ties evict the older
     // record so fresher observations win.
     std::vector<std::pair<double, size_t>> quality;
-    quality.reserve(records_.size());
-    for (size_t i = 0; i < records_.size(); ++i) {
+    quality.reserve(state_.records.size());
+    for (size_t i = 0; i < state_.records.size(); ++i) {
       double best = 0.0;
-      for (const auto& result : records_[i].results) {
+      for (const auto& result : state_.records[i].results) {
         best = std::max(best, result.accuracy);
       }
       quality.emplace_back(best, i);
@@ -501,19 +451,19 @@ KbCompactionStats KnowledgeBase::Compact(const KbCompactionOptions& options) {
                 return a.first < b.first ||
                        (a.first == b.first && a.second < b.second);
               });
-    const size_t to_evict = records_.size() - options.max_records;
-    std::vector<bool> evict(records_.size(), false);
+    const size_t to_evict = state_.records.size() - options.max_records;
+    std::vector<bool> evict(state_.records.size(), false);
     for (size_t i = 0; i < to_evict; ++i) evict[quality[i].second] = true;
     std::vector<KbRecord> kept;
     kept.reserve(options.max_records);
-    for (size_t i = 0; i < records_.size(); ++i) {
-      if (!evict[i]) kept.push_back(std::move(records_[i]));
+    for (size_t i = 0; i < state_.records.size(); ++i) {
+      if (!evict[i]) kept.push_back(std::move(state_.records[i]));
     }
-    records_ = std::move(kept);
+    state_.records = std::move(kept);
     stats.evicted = to_evict;
     mutated = true;
   }
-  stats.after = records_.size();
+  stats.after = state_.records.size();
   if (mutated) RebuildIndexLocked(/*appended_one=*/false);
   metrics.compactions->Increment();
   metrics.records_deduped->Increment(stats.merged);
@@ -523,26 +473,20 @@ KbCompactionStats KnowledgeBase::Compact(const KbCompactionOptions& options) {
 
 void KnowledgeBase::BulkLoad(std::vector<KbRecord>&& records) {
   std::unique_lock lock(mutex_);
-  records_.clear();
-  records_.reserve(records.size());
-  // Hash-merge duplicates (the text parser's AddRecord loop is O(N^2) in
-  // names; a million-record cold start cannot afford that).
+  state_.records.clear();
+  state_.records.reserve(records.size());
+  // Hash-merge duplicate names (AddRecord's by-name scan would make a
+  // million-record cold start O(N^2)).
   std::unordered_map<std::string, size_t> by_name;
   by_name.reserve(records.size());
   for (auto& record : records) {
     auto [it, inserted] = by_name.try_emplace(record.dataset_name,
-                                              records_.size());
+                                              state_.records.size());
     if (inserted) {
-      records_.push_back(std::move(record));
+      state_.records.push_back(std::move(record));
       continue;
     }
-    KbRecord& existing = records_[it->second];
-    existing.meta_features = record.meta_features;
-    if (record.has_landmarks) {
-      existing.has_landmarks = true;
-      existing.landmarks = record.landmarks;
-    }
-    MergeResultsInto(&existing, record);
+    MergeRecordInto(&state_.records[it->second], record);
   }
   RebuildIndexLocked(/*appended_one=*/false);
 }
@@ -568,7 +512,7 @@ std::vector<Nomination> KnowledgeBase::NominateImpl(
     const std::vector<std::pair<size_t, double>>& neighbors,
     const NominationOptions& options) const {
   std::vector<Nomination> out;
-  if (records_.empty() || options.max_algorithms == 0) return out;
+  if (state_.records.empty() || options.max_algorithms == 0) return out;
 
   // Score every (algorithm, neighbour) pair: the distance kernel rewards
   // close datasets, the performance term rewards algorithms that did well
@@ -582,7 +526,7 @@ std::vector<Nomination> KnowledgeBase::NominateImpl(
   };
   std::map<std::string, Accumulator> by_algorithm;
   for (const auto& [record_index, distance] : neighbors) {
-    const KbRecord& record = records_[record_index];
+    const KbRecord& record = state_.records[record_index];
     const double sim =
         1.0 / std::pow(1.0 + distance, options.distance_sharpness);
     for (const auto& result : record.results) {
@@ -636,7 +580,7 @@ std::string KnowledgeBase::Serialize() const {
 std::string KnowledgeBase::SerializeLocked() const {
   std::ostringstream out;
   out << kHeader << "\n";
-  for (const auto& record : records_) {
+  for (const auto& record : state_.records) {
     out << "record " << record.dataset_name << "\n";
     out << "meta " << MetaFeaturesToString(record.meta_features) << "\n";
     if (record.has_landmarks) {
@@ -685,20 +629,25 @@ CrcSplit SplitTrailingCrc(const std::string& text) {
   return out;
 }
 
+/// Records decoded from the text format.
+struct KbTextDecodeResult {
+  std::vector<KbRecord> records;
+  /// Input lines dropped by lenient parsing.
+  size_t skipped_lines = 0;
+};
+
 /// Line-oriented KB parser shared by the strict and salvage paths. In
 /// lenient mode a torn/corrupt line ends parsing (keeping every record that
-/// reached its "end" marker) instead of failing; `*skipped_lines` counts
-/// the input lines dropped that way.
-StatusOr<KnowledgeBase> ParseKbBody(std::string_view body, bool lenient,
-                                    size_t* skipped_lines) {
-  if (skipped_lines != nullptr) *skipped_lines = 0;
+/// reached its "end" marker) instead of failing; `skipped_lines` counts the
+/// input lines dropped that way.
+StatusOr<KbTextDecodeResult> ParseKbBody(std::string_view body, bool lenient) {
   std::istringstream in{std::string(body)};
   std::string line;
   if (!std::getline(in, line) ||
       std::string(StripAsciiWhitespace(line)) != kHeader) {
     return Status::InvalidArgument("KB: bad or missing header");
   }
-  KnowledgeBase kb;
+  KbTextDecodeResult out;
   KbRecord current;
   bool in_record = false;
   size_t lines_in_open_record = 0;
@@ -707,7 +656,7 @@ StatusOr<KnowledgeBase> ParseKbBody(std::string_view body, bool lenient,
     // Count the bad line plus everything buffered in the open record.
     size_t dropped = 1 + lines_in_open_record;
     while (std::getline(in, line)) ++dropped;
-    if (skipped_lines != nullptr) *skipped_lines = dropped;
+    out.skipped_lines = dropped;
     in_record = false;  // The open record is part of the dropped tail.
     return Status::OK();
   };
@@ -789,7 +738,7 @@ StatusOr<KnowledgeBase> ParseKbBody(std::string_view body, bool lenient,
         SMARTML_RETURN_NOT_OK(fail(Status::InvalidArgument("KB: stray end")));
         break;
       }
-      kb.AddRecord(current);
+      out.records.push_back(std::move(current));
       in_record = false;
       lines_in_open_record = 0;
     } else {
@@ -800,46 +749,57 @@ StatusOr<KnowledgeBase> ParseKbBody(std::string_view body, bool lenient,
   }
   if (in_record) {
     if (!lenient) return Status::InvalidArgument("KB: truncated record");
-    if (skipped_lines != nullptr) *skipped_lines += lines_in_open_record;
+    out.skipped_lines += lines_in_open_record;
   }
-  return kb;
+  return out;
 }
 
 }  // namespace
 
 StatusOr<KnowledgeBase> KnowledgeBase::Deserialize(const std::string& bytes) {
-  if (LooksLikeKbSnapshot(bytes)) {
-    auto decoded = DecodeKbSnapshot(bytes, /*lenient=*/false);
-    if (!decoded.ok()) return decoded.status();
-    KnowledgeBase kb;
-    kb.BulkLoad(std::move(decoded->records));
-    return kb;
-  }
-  const CrcSplit split = SplitTrailingCrc(bytes);
-  if (split.has_crc && !split.crc_ok) {
-    return Status::InvalidArgument("KB: checksum mismatch (torn or corrupt)");
-  }
-  return ParseKbBody(split.body, /*lenient=*/false, nullptr);
+  return Decode(bytes, /*lenient=*/false, nullptr);
 }
 
 StatusOr<KnowledgeBase> KnowledgeBase::DeserializeSalvage(
     const std::string& bytes, size_t* skipped) {
+  return Decode(bytes, /*lenient=*/true, skipped);
+}
+
+StatusOr<KnowledgeBase> KnowledgeBase::Decode(const std::string& bytes,
+                                              bool lenient, size_t* skipped) {
+  std::vector<KbRecord> records;
+  size_t dropped = 0;  // Records (binary) or lines (text) lost to damage.
   if (LooksLikeKbSnapshot(bytes)) {
-    auto decoded = DecodeKbSnapshot(bytes, /*lenient=*/true);
-    if (!decoded.ok()) return decoded.status();
-    if (skipped != nullptr) *skipped = decoded->dropped_records;
-    if (decoded->damaged_sections > 0) {
+    SMARTML_ASSIGN_OR_RETURN(KbSnapshotDecodeResult decoded,
+                             DecodeKbSnapshot(bytes, lenient));
+    if (decoded.damaged_sections > 0) {
       KbMetrics::Get().snapshot_sections_salvaged->Increment(
-          decoded->damaged_sections);
+          decoded.damaged_sections);
     }
-    KnowledgeBase kb;
-    kb.BulkLoad(std::move(decoded->records));
-    return kb;
+    records = std::move(decoded.records);
+    dropped = decoded.dropped_records;
+  } else {
+    // Salvage ignores the text checksum by design: it runs exactly when the
+    // file is known-torn, and the crc line (possibly itself truncated) is
+    // just another unrecognized line that stops the lenient parser.
+    std::string_view body = bytes;
+    if (!lenient) {
+      const CrcSplit split = SplitTrailingCrc(bytes);
+      if (split.has_crc && !split.crc_ok) {
+        return Status::InvalidArgument(
+            "KB: checksum mismatch (torn or corrupt)");
+      }
+      body = split.body;
+    }
+    SMARTML_ASSIGN_OR_RETURN(KbTextDecodeResult decoded,
+                             ParseKbBody(body, lenient));
+    records = std::move(decoded.records);
+    dropped = decoded.skipped_lines;
   }
-  // The text checksum is ignored here by design: salvage runs exactly when
-  // the file is known-torn, and the crc line (possibly itself truncated) is
-  // just another unrecognized line that stops the lenient parser.
-  return ParseKbBody(bytes, /*lenient=*/true, skipped);
+  if (skipped != nullptr) *skipped = dropped;
+  KnowledgeBase kb;
+  kb.BulkLoad(std::move(records));
+  return kb;
 }
 
 Status KnowledgeBase::SaveToFile(const std::string& path,

@@ -22,14 +22,17 @@
 // O(N·d) scan. The tree returns byte-identical neighbour lists (order, ties,
 // distances) to the linear scan — the scan stays available as a correctness
 // oracle and A/B baseline via SetLookupStrategy. Index maintenance is
-// bounded: appends between full rebuilds freeze the normalizer and land in
-// a small linear-scanned tail that is merged into every query, so AddRecord
-// stays cheap at large N while results remain exact.
+// bounded: a live AddRecord between full rebuilds freezes the normalizer
+// and lands in a small linear-scanned tail that is merged into every query,
+// so AddRecord stays cheap at large N while results remain exact.
 //
 // Persistence: the on-disk default is a versioned binary snapshot (magic +
 // header, crc per section, mmap-friendly load — see src/kb/kb_snapshot.h)
 // written with the tmp+fsync+rename discipline; the legacy text format is
-// still read transparently and can be written for interchange.
+// still read transparently and can be written for interchange. Both formats
+// decode to records and load through one bulk rebuild (normalizer fitted
+// over every record, no tail), so a KB gives the same neighbours whichever
+// format it was saved in.
 #ifndef SMARTML_KB_KNOWLEDGE_BASE_H_
 #define SMARTML_KB_KNOWLEDGE_BASE_H_
 
@@ -147,8 +150,9 @@ struct KbCompactionStats {
 class KnowledgeBase {
  public:
   KnowledgeBase() = default;
-  // Copy/move synchronize on the source (and destination) mutex; the mutex
-  // itself is never copied or moved.
+  // Copy/move synchronize on the source (and destination) mutex and copy or
+  // move the whole State; the mutex itself is never copied or moved. A
+  // moved-from KB is left in the default (empty) state.
   KnowledgeBase(const KnowledgeBase& other);
   KnowledgeBase& operator=(const KnowledgeBase& other);
   KnowledgeBase(KnowledgeBase&& other) noexcept;
@@ -242,6 +246,29 @@ class KnowledgeBase {
   static StatusOr<KnowledgeBase> LoadFromFile(const std::string& path);
 
  private:
+  /// Everything the mutex guards: the records plus the lookup index derived
+  /// from them. Copies and moves transfer it as one value, so no field can
+  /// be left behind.
+  struct State {
+    std::vector<KbRecord> records;
+    MetaFeatureNormalizer normalizer;
+    /// Cached z-normalized meta-features, index-aligned with records —
+    /// rebuilt by RebuildIndexLocked() so lookups never re-normalize per
+    /// record. Entries [0, tree_records) are frozen between full rebuilds
+    /// (the tree's split planes reference them); the rest is the tail.
+    std::vector<MetaFeatureVector> normalized;
+    KbLookupStrategy strategy = KbLookupStrategy::kAuto;
+    KdTree tree;
+    /// How many leading records the built tree covers; records beyond this
+    /// are the linear-scanned tail.
+    size_t tree_records = 0;
+  };
+
+  /// The one decode path behind Deserialize (strict) and DeserializeSalvage
+  /// (lenient): sniff the format, decode to records, then one BulkLoad.
+  static StatusOr<KnowledgeBase> Decode(const std::string& bytes, bool lenient,
+                                        size_t* skipped);
+
   // Unlocked implementations; callers hold mutex_. Neighbours are
   // (record index, distance) pairs — only valid while the lock is held.
   std::vector<std::pair<size_t, double>> NearestIndicesLocked(
@@ -255,34 +282,23 @@ class KnowledgeBase {
   /// Whether queries should use the tree under the current strategy/size.
   bool WantTreeLocked() const;
 
-  /// Brings normalizer_, normalized_ and the k-d tree in sync with
-  /// records_. Called with mutex_ held exclusively after every mutation.
+  /// Brings the normalizer, normalized matrix and k-d tree in sync with the
+  /// records. Called with mutex_ held exclusively after every mutation.
   /// `appended_one` marks the cheap case (exactly one record pushed at the
   /// back): if the tail since the last full rebuild is still within its
   /// bound, the new record is normalized with the frozen normalizer and
   /// joins the linear tail instead of triggering an O(N log N) rebuild.
   void RebuildIndexLocked(bool appended_one);
 
-  /// Replaces all records in one step (fast cold-start path for snapshot
-  /// loads: hash-merge duplicates, single index rebuild).
+  /// Replaces all records in one step (the load path for both file
+  /// formats: hash-merge duplicate names, single index rebuild).
   void BulkLoad(std::vector<KbRecord>&& records);
 
-  /// Guards records_, normalizer_, normalized_ and the tree: shared for
-  /// lookups, exclusive for AddRecord (the REST layer serves /v1/select
-  /// from many worker threads while completed runs commit their results).
+  /// Guards state_: shared for lookups, exclusive for AddRecord (the REST
+  /// layer serves /v1/select from many worker threads while completed runs
+  /// commit their results).
   mutable std::shared_mutex mutex_;
-  std::vector<KbRecord> records_;
-  MetaFeatureNormalizer normalizer_;
-  /// Cached z-normalized meta-features, index-aligned with records_ —
-  /// rebuilt by RebuildIndexLocked() so lookups never re-normalize per
-  /// record. Entries [0, tree_records_) are frozen between full rebuilds
-  /// (the tree's split planes reference them); the rest is the tail.
-  std::vector<MetaFeatureVector> normalized_;
-  KbLookupStrategy strategy_ = KbLookupStrategy::kAuto;
-  KdTree tree_;
-  /// How many leading records the built tree covers; records_ beyond this
-  /// are the linear-scanned tail.
-  size_t tree_records_ = 0;
+  State state_;
 };
 
 }  // namespace smartml

@@ -724,23 +724,21 @@ double DecisionTree::LeafErrorUpperBound(int node_index) const {
   return n * BinomialUpperConfidence(errors, n, options_.confidence_factor);
 }
 
-double DecisionTree::SubtreeError(int node_index) const {
-  const Node& node = nodes_[static_cast<size_t>(node_index)];
-  if (node.leaf()) return LeafErrorUpperBound(node_index);
-  double total = 0.0;
-  for (int c = 0; c < node.num_children; ++c) {
-    total += SubtreeError(node.first_child + c);
-  }
-  return total;
-}
-
-void DecisionTree::Prune(int node_index) {
+double DecisionTree::Prune(int node_index) {
   Node& node = nodes_[static_cast<size_t>(node_index)];
-  if (node.leaf()) return;
-  for (int c = 0; c < node.num_children; ++c) Prune(node.first_child + c);
+  if (node.leaf()) return LeafErrorUpperBound(node_index);
+  // Children first; their post-prune errors, summed in child order, are
+  // this subtree's error (the fixed order keeps trees bit-identical).
+  double as_subtree = 0.0;
+  for (int c = 0; c < node.num_children; ++c) {
+    as_subtree += Prune(node.first_child + c);
+  }
   const double as_leaf = LeafErrorUpperBound(node_index);
-  const double as_subtree = SubtreeError(node_index);
-  if (as_leaf <= as_subtree + 0.1) node.num_children = 0;
+  if (as_leaf <= as_subtree + 0.1) {
+    node.num_children = 0;
+    return as_leaf;
+  }
+  return as_subtree;
 }
 
 int DecisionTree::Branch(const Node& node, double v) {

@@ -151,8 +151,9 @@ class DecisionTree {
     return counts_.data() +
            static_cast<size_t>(node) * static_cast<size_t>(num_classes_);
   }
-  void Prune(int node_index);
-  double SubtreeError(int node_index) const;
+  /// Pessimistic (C4.5) pruning, bottom-up. Returns the subtree's
+  /// post-prune error estimate.
+  double Prune(int node_index);
   double LeafErrorUpperBound(int node_index) const;
   void CollectLeafRules(int node_index, std::vector<TreeCondition>* path,
                         std::vector<LeafRule>* out) const;

@@ -598,13 +598,7 @@ PreprocessPipeline::PreprocessPipeline(std::vector<PreprocessOp> ops,
 }
 
 Status PreprocessPipeline::Fit(const Dataset& train) {
-  Dataset current = train;
-  for (auto& step : steps_) {
-    SMARTML_RETURN_NOT_OK(step->Fit(current));
-    SMARTML_ASSIGN_OR_RETURN(current, step->Transform(current));
-  }
-  fitted_ = true;
-  return Status::OK();
+  return FitTransform(train).status();
 }
 
 StatusOr<Dataset> PreprocessPipeline::Transform(const Dataset& data) const {
@@ -619,8 +613,15 @@ StatusOr<Dataset> PreprocessPipeline::Transform(const Dataset& data) const {
 }
 
 StatusOr<Dataset> PreprocessPipeline::FitTransform(const Dataset& train) {
-  SMARTML_RETURN_NOT_OK(Fit(train));
-  return Transform(train);
+  // Each step is fitted on, then applied to, the previous step's output, so
+  // the chain's final output is the transformed training set.
+  Dataset current = train;
+  for (auto& step : steps_) {
+    SMARTML_RETURN_NOT_OK(step->Fit(current));
+    SMARTML_ASSIGN_OR_RETURN(current, step->Transform(current));
+  }
+  fitted_ = true;
+  return current;
 }
 
 }  // namespace smartml

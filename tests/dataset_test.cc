@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "src/data/dataset.h"
@@ -95,44 +94,6 @@ TEST(DatasetTest, NoMissing) {
   EXPECT_FALSE(MakeSmallDataset().HasMissing());
 }
 
-TEST(DatasetTest, ToNumericMatrixOneHot) {
-  const Dataset d = MakeSmallDataset();
-  const Matrix x = d.ToNumericMatrix();
-  EXPECT_EQ(x.rows(), 4u);
-  EXPECT_EQ(x.cols(), 4u);  // 1 numeric + 3 one-hot.
-  // Row 3: x1=4, color=blue(2).
-  EXPECT_DOUBLE_EQ(x(3, 0), 4.0);
-  EXPECT_DOUBLE_EQ(x(3, 1), 0.0);
-  EXPECT_DOUBLE_EQ(x(3, 2), 0.0);
-  EXPECT_DOUBLE_EQ(x(3, 3), 1.0);
-}
-
-TEST(DatasetTest, ToNumericMatrixImputesMean) {
-  Dataset d;
-  d.AddNumericFeature("x", {1.0, kNaN, 3.0});
-  d.SetLabels({0, 0, 0}, {"y"});
-  const Matrix x = d.ToNumericMatrix();
-  EXPECT_DOUBLE_EQ(x(1, 0), 2.0);  // Mean of 1 and 3.
-}
-
-TEST(DatasetTest, ToNumericMatrixMissingCategoricalAllZero) {
-  Dataset d;
-  d.AddCategoricalFeature("c", {0, kNaN}, {"a", "b"});
-  d.SetLabels({0, 0}, {"y"});
-  const Matrix x = d.ToNumericMatrix();
-  EXPECT_DOUBLE_EQ(x(1, 0), 0.0);
-  EXPECT_DOUBLE_EQ(x(1, 1), 0.0);
-}
-
-TEST(DatasetTest, NumericMatrixColumnNames) {
-  const Dataset d = MakeSmallDataset();
-  const auto names = d.NumericMatrixColumnNames();
-  ASSERT_EQ(names.size(), 4u);
-  EXPECT_EQ(names[0], "x1");
-  EXPECT_EQ(names[1], "color=red");
-  EXPECT_EQ(names[3], "color=blue");
-}
-
 TEST(DatasetTest, ToRawMatrixKeepsCodesAndNaN) {
   Dataset d;
   d.AddNumericFeature("x", {1.0, kNaN});
@@ -159,19 +120,6 @@ TEST(DatasetTest, RemoveFeatureRejectsOutOfRange) {
   EXPECT_FALSE(d.RemoveFeature(2).ok());
   EXPECT_FALSE(d.RemoveFeature(999).ok());
   EXPECT_EQ(d.NumFeatures(), 2u);  // Nothing was erased.
-}
-
-// Regression: a categorical code outside the dictionary (or a non-integral
-// one) used to be silently one-hot encoded as all zeros — i.e. treated as
-// missing. Corrupt codes now fail loudly.
-TEST(DatasetTest, ToNumericMatrixThrowsOnCorruptCategoricalCode) {
-  Dataset d = MakeSmallDataset();
-  d.mutable_feature(1).values[0] = 7.0;  // Dictionary has 3 entries.
-  EXPECT_THROW(d.ToNumericMatrix(), std::runtime_error);
-
-  Dataset d2 = MakeSmallDataset();
-  d2.mutable_feature(1).values[2] = 1.5;  // Non-integral code.
-  EXPECT_THROW(d2.ToNumericMatrix(), std::runtime_error);
 }
 
 TEST(DatasetTest, BinnedLosslessSmallColumn) {

@@ -3,16 +3,19 @@
 // bit-flips, per-section payload bit-flips, truncation at every section
 // boundary and mid-section — asserting that strict decode rejects each with
 // a checksum/truncation error while salvage keeps exactly the undamaged
-// records. Also covers the .bak and legacy-text fallbacks in LoadFromFile.
+// records. Also covers the .bak and legacy-text fallbacks in LoadFromFile,
+// and that a KB loads identically from either format.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/kb/kb_snapshot.h"
 #include "src/kb/knowledge_base.h"
 #include "src/persist/snapshot_io.h"
@@ -260,6 +263,116 @@ TEST(KbSnapshot, UnsupportedVersionIsRejected) {
   // both failure modes must reject in strict mode.
   auto strict = DecodeKbSnapshot(bytes, /*lenient=*/false);
   EXPECT_FALSE(strict.ok());
+}
+
+/// A 300-record KB with meta-features spread over four orders of magnitude,
+/// two algorithms per record and landmarks on every other record. Values
+/// are rounded to three decimals so they survive the text format's 10
+/// significant digits exactly.
+KnowledgeBase MakeSpreadKb(Rng* rng) {
+  auto value = [rng](double lo, double hi) {
+    return std::round(rng->Uniform(lo, hi) * 1000.0) / 1000.0;
+  };
+  KnowledgeBase kb;
+  for (int i = 0; i < 300; ++i) {
+    KbRecord record;
+    record.dataset_name = "spread_" + std::to_string(i);
+    for (size_t d = 0; d < kNumMetaFeatures; ++d) {
+      const double scale = std::pow(10.0, static_cast<double>(d % 4));
+      record.meta_features[d] = value(-scale, scale);
+    }
+    if (i % 2 == 0) {
+      record.has_landmarks = true;
+      for (double& lm : record.landmarks) lm = value(0.0, 1.0);
+    }
+    for (const char* algorithm : {"random_forest", "svm"}) {
+      KbAlgorithmResult result;
+      result.algorithm = algorithm;
+      result.accuracy = value(0.5, 1.0);
+      result.best_config.SetDouble("C", value(0.01, 100.0));
+      record.results.push_back(result);
+    }
+    kb.AddRecord(record);
+  }
+  return kb;
+}
+
+void ExpectSameNeighbors(const std::vector<KbNeighbor>& a,
+                         const std::vector<KbNeighbor>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].record.dataset_name, b[i].record.dataset_name);
+    EXPECT_EQ(a[i].distance, b[i].distance);
+  }
+}
+
+void ExpectSameNominations(const std::vector<Nomination>& a,
+                           const std::vector<Nomination>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].algorithm, b[i].algorithm);
+    EXPECT_EQ(a[i].score, b[i].score);
+    ASSERT_EQ(a[i].warm_start_configs.size(), b[i].warm_start_configs.size());
+    for (size_t c = 0; c < a[i].warm_start_configs.size(); ++c) {
+      EXPECT_EQ(a[i].warm_start_configs[c].ToString(),
+                b[i].warm_start_configs[c].ToString());
+    }
+  }
+}
+
+// Both formats decode to records and load through one bulk rebuild, so a KB
+// saved as text answers every lookup exactly like its binary snapshot — no
+// frozen-normalizer tail from a record-by-record load.
+TEST(KbSnapshot, TextAndBinaryLoadsAreIdentical) {
+  Rng rng(2024);
+  const KnowledgeBase kb = MakeSpreadKb(&rng);
+  auto from_binary =
+      KnowledgeBase::Deserialize(EncodeKbSnapshot(kb.SnapshotRecords()));
+  ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
+  auto from_text = KnowledgeBase::Deserialize(kb.Serialize());
+  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+
+  const auto binary_records = from_binary->SnapshotRecords();
+  const auto text_records = from_text->SnapshotRecords();
+  ASSERT_EQ(binary_records.size(), 300u);
+  ASSERT_EQ(text_records.size(), 300u);
+  for (size_t i = 0; i < binary_records.size(); ++i) {
+    EXPECT_EQ(binary_records[i].meta_features, text_records[i].meta_features);
+    EXPECT_EQ(binary_records[i].landmarks, text_records[i].landmarks);
+  }
+
+  const KbIndexStats a = from_binary->IndexStats();
+  const KbIndexStats b = from_text->IndexStats();
+  EXPECT_EQ(a.indexed_records, 300u);
+  EXPECT_EQ(a.tail_records, 0u);
+  EXPECT_EQ(a.strategy, b.strategy);
+  EXPECT_EQ(a.tree_active, b.tree_active);
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.indexed_records, b.indexed_records);
+  EXPECT_EQ(a.tail_records, b.tail_records);
+  EXPECT_EQ(a.tree_depth, b.tree_depth);
+  EXPECT_EQ(a.tree_nodes, b.tree_nodes);
+
+  NominationOptions plain;
+  NominationOptions combined;
+  combined.landmark_weight = 2.0;
+  for (int q = 0; q < 200; ++q) {
+    MetaFeatureVector mf{};
+    for (size_t d = 0; d < kNumMetaFeatures; ++d) {
+      const double scale = std::pow(10.0, static_cast<double>(d % 4));
+      mf[d] = rng.Uniform(-scale, scale);
+    }
+    LandmarkVector lm{};
+    for (double& v : lm) v = rng.Uniform();
+    ExpectSameNeighbors(from_binary->NearestRecords(mf, 3),
+                        from_text->NearestRecords(mf, 3));
+    ExpectSameNeighbors(from_binary->NearestRecords(mf, &lm, 2.0, 3),
+                        from_text->NearestRecords(mf, &lm, 2.0, 3));
+    ExpectSameNominations(from_binary->Nominate(mf, plain),
+                          from_text->Nominate(mf, plain));
+    ExpectSameNominations(from_binary->Nominate(mf, lm, combined),
+                          from_text->Nominate(mf, lm, combined));
+  }
 }
 
 }  // namespace

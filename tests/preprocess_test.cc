@@ -3,8 +3,11 @@
 // consistency.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
@@ -308,6 +311,48 @@ TEST(PreprocessTest, PipelineComposesInOrder) {
     if (col.is_categorical()) continue;
     EXPECT_NEAR(ColumnMean(col), 0.0, 1e-6);
     EXPECT_NEAR(ColumnStd(col), 1.0, 1e-6);
+  }
+}
+
+TEST(PreprocessTest, FitTransformBitEqualsFitThenTransform) {
+  // FitTransform returns the fitting chain's own output; it must equal a
+  // separate Transform of the training set bit for bit, with every
+  // operator (imputation + all of Table 2) chained.
+  SyntheticSpec spec;
+  spec.num_instances = 150;
+  spec.num_informative = 4;
+  spec.num_noise = 2;
+  spec.num_categorical = 1;
+  spec.num_classes = 3;
+  spec.missing_fraction = 0.05;
+  spec.seed = 23;
+  Dataset train = GenerateSynthetic(spec);
+  train.AddNumericFeature("constant", std::vector<double>(150, 1.0));
+  std::vector<PreprocessOp> ops = {PreprocessOp::kImpute};
+  for (PreprocessOp op : AllPreprocessOps()) ops.push_back(op);
+  ASSERT_EQ(ops.size(), 9u);
+
+  PreprocessPipeline one_pass(ops, 5);
+  auto fused = one_pass.FitTransform(train);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  PreprocessPipeline two_pass(ops, 5);
+  ASSERT_TRUE(two_pass.Fit(train).ok());
+  auto separate = two_pass.Transform(train);
+  ASSERT_TRUE(separate.ok()) << separate.status().ToString();
+
+  ASSERT_EQ(fused->NumFeatures(), separate->NumFeatures());
+  EXPECT_EQ(fused->labels(), separate->labels());
+  for (size_t f = 0; f < fused->NumFeatures(); ++f) {
+    const FeatureColumn& a = fused->feature(f);
+    const FeatureColumn& b = separate->feature(f);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.is_categorical(), b.is_categorical());
+    ASSERT_EQ(a.values.size(), b.values.size());
+    for (size_t r = 0; r < a.values.size(); ++r) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(a.values[r]),
+                std::bit_cast<uint64_t>(b.values[r]))
+          << a.name << " row " << r;
+    }
   }
 }
 
