@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "src/common/simd.h"
 #include "src/core/smartml.h"
 #include "src/data/synthetic.h"
+#include "src/interpret/interpret.h"
 #include "src/kb/knowledge_base.h"
 #include "src/metafeatures/metafeatures.h"
 #include "src/ml/decision_tree.h"
@@ -417,6 +419,40 @@ void BM_ForestFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestFit)->Unit(benchmark::kMillisecond);
+
+// Permutation importance of a table4-shaped forest (100 trees fitted on
+// 700 x 60 with 10 classes) on 226 validation rows, two repeats as in the
+// output phase. Times the cached-leaf path: each permutation re-walks only
+// the (row, tree) pairs whose path tests the permuted feature. Reported by
+// the CI bench smoke; not gated.
+void BM_PermutationImportance(benchmark::State& state) {
+  SyntheticSpec spec;
+  spec.num_instances = 926;
+  spec.num_informative = 30;
+  spec.num_noise = 30;
+  spec.num_classes = 10;
+  spec.seed = 11;
+  const Dataset d = GenerateSynthetic(spec);
+  std::vector<size_t> train_rows(700);
+  std::vector<size_t> validation_rows(d.NumRows() - train_rows.size());
+  std::iota(train_rows.begin(), train_rows.end(), size_t{0});
+  std::iota(validation_rows.begin(), validation_rows.end(),
+            train_rows.size());
+  const Dataset train = d.Subset(train_rows);
+  const Dataset validation = d.Subset(validation_rows);
+  ParamConfig config = SpaceFor("random_forest")->DefaultConfig();
+  config.SetInt("ntree", 100);
+  auto model = CreateClassifier("random_forest");
+  if (!(*model)->Fit(train, config).ok()) {
+    state.SkipWithError("random_forest fit failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        PermutationImportance(**model, validation, /*repeats=*/2, 7));
+  }
+}
+BENCHMARK(BM_PermutationImportance)->Unit(benchmark::kMillisecond);
 
 // End-to-end 4-candidate run at a given intra-run thread count. Results are
 // bit-identical across the Arg values (see ParallelDeterminismTest); the

@@ -84,11 +84,16 @@ for n in (1000, 10000, 100000):
         "k-d tree %.1fus, speedup %.2fx" % (n, cached / 1e3, tree / 1e3, ratio)
     )
 
-# RandomForest fit at the table4 shape: reported for developers, not gated.
+# RandomForest fit and its permutation importance at the table4 shape:
+# reported for developers, not gated.
+labels = {
+    "BM_ForestFit": "RandomForest fit at table4 shape",
+    "BM_PermutationImportance": "RandomForest permutation importance",
+}
 for b in data.get("benchmarks", []):
-    if b["name"] == "BM_ForestFit":
-        print("bench_smoke: RandomForest fit at table4 shape: %.1f%s"
-              % (b["real_time"], b.get("time_unit", "ns")))
+    if b["name"] in labels:
+        print("bench_smoke: %s: %.1f%s"
+              % (labels[b["name"]], b["real_time"], b.get("time_unit", "ns")))
 
 # The tentpole acceptance bar: sublinear lookup must beat the linear scan
 # by >= 5x at 100k records (the measured margin is far larger; 5x absorbs

@@ -22,6 +22,16 @@ struct FeatureImportance {
 
 /// Permutation importance of every feature of `data` for trained `model`,
 /// sorted descending. `repeats` permutations are averaged per feature.
+///
+/// The RNG seeded with `seed` shuffles a fresh copy of column f once per
+/// (feature, repeat), features in order and repeats within each feature.
+/// Tree-vote learners (those with a non-empty Classifier::tree_vote():
+/// random_forest, bagging, c50, deepboost) take a cached path: each row's
+/// leaf in each tree is found once, and a permutation re-walks only the
+/// (row, tree) pairs whose root-to-leaf path tests the permuted feature,
+/// summing changed rows as VoteTrees does. Every other learner predicts a
+/// copy of `data` whose column f is shuffled and restored in place. Both
+/// paths give the bits a full PredictProba per permutation would.
 StatusOr<std::vector<FeatureImportance>> PermutationImportance(
     const Classifier& model, const Dataset& data, int repeats = 3,
     uint64_t seed = 97);

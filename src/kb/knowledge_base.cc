@@ -588,7 +588,7 @@ std::string KnowledgeBase::SerializeLocked() const {
     }
     for (const auto& result : record.results) {
       out << "algo " << result.algorithm << " "
-          << StrFormat("%.10g", result.accuracy) << " "
+          << StrFormat("%.17g", result.accuracy) << " "
           << result.best_config.ToString() << "\n";
     }
     out << "end\n";

@@ -33,7 +33,7 @@ StatusOr<LandmarkVector> ExtractLandmarkers(const Dataset& dataset,
                                             uint64_t seed = 1234,
                                             size_t max_rows = 250);
 
-/// Space-separated serialization.
+/// Space-separated serialization ("%.17g" per value, lossless).
 std::string LandmarksToString(const LandmarkVector& lm);
 
 /// Inverse of LandmarksToString.

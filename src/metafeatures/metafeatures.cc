@@ -167,7 +167,7 @@ std::string MetaFeaturesToString(const MetaFeatureVector& mf) {
   std::string out;
   for (size_t i = 0; i < kNumMetaFeatures; ++i) {
     if (i > 0) out += " ";
-    out += StrFormat("%.10g", mf[i]);
+    out += StrFormat("%.17g", mf[i]);
   }
   return out;
 }

@@ -31,7 +31,7 @@ const std::array<std::string, kNumMetaFeatures>& MetaFeatureNames();
 /// computations.
 StatusOr<MetaFeatureVector> ExtractMetaFeatures(const Dataset& dataset);
 
-/// Space-separated serialization ("%.10g" per value).
+/// Space-separated serialization ("%.17g" per value, lossless).
 std::string MetaFeaturesToString(const MetaFeatureVector& mf);
 
 /// Inverse of MetaFeaturesToString.

@@ -215,8 +215,10 @@ Status C50Classifier::FitImpl(const Dataset& train, const ParamConfig& config) {
 
 StatusOr<ProbaMatrix> C50Classifier::PredictProbaImpl(
     const Dataset& data) const {
-  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes());
+  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
 }
+
+TreeVote C50Classifier::TreeVoteImpl() const { return {trees_, alphas_}; }
 
 // ---------------------------------------------------------------------------
 // DeepBoost
@@ -264,7 +266,11 @@ Status DeepBoostClassifier::FitImpl(const Dataset& train,
 
 StatusOr<ProbaMatrix> DeepBoostClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  return VoteTrees(trees_, alphas_, data.ToRawMatrix(), num_classes());
+  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
+}
+
+TreeVote DeepBoostClassifier::TreeVoteImpl() const {
+  return {trees_, alphas_};
 }
 
 }  // namespace smartml

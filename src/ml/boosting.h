@@ -27,6 +27,7 @@ class C50Classifier : public Classifier {
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
   StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+  TreeVote TreeVoteImpl() const override;
 
   std::vector<DecisionTree> trees_;
   std::vector<double> alphas_;
@@ -53,6 +54,7 @@ class DeepBoostClassifier : public Classifier {
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
   StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+  TreeVote TreeVoteImpl() const override;
 
   std::vector<DecisionTree> trees_;
   std::vector<double> alphas_;

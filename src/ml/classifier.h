@@ -13,6 +13,7 @@
 
 #include "src/common/status.h"
 #include "src/data/dataset.h"
+#include "src/ml/decision_tree.h"
 #include "src/tuning/param_space.h"
 
 namespace smartml {
@@ -60,6 +61,12 @@ class Classifier {
   /// Class count of the training set (0 when unfitted).
   int num_classes() const { return num_classes_; }
 
+  /// The trees and vote weights behind PredictProba, for the learners whose
+  /// PredictProba is exactly VoteTrees(tree_vote(), data.ToRawMatrix(),
+  /// num_classes()): random_forest, bagging, c50 and deepboost. An empty
+  /// vote for every other learner and for an unfitted model.
+  TreeVote tree_vote() const { return fitted_ ? TreeVoteImpl() : TreeVote{}; }
+
  protected:
   /// Trains the model. Called by Fit on a training set with rows; the
   /// model's num_features() and num_classes() are recorded after it
@@ -70,6 +77,10 @@ class Classifier {
   /// model and a dataset with the training feature count.
   virtual StatusOr<ProbaMatrix> PredictProbaImpl(
       const Dataset& data) const = 0;
+
+  /// The fitted model's tree vote. A learner that overrides it must predict
+  /// with VoteTrees over it.
+  virtual TreeVote TreeVoteImpl() const { return {}; }
 
   /// Marks the model fitted on a `num_features`-column, `num_classes`-class
   /// schema, for models assembled from already-trained parts.

@@ -20,32 +20,59 @@ namespace smartml {
 
 namespace {
 
-double GiniImpurity(const double* counts, size_t num_k, double total) {
-  if (total <= 0) return 0.0;
-  double sum_sq = 0.0;
-  for (size_t k = 0; k < num_k; ++k) {
-    const double p = counts[k] / total;
-    sum_sq += p * p;
+// The per-class terms of the two impurities: a node's impurity is
+// Finish(sum of Term(count_k, total) in class order). Entropy's term is 0
+// for a non-positive count, which adds nothing, as skipping it would.
+struct Gini {
+  static double Term(double count, double total) {
+    const double p = count / total;
+    return p * p;
   }
-  return 1.0 - sum_sq;
-}
+  static double Finish(double sum) { return 1.0 - sum; }
+};
 
-double EntropyImpurity(const double* counts, size_t num_k, double total) {
-  if (total <= 0) return 0.0;
-  double h = 0.0;
-  for (size_t k = 0; k < num_k; ++k) {
-    if (counts[k] <= 0) continue;
-    const double p = counts[k] / total;
-    h -= p * std::log2(p);
+struct Entropy {
+  static double Term(double count, double total) {
+    if (count <= 0) return 0.0;
+    const double p = count / total;
+    return -(p * std::log2(p));
   }
-  return h;
+  static double Finish(double sum) { return sum; }
+};
+
+template <typename C>
+double ImpurityOf(const double* counts, size_t num_k, double total) {
+  if (total <= 0) return 0.0;
+  double sum = 0.0;
+  for (size_t k = 0; k < num_k; ++k) sum += C::Term(counts[k], total);
+  return C::Finish(sum);
 }
 
 double Impurity(TreeCriterion criterion, const double* counts, size_t num_k,
                 double total) {
   return criterion == TreeCriterion::kGini
-             ? GiniImpurity(counts, num_k, total)
-             : EntropyImpurity(counts, num_k, total);
+             ? ImpurityOf<Gini>(counts, num_k, total)
+             : ImpurityOf<Entropy>(counts, num_k, total);
+}
+
+// Weighted child impurity of a binary split, left_weight * Impurity(left) +
+// right_weight * Impurity(right), where right = totals - left per class.
+// Both sides accumulate in one pass, each in class order through the same
+// per-class term, so each side's impurity has the bits Impurity() gives
+// for its counts.
+template <typename C>
+double SplitImpurity(const double* left, const double* totals, size_t num_k,
+                     double left_weight, double right_weight) {
+  double left_sum = 0.0;
+  double right_sum = 0.0;
+  for (size_t k = 0; k < num_k; ++k) {
+    left_sum += C::Term(left[k], left_weight);
+    right_sum += C::Term(totals[k] - left[k], right_weight);
+  }
+  const double left_impurity = left_weight <= 0 ? 0.0 : C::Finish(left_sum);
+  const double right_impurity =
+      right_weight <= 0 ? 0.0 : C::Finish(right_sum);
+  return left_weight * left_impurity + right_weight * right_impurity;
 }
 
 int ArgMaxCount(const double* counts, size_t num_k) {
@@ -211,7 +238,6 @@ class DecisionTree::Grower {
                        ? TreeCriterion::kEntropy
                        : options_.criterion),
         left_(num_k_),
-        right_(num_k_),
         total_(num_k_) {
     if (view_ != nullptr) layout_ = HistLayout::For(*view_, num_k_);
   }
@@ -240,7 +266,7 @@ class DecisionTree::Grower {
   HistLayout layout_;
   // Scratch reused by every node (a node's scan ends before its children
   // grow).
-  std::vector<double> left_, right_, total_;
+  std::vector<double> left_, total_;
   std::vector<size_t> features_;
   std::vector<std::pair<double, size_t>> present_;
   std::vector<double> bin_w_, thresholds_;
@@ -552,15 +578,16 @@ void DecisionTree::Grower::Scan(size_t f, const BinStats& s,
   const bool gain_ratio = options_.criterion == TreeCriterion::kGainRatio;
 
   // Scores sending left_ (weight left_weight) to child 0 and the rest of the
-  // present rows to child 1; false when the split does not qualify.
+  // present rows (totals minus left_, per class) to child 1; false when the
+  // split does not qualify.
   auto score_binary = [&](double left_weight, double* gain, double* score) {
     const double right_weight = present_weight - left_weight;
-    for (size_t k = 0; k < num_k; ++k) right_[k] = total_[k] - left_[k];
     const double child_impurity =
-        (left_weight *
-             Impurity(criterion_, left_.data(), num_k, left_weight) +
-         right_weight *
-             Impurity(criterion_, right_.data(), num_k, right_weight)) /
+        (criterion_ == TreeCriterion::kGini
+             ? SplitImpurity<Gini>(left_.data(), total_.data(), num_k,
+                                   left_weight, right_weight)
+             : SplitImpurity<Entropy>(left_.data(), total_.data(), num_k,
+                                      left_weight, right_weight)) /
         present_weight;
     *gain = (total_impurity - child_impurity) * known_fraction;
     if (*gain <= 0) return false;
@@ -861,23 +888,31 @@ std::vector<double> DecisionTree::FeatureImportances(
   return imp;
 }
 
-StatusOr<std::vector<std::vector<double>>> VoteTrees(
-    const std::vector<DecisionTree>& trees, const std::vector<double>& weights,
-    const Matrix& x, int num_classes) {
-  std::vector<std::vector<double>> out(
-      x.rows(), std::vector<double>(static_cast<size_t>(num_classes), 0.0));
+void VoteRow(const TreeVote& vote, const int* leaves, int num_classes,
+             std::vector<double>* out) {
+  out->assign(static_cast<size_t>(num_classes), 0.0);
+  for (size_t t = 0; t < vote.trees.size(); ++t) {
+    vote.trees[t].AddLeafProba(leaves[t],
+                               vote.weights.empty() ? 1.0 : vote.weights[t],
+                               out->data());
+  }
+  NormalizeProba(out);
+}
+
+StatusOr<std::vector<std::vector<double>>> VoteTrees(const TreeVote& vote,
+                                                     const Matrix& x,
+                                                     int num_classes) {
+  std::vector<std::vector<double>> out(x.rows());
   // Rows are independent; chunked so per-task overhead stays negligible.
   SMARTML_RETURN_NOT_OK(ParallelForRanges(
       x.rows(), /*grain=*/256,
       [&](size_t begin, size_t end) -> Status {
+        std::vector<int> leaves(vote.trees.size());
         for (size_t r = begin; r < end; ++r) {
-          const double* row = x.RowPtr(r);
-          for (size_t t = 0; t < trees.size(); ++t) {
-            trees[t].AddLeafProba(trees[t].LeafIndexForRow(row),
-                                  weights.empty() ? 1.0 : weights[t],
-                                  out[r].data());
+          for (size_t t = 0; t < vote.trees.size(); ++t) {
+            leaves[t] = vote.trees[t].LeafIndexForRow(x.RowPtr(r));
           }
-          NormalizeProba(&out[r]);
+          VoteRow(vote, leaves.data(), num_classes, &out[r]);
         }
         return Status::OK();
       },

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -165,13 +166,28 @@ class DecisionTree {
   int num_classes_ = 0;
 };
 
-/// Weighted vote of `trees` on every row of the raw matrix `x`: sums
-/// weights[t] times each tree's leaf probabilities (weight 1 when `weights`
-/// is empty; multiplying by exactly 1 leaves the bits unchanged), then
-/// normalizes each row. Rows run in parallel on the current pool.
-StatusOr<std::vector<std::vector<double>>> VoteTrees(
-    const std::vector<DecisionTree>& trees, const std::vector<double>& weights,
-    const Matrix& x, int num_classes);
+/// The trees and per-tree vote weights a tree-vote learner predicts with.
+/// Empty `weights` means weight 1 for every tree; empty `trees` means the
+/// learner predicts some other way.
+struct TreeVote {
+  std::span<const DecisionTree> trees;
+  std::span<const double> weights;
+};
+
+/// One row's vote from its leaf in every tree (`leaves[t]` in trees[t]):
+/// resets `out` to num_classes zeros, adds weights[t] times each leaf's
+/// probabilities in tree order (multiplying by exactly 1 leaves the bits
+/// unchanged), then normalizes. VoteTrees and the cached permutation
+/// importance (src/interpret) both sum rows through this one helper, so a
+/// row with the same leaves gets the same bits on either path.
+void VoteRow(const TreeVote& vote, const int* leaves, int num_classes,
+             std::vector<double>* out);
+
+/// The vote of every row of the raw matrix `x`: each row's leaf in each
+/// tree, summed by VoteRow. Rows run in parallel on the current pool.
+StatusOr<std::vector<std::vector<double>>> VoteTrees(const TreeVote& vote,
+                                                     const Matrix& x,
+                                                     int num_classes);
 
 }  // namespace smartml
 

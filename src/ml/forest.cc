@@ -87,8 +87,10 @@ Status RandomForestClassifier::FitImpl(const Dataset& train,
 
 StatusOr<ProbaMatrix> RandomForestClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  return VoteTrees(trees_, /*weights=*/{}, data.ToRawMatrix(), num_classes());
+  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
 }
+
+TreeVote RandomForestClassifier::TreeVoteImpl() const { return {trees_, {}}; }
 
 std::vector<double> RandomForestClassifier::FeatureImportances() const {
   std::vector<double> imp(num_features(), 0.0);
@@ -144,7 +146,9 @@ Status BaggingClassifier::FitImpl(const Dataset& train,
 
 StatusOr<ProbaMatrix> BaggingClassifier::PredictProbaImpl(
     const Dataset& data) const {
-  return VoteTrees(trees_, /*weights=*/{}, data.ToRawMatrix(), num_classes());
+  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
 }
+
+TreeVote BaggingClassifier::TreeVoteImpl() const { return {trees_, {}}; }
 
 }  // namespace smartml

@@ -28,6 +28,7 @@ class RandomForestClassifier : public Classifier {
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
   StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+  TreeVote TreeVoteImpl() const override;
 
   std::vector<DecisionTree> trees_;
 };
@@ -49,6 +50,7 @@ class BaggingClassifier : public Classifier {
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
   StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
+  TreeVote TreeVoteImpl() const override;
 
   std::vector<DecisionTree> trees_;
 };

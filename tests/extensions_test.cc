@@ -183,7 +183,7 @@ TEST(LandmarkingTest, SerializationRoundTrip) {
   auto back = LandmarksFromString(LandmarksToString(*lm));
   ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < kNumLandmarkers; ++i) {
-    EXPECT_NEAR((*lm)[i], (*back)[i], 1e-9);
+    EXPECT_EQ((*lm)[i], (*back)[i]);
   }
   EXPECT_FALSE(LandmarksFromString("1 2").ok());
 }

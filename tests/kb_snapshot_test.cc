@@ -267,8 +267,8 @@ TEST(KbSnapshot, UnsupportedVersionIsRejected) {
 
 /// A 300-record KB with meta-features spread over four orders of magnitude,
 /// two algorithms per record and landmarks on every other record. Values
-/// are rounded to three decimals so they survive the text format's 10
-/// significant digits exactly.
+/// are rounded to three decimals (short decimals; TextRoundTripIsLossless
+/// covers values with no short form).
 KnowledgeBase MakeSpreadKb(Rng* rng) {
   auto value = [rng](double lo, double hi) {
     return std::round(rng->Uniform(lo, hi) * 1000.0) / 1000.0;
@@ -372,6 +372,46 @@ TEST(KbSnapshot, TextAndBinaryLoadsAreIdentical) {
                           from_text->Nominate(mf, plain));
     ExpectSameNominations(from_binary->Nominate(mf, lm, combined),
                           from_text->Nominate(mf, lm, combined));
+  }
+}
+
+// The text format writes every double with 17 significant digits, so a KB
+// converted binary -> text -> binary keeps every stored meta-feature,
+// landmark and accuracy, and therefore every neighbour distance.
+TEST(KbSnapshot, TextRoundTripIsLossless) {
+  Rng rng(77);
+  std::vector<KbRecord> records;
+  for (int i = 0; i < 300; ++i) {
+    KbRecord record;
+    record.dataset_name = "seventh_" + std::to_string(i);
+    for (double& v : record.meta_features) v = rng.Uniform(-50.0, 50.0) / 7.0;
+    record.has_landmarks = true;
+    for (double& v : record.landmarks) v = rng.Uniform() / 7.0;
+    KbAlgorithmResult result;
+    result.algorithm = "random_forest";
+    result.accuracy = rng.Uniform(0.5, 1.0) / 7.0;
+    record.results.push_back(result);
+    records.push_back(record);
+  }
+  auto binary = KnowledgeBase::Deserialize(EncodeKbSnapshot(records));
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  auto text = KnowledgeBase::Deserialize(binary->Serialize());
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+
+  const auto back = text->SnapshotRecords();
+  ASSERT_EQ(back.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(back[i].meta_features, records[i].meta_features) << i;
+    EXPECT_EQ(back[i].landmarks, records[i].landmarks) << i;
+    ASSERT_EQ(back[i].results.size(), 1u);
+    EXPECT_EQ(back[i].results[0].accuracy, records[i].results[0].accuracy)
+        << i;
+  }
+  for (int q = 0; q < 200; ++q) {
+    MetaFeatureVector mf{};
+    for (double& v : mf) v = rng.Uniform(-50.0, 50.0) / 7.0;
+    ExpectSameNeighbors(binary->NearestRecords(mf, 3),
+                        text->NearestRecords(mf, 3));
   }
 }
 

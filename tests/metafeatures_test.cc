@@ -115,7 +115,7 @@ TEST(MetaFeaturesTest, SerializationRoundTrip) {
   auto back = MetaFeaturesFromString(MetaFeaturesToString(*mf));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   for (size_t i = 0; i < kNumMetaFeatures; ++i) {
-    EXPECT_NEAR((*mf)[i], (*back)[i], 1e-9);
+    EXPECT_EQ((*mf)[i], (*back)[i]);
   }
 }
 
