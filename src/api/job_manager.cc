@@ -843,7 +843,7 @@ void JobManager::WorkerLoop() {
     budget.checkpoint = checkpoints_.get();
     budget.checkpoint_scope = job->id;
     StatusOr<SmartMlResult> result = [&] {
-      ScopedRunEventScope event_scope(job->events.get());
+      ScopedRunContext event_scope({.events = job->events.get()});
       return framework_->Run(job->dataset, job->run_options, budget);
     }();
 

@@ -3,9 +3,9 @@
 namespace smartml {
 
 namespace {
-/// The innermost ScopedCancelScope token of this thread (null outside any
-/// scope). Thread-local so concurrent JobManager workers never interfere.
-thread_local const CancelToken* current_token = nullptr;
+/// The innermost ScopedRunContext of this thread. Thread-local so concurrent
+/// JobManager workers never interfere.
+thread_local RunContext current_context;
 }  // namespace
 
 Status RunBudget::Check(const char* what) const {
@@ -19,17 +19,18 @@ Status RunBudget::Check(const char* what) const {
   return Status::OK();
 }
 
-ScopedCancelScope::ScopedCancelScope(const CancelToken* token)
-    : previous_(current_token) {
-  current_token = token;
+ScopedRunContext::ScopedRunContext(const RunContext& context)
+    : previous_(current_context) {
+  current_context = context;
 }
 
-ScopedCancelScope::~ScopedCancelScope() { current_token = previous_; }
+ScopedRunContext::~ScopedRunContext() { current_context = previous_; }
+
+const RunContext& CurrentRunContext() { return current_context; }
 
 bool CancellationRequested() {
-  return current_token != nullptr && current_token->IsCancelled();
+  return current_context.cancel != nullptr &&
+         current_context.cancel->IsCancelled();
 }
-
-const CancelToken* CurrentCancelToken() { return current_token; }
 
 }  // namespace smartml

@@ -1,4 +1,5 @@
-// Cooperative cancellation and run-level budget propagation.
+// Cooperative cancellation, the per-run budget, and the run context that
+// carries a run's ambient state into deep code.
 //
 // A CancelToken is a shared atomic flag: the REST layer (DELETE
 // /v1/runs/{id}) flips it from one thread while the experiment thread polls
@@ -9,8 +10,7 @@
 //
 // A RunBudget bundles the token with a whole-run wall-clock deadline. It is
 // created by the caller (JobManager per job; SmartML::Run derives one from
-// the options otherwise) and threaded through SmartML::Run into
-// preprocessing, meta-feature extraction, KB lookup and every tuner. The two
+// the options otherwise) and is SmartML::Run's explicit input. The two
 // halves have different semantics on purpose:
 //
 //   - token cancelled  -> the run's output is unwanted; abort with
@@ -18,12 +18,17 @@
 //   - deadline expired -> the caller still wants a result; stop starting new
 //                         work and return the best-so-far.
 //
-// Deep training loops (neural net epochs, boosting rounds, ...) cannot take
-// a RunBudget parameter without churning every Classifier::Fit signature, so
-// SmartML::Run additionally installs the token in a thread-local slot via
-// ScopedCancelScope; CancellationRequested() reads it. Only *cancellation*
-// is propagated that way — deadline expiry deliberately is not, so the final
-// refit of the best configuration can complete after the budget ran out.
+// Deep code (tuners, training loops, tree fits, progress events) cannot
+// take the run's state as a parameter without churning every Fit signature,
+// so it reads one thread-local RunContext: the cancel token, the run's
+// thread pool, and the progress-event sink and candidate tag. Each layer
+// that owns one of them installs it with a ScopedRunContext over a copy of
+// the current context (JobManager the event sink, SmartML::Run the token and
+// the pool, the candidate loop the event tag), and ParallelFor installs its
+// caller's context on every helper strand, so code at any depth sees the
+// outermost caller's state. Only *cancellation* is ambient — the deadline
+// deliberately is not, so the final refit of the best configuration can
+// complete after the budget ran out.
 #ifndef SMARTML_COMMON_CANCELLATION_H_
 #define SMARTML_COMMON_CANCELLATION_H_
 
@@ -37,6 +42,8 @@
 namespace smartml {
 
 class CheckpointSink;  // src/persist/checkpoint.h
+class RunEventSink;    // src/obs/run_events.h
+class ThreadPool;      // src/common/thread_pool.h
 
 /// Shared, thread-safe cancellation flag. Create via std::make_shared and
 /// hand copies of the shared_ptr to both the canceller and the cancellee.
@@ -77,29 +84,38 @@ struct RunBudget {
   Status Check(const char* what) const;
 };
 
-/// Installs `token` as the calling thread's current cancellation token for
-/// the guard's lifetime (nested scopes restore the previous token). Null is
-/// allowed and clears the slot.
-class ScopedCancelScope {
- public:
-  explicit ScopedCancelScope(const CancelToken* token);
-  ~ScopedCancelScope();
-  ScopedCancelScope(const ScopedCancelScope&) = delete;
-  ScopedCancelScope& operator=(const ScopedCancelScope&) = delete;
-
- private:
-  const CancelToken* previous_;
+/// A run's ambient state, read by deep code through CurrentRunContext().
+/// Every pointer is non-owning (the installer keeps the object alive for the
+/// scope) and may be null: no token = uncancellable, no pool = sequential,
+/// no sink = events are dropped, no tag = events carry no algorithm.
+struct RunContext {
+  const CancelToken* cancel = nullptr;
+  ThreadPool* pool = nullptr;
+  RunEventSink* events = nullptr;
+  const std::string* event_tag = nullptr;
 };
 
-/// True when the calling thread runs under a ScopedCancelScope whose token
-/// has been cancelled. Cheap (one thread-local read + one atomic load);
-/// safe to call from tight training loops every few iterations.
-bool CancellationRequested();
+/// Installs `context` as the calling thread's run context for the guard's
+/// lifetime; the previous context is restored on destruction. To change one
+/// field, copy CurrentRunContext(), set the field, and install the copy.
+class ScopedRunContext {
+ public:
+  explicit ScopedRunContext(const RunContext& context);
+  ~ScopedRunContext();
+  ScopedRunContext(const ScopedRunContext&) = delete;
+  ScopedRunContext& operator=(const ScopedRunContext&) = delete;
 
-/// The calling thread's installed token (null outside any scope). Parallel
-/// loops forward it into pool strands so per-index cancellation checks keep
-/// working on worker threads.
-const CancelToken* CurrentCancelToken();
+ private:
+  RunContext previous_;
+};
+
+/// The calling thread's installed context (all null outside any scope).
+const RunContext& CurrentRunContext();
+
+/// True when the calling thread's context holds a cancelled token. Cheap
+/// (one thread-local read + one atomic load); safe to call from tight
+/// training loops every few iterations.
+bool CancellationRequested();
 
 }  // namespace smartml
 

@@ -7,7 +7,6 @@
 #include "src/common/stopwatch.h"
 #include "src/common/strings.h"
 #include "src/obs/metrics.h"
-#include "src/obs/run_events.h"
 
 namespace smartml {
 
@@ -38,10 +37,6 @@ struct PoolMetrics {
     return *metrics;
   }
 };
-
-/// The innermost ScopedPoolScope pool of this thread (null outside any
-/// scope). Thread-local so concurrent JobManager runs never interfere.
-thread_local ThreadPool* current_pool = nullptr;
 
 }  // namespace
 
@@ -111,14 +106,6 @@ int ResolveNumThreads(int num_threads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ScopedPoolScope::ScopedPoolScope(ThreadPool* pool) : previous_(current_pool) {
-  current_pool = pool;
-}
-
-ScopedPoolScope::~ScopedPoolScope() { current_pool = previous_; }
-
-ThreadPool* CurrentThreadPool() { return current_pool; }
-
 namespace {
 
 /// Shared state of one ParallelFor call. Helper strands hold it through a
@@ -127,10 +114,7 @@ namespace {
 /// without touching `fn`, and merely keeps this alive a little longer.
 struct ParallelForState {
   std::function<Status(size_t)> fn;
-  const CancelToken* cancel = nullptr;
-  ThreadPool* pool = nullptr;
-  RunEventSink* events = nullptr;
-  const std::string* event_tag = nullptr;
+  RunContext context;  ///< The caller's, installed on every helper strand.
   size_t n = 0;
 
   std::atomic<size_t> next{0};
@@ -169,7 +153,7 @@ struct ParallelForState {
       const size_t i = next.fetch_add(1);
       bool ran = false;
       if (i < n) {
-        if (cancel != nullptr && cancel->IsCancelled()) {
+        if (CancellationRequested()) {
           cancelled.store(true);
           Drain();
         } else {
@@ -203,17 +187,14 @@ struct ParallelForState {
 
 }  // namespace
 
-Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn,
-                   const CancelToken* cancel, ThreadPool* pool) {
+Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn) {
   if (n == 0) return Status::OK();
 
   auto state = std::make_shared<ParallelForState>();
   state->fn = fn;
-  state->cancel = cancel;
-  state->pool = pool;
-  state->events = CurrentRunEventSink();
-  state->event_tag = CurrentRunEventTag();
+  state->context = CurrentRunContext();
   state->n = n;
+  ThreadPool* pool = state->context.pool;
 
   // Helper strands: best effort. A full queue or a missing pool just means
   // fewer participants; the caller's own Work() below always completes the
@@ -225,10 +206,8 @@ Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn,
     for (size_t h = 0; h < want; ++h) {
       const bool submitted = pool->TrySubmit([state] {
         // Strands run deep library code (tuners, tree fits) that finds its
-        // context through thread-locals; mirror the caller's scopes.
-        ScopedCancelScope cancel_scope(state->cancel);
-        ScopedPoolScope pool_scope(state->pool);
-        ScopedRunEventScope event_scope(state->events, state->event_tag);
+        // context through the thread-local run context.
+        ScopedRunContext context_scope(state->context);
         state->Work();
       });
       if (!submitted) break;
@@ -255,8 +234,7 @@ Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn,
   if (has_error && state->error.code() == StatusCode::kCancelled) {
     return state->error;
   }
-  if (state->cancelled.load() ||
-      (cancel != nullptr && cancel->IsCancelled())) {
+  if (state->cancelled.load() || CancellationRequested()) {
     return Status::Cancelled("parallel_for: cancelled");
   }
   if (has_error) return state->error;
@@ -264,8 +242,7 @@ Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn,
 }
 
 Status ParallelForRanges(size_t n, size_t grain,
-                         const std::function<Status(size_t, size_t)>& fn,
-                         const CancelToken* cancel, ThreadPool* pool) {
+                         const std::function<Status(size_t, size_t)>& fn) {
   if (n == 0) return Status::OK();
   const size_t g = std::max<size_t>(1, grain);
   const size_t chunks = (n + g - 1) / g;
@@ -274,8 +251,7 @@ Status ParallelForRanges(size_t n, size_t grain,
       [&](size_t c) {
         const size_t begin = c * g;
         return fn(begin, std::min(n, begin + g));
-      },
-      cancel, pool);
+      });
 }
 
 }  // namespace smartml

@@ -2,22 +2,24 @@
 // work-sharing ParallelFor.
 //
 // One SmartML run owns one ThreadPool (created by SmartML::Run from
-// SmartMlOptions::num_threads) and installs it in a thread-local slot via
-// ScopedPoolScope — the exact pattern ScopedCancelScope uses for the cancel
-// token — so deep layers (tuners, forest training) reach the pool through
-// CurrentThreadPool() without threading a parameter through every Fit()
-// signature.
+// SmartMlOptions::num_threads) and installs it in the run context
+// (src/common/cancellation.h) next to the cancel token, so deep layers
+// (tuners, forest training) reach both without threading a parameter
+// through every Fit() signature.
 //
 // ParallelFor is *work-contributing*: the calling thread claims indices from
 // a shared atomic counter alongside up to num_workers helper strands that
-// are TrySubmit'ed to the pool. A full queue or a missing pool only reduces
-// the helper count — the caller always makes progress on its own — which is
-// what makes nested ParallelFor calls (candidate loop → tuner batch → forest
-// trees, all sharing one pool) deadlock-free by construction.
+// are TrySubmit'ed to the context's pool. Each strand runs under a copy of
+// the caller's run context, taken once per call, so code on a strand — a
+// nested ParallelFor included — sees the caller's token, pool and event
+// sink and tag. A full queue or a missing pool only reduces the helper
+// count — the caller always makes progress on its own — which is what makes
+// nested ParallelFor calls (candidate loop → tuner batch → forest trees, all
+// sharing one pool) deadlock-free by construction.
 //
 // Error/cancel semantics mirror the sequential loops they replace:
-//   - cancellation (checked before every index) wins over everything and
-//     surfaces as StatusCode::kCancelled;
+//   - cancellation of the context's token (checked before every index) wins
+//     over everything and surfaces as StatusCode::kCancelled;
 //   - otherwise the error with the lowest index wins (deterministic, like a
 //     sequential first-error break); an error stops further index claims but
 //     in-flight items finish;
@@ -73,37 +75,17 @@ class ThreadPool {
 /// (hardware concurrency, at least 1).
 int ResolveNumThreads(int num_threads);
 
-/// Installs `pool` as the calling thread's current pool for the scope's
-/// lifetime (nested scopes restore the previous pool; null clears the slot).
-class ScopedPoolScope {
- public:
-  explicit ScopedPoolScope(ThreadPool* pool);
-  ~ScopedPoolScope();
-  ScopedPoolScope(const ScopedPoolScope&) = delete;
-  ScopedPoolScope& operator=(const ScopedPoolScope&) = delete;
-
- private:
-  ThreadPool* previous_;
-};
-
-/// The calling thread's installed pool, or null when the run is sequential
-/// (num_threads == 1) or outside any ScopedPoolScope.
-ThreadPool* CurrentThreadPool();
-
 /// Runs fn(0), ..., fn(n-1) across the calling thread plus helper strands on
-/// `pool` (null pool => plain sequential loop on the caller). Blocks until
-/// every started item finished. See the file comment for the error model.
-Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn,
-                   const CancelToken* cancel = nullptr,
-                   ThreadPool* pool = CurrentThreadPool());
+/// the current run context's pool (no pool => plain sequential loop on the
+/// caller). Blocks until every started item finished. See the file comment
+/// for the error model.
+Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn);
 
 /// Chunked variant for fine-grained loops (per-row prediction): splits
 /// [0, n) into contiguous [begin, end) ranges of at least `grain` items so
 /// the per-index claim overhead amortizes.
 Status ParallelForRanges(size_t n, size_t grain,
-                         const std::function<Status(size_t, size_t)>& fn,
-                         const CancelToken* cancel = nullptr,
-                         ThreadPool* pool = CurrentThreadPool());
+                         const std::function<Status(size_t, size_t)>& fn);
 
 }  // namespace smartml
 

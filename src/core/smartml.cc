@@ -109,7 +109,6 @@ StatusOr<AlgorithmRunResult> SmartML::TuneAlgorithm(
   // the whole-run deadline.
   smac_options.deadline = Deadline::After(std::max(
       0.0, std::min(budget_seconds, budget.deadline.Remaining())));
-  smac_options.cancel = budget.token;
   smac_options.max_evaluations =
       max_evaluations > 0 ? max_evaluations : 1000000;
   smac_options.seed = seed;
@@ -167,19 +166,22 @@ StatusOr<SmartMlResult> SmartML::Run(const Dataset& dataset,
       options.run_deadline_seconds < effective.deadline.Remaining()) {
     effective.deadline = Deadline::After(options.run_deadline_seconds);
   }
-  // Make cancellation visible to the deep training loops (which cannot take
-  // a budget parameter) for the duration of this run.
-  ScopedCancelScope cancel_scope(effective.token.get());
   // Intra-run parallelism: one pool per run, reached by the candidate loop,
-  // the tuners' evaluation batches and forest training via
-  // CurrentThreadPool(). num_threads == 1 (or a single-core machine) leaves
-  // the slot null and every layer runs sequentially on this thread.
+  // the tuners' evaluation batches and forest training through the run
+  // context. num_threads == 1 (or a single-core machine) leaves the pool
+  // null and every layer runs sequentially on this thread.
   const int num_threads = ResolveNumThreads(options.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) {
     pool = std::make_unique<ThreadPool>(num_threads - 1);
   }
-  ScopedPoolScope pool_scope(pool.get());
+  // Make cancellation and the pool visible to the deep layers (which cannot
+  // take a budget parameter) for the duration of this run; the caller's
+  // event sink, if any, stays installed.
+  RunContext context = CurrentRunContext();
+  context.cancel = effective.token.get();
+  context.pool = pool.get();
+  ScopedRunContext context_scope(context);
   Tracer tracer;
   auto result = RunTraced(dataset, options, effective, &tracer);
   const PipelineMetrics& metrics = PipelineMetrics::Get();
@@ -421,7 +423,9 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
         out.span_offset = tune_watch.ElapsedSeconds();
         // Label every event this candidate's tuning emits (the incumbent
         // stream) with the algorithm name, on whichever strand it runs.
-        ScopedRunEventTag event_tag(algorithms[i]);
+        RunContext tagged = CurrentRunContext();
+        tagged.event_tag = &algorithms[i];
+        ScopedRunContext tag_scope(tagged);
         const double share =
             static_cast<double>(param_counts[i]) /
             static_cast<double>(std::max<size_t>(param_total, 1));
@@ -469,8 +473,7 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
         }
         out.spans = local.TakeSpans();
         return Status::OK();
-      },
-      budget.token.get());
+      });
   if (!tune_status.ok()) return tune_status;
 
   size_t attempted = 0;

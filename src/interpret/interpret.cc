@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/common/cancellation.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/data/metrics.h"
@@ -70,8 +69,7 @@ class CachedVote {
             base_[r] = ArgMax(proba);
           }
           return Status::OK();
-        },
-        CurrentCancelToken());
+        });
   }
 
   const std::vector<int>& base() const { return base_; }
@@ -102,8 +100,7 @@ class CachedVote {
             }
           }
           return Status::OK();
-        },
-        CurrentCancelToken());
+        });
     const std::vector<double>& original = data_.feature(f).values;
     for (size_t r = 0; r < x_.rows(); ++r) x_(r, f) = original[r];
     SMARTML_RETURN_NOT_OK(status);

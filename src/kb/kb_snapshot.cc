@@ -24,7 +24,7 @@ void EncodeRecord(std::string* out, const KbRecord& record) {
   for (const KbAlgorithmResult& result : record.results) {
     AppendLengthPrefixed(out, result.algorithm);
     AppendF64(out, result.accuracy);
-    AppendLengthPrefixed(out, result.best_config.ToString());
+    AppendLengthPrefixed(out, result.best_config.ToExactString());
   }
 }
 

@@ -589,7 +589,7 @@ std::string KnowledgeBase::SerializeLocked() const {
     for (const auto& result : record.results) {
       out << "algo " << result.algorithm << " "
           << StrFormat("%.17g", result.accuracy) << " "
-          << result.best_config.ToString() << "\n";
+          << result.best_config.ToExactString() << "\n";
     }
     out << "end\n";
   }

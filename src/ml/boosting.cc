@@ -72,8 +72,7 @@ Status RunSamme(const Matrix& x, const TreeSchema& schema,
             predictions[r] = tree.PredictRow(x.RowPtr(r));
           }
           return Status::OK();
-        },
-        CurrentCancelToken()));
+        }));
     double err = 0.0;
     double total = 0.0;
     for (size_t r = 0; r < n; ++r) {
@@ -209,16 +208,9 @@ Status C50Classifier::FitImpl(const Dataset& train, const ParamConfig& config) {
                                  /*beta=*/0.0, /*lambda=*/0.0,
                                  /*logistic_weights=*/false, seed, &result));
   trees_ = std::move(result.trees);
-  alphas_ = std::move(result.alphas);
+  weights_ = std::move(result.alphas);
   return Status::OK();
 }
-
-StatusOr<ProbaMatrix> C50Classifier::PredictProbaImpl(
-    const Dataset& data) const {
-  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
-}
-
-TreeVote C50Classifier::TreeVoteImpl() const { return {trees_, alphas_}; }
 
 // ---------------------------------------------------------------------------
 // DeepBoost
@@ -260,17 +252,8 @@ Status DeepBoostClassifier::FitImpl(const Dataset& train,
       train.labels(), static_cast<int>(train.NumClasses()), rounds, options,
       /*early_stopping=*/false, beta, lambda, logistic, seed, &result));
   trees_ = std::move(result.trees);
-  alphas_ = std::move(result.alphas);
+  weights_ = std::move(result.alphas);
   return Status::OK();
-}
-
-StatusOr<ProbaMatrix> DeepBoostClassifier::PredictProbaImpl(
-    const Dataset& data) const {
-  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
-}
-
-TreeVote DeepBoostClassifier::TreeVoteImpl() const {
-  return {trees_, alphas_};
 }
 
 }  // namespace smartml

@@ -11,7 +11,7 @@ namespace smartml {
 
 /// C5.0: SAMME-boosted C4.5 trees with optional winnowing (feature
 /// screening), rules mode, and early stopping.
-class C50Classifier : public Classifier {
+class C50Classifier : public TreeVoteClassifier {
  public:
   /// Table 3 space (3 categorical + 2 numeric): winnow, rules,
   /// earlyStopping switches plus trials and CF.
@@ -26,11 +26,7 @@ class C50Classifier : public Classifier {
 
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
-  TreeVote TreeVoteImpl() const override;
 
-  std::vector<DecisionTree> trees_;
-  std::vector<double> alphas_;
   std::vector<bool> active_features_;  // Winnowing mask.
 };
 
@@ -38,7 +34,7 @@ class C50Classifier : public Classifier {
 /// weight is shrunk by a complexity-dependent regularizer
 /// (lambda * size-penalty + beta), following Cortes-Mohri-Syed (2014) in a
 /// multi-class SAMME formulation.
-class DeepBoostClassifier : public Classifier {
+class DeepBoostClassifier : public TreeVoteClassifier {
  public:
   /// Table 3 space (1 categorical + 4 numeric): loss_type plus num_iter,
   /// beta, lambda, tree_depth.
@@ -53,11 +49,6 @@ class DeepBoostClassifier : public Classifier {
 
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
-  TreeVote TreeVoteImpl() const override;
-
-  std::vector<DecisionTree> trees_;
-  std::vector<double> alphas_;
 };
 
 }  // namespace smartml

@@ -26,6 +26,17 @@ StatusOr<ProbaMatrix> Classifier::PredictProba(const Dataset& data) const {
   return PredictProbaImpl(data);
 }
 
+TreeVote Classifier::tree_vote() const {
+  const auto* voter = dynamic_cast<const TreeVoteClassifier*>(this);
+  if (!fitted_ || voter == nullptr) return {};
+  return {voter->trees_, voter->weights_};
+}
+
+StatusOr<ProbaMatrix> TreeVoteClassifier::PredictProbaImpl(
+    const Dataset& data) const {
+  return VoteTrees({trees_, weights_}, data.ToRawMatrix(), num_classes());
+}
+
 void Classifier::MarkFitted(size_t num_features, int num_classes) {
   fitted_ = true;
   num_features_ = num_features;

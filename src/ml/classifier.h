@@ -61,11 +61,12 @@ class Classifier {
   /// Class count of the training set (0 when unfitted).
   int num_classes() const { return num_classes_; }
 
-  /// The trees and vote weights behind PredictProba, for the learners whose
+  /// The trees and vote weights behind PredictProba for a fitted
+  /// TreeVoteClassifier (random_forest, bagging, c50 and deepboost), whose
   /// PredictProba is exactly VoteTrees(tree_vote(), data.ToRawMatrix(),
-  /// num_classes()): random_forest, bagging, c50 and deepboost. An empty
-  /// vote for every other learner and for an unfitted model.
-  TreeVote tree_vote() const { return fitted_ ? TreeVoteImpl() : TreeVote{}; }
+  /// num_classes()). An empty vote for every other learner and for an
+  /// unfitted model.
+  TreeVote tree_vote() const;
 
  protected:
   /// Trains the model. Called by Fit on a training set with rows; the
@@ -78,10 +79,6 @@ class Classifier {
   virtual StatusOr<ProbaMatrix> PredictProbaImpl(
       const Dataset& data) const = 0;
 
-  /// The fitted model's tree vote. A learner that overrides it must predict
-  /// with VoteTrees over it.
-  virtual TreeVote TreeVoteImpl() const { return {}; }
-
   /// Marks the model fitted on a `num_features`-column, `num_classes`-class
   /// schema, for models assembled from already-trained parts.
   void MarkFitted(size_t num_features, int num_classes);
@@ -90,6 +87,21 @@ class Classifier {
   bool fitted_ = false;
   size_t num_features_ = 0;
   int num_classes_ = 0;
+};
+
+/// A learner that predicts by the vote of its trees. FitImpl fills trees_
+/// and, for a weighted vote, one weight per tree in weights_; prediction is
+/// VoteTrees over them, so tree_vote() describes exactly what PredictProba
+/// computes.
+class TreeVoteClassifier : public Classifier {
+ protected:
+  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const final;
+
+  std::vector<DecisionTree> trees_;
+  std::vector<double> weights_;  ///< Empty = weight 1 for every tree.
+
+ private:
+  friend class Classifier;  // tree_vote() reads the two members above.
 };
 
 /// Argmax helper shared by implementations.

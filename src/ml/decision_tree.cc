@@ -8,7 +8,6 @@
 #include <numeric>
 #include <utility>
 
-#include "src/common/cancellation.h"
 #include "src/common/distributions.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
@@ -915,8 +914,7 @@ StatusOr<std::vector<std::vector<double>>> VoteTrees(const TreeVote& vote,
           VoteRow(vote, leaves.data(), num_classes, &out[r]);
         }
         return Status::OK();
-      },
-      CurrentCancelToken()));
+      }));
   return out;
 }
 

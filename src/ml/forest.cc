@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/cancellation.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 
@@ -37,8 +36,7 @@ Status FitBootstrapTrees(const Dataset& train, const TreeOptions& options,
         tree_options.seed = rng.NextU64();
         return (*trees)[t].Fit(x, schema, train.labels(), num_classes, weights,
                                tree_options, binned);
-      },
-      CurrentCancelToken());
+      });
 }
 
 }  // namespace
@@ -84,13 +82,6 @@ Status RandomForestClassifier::FitImpl(const Dataset& train,
                            static_cast<uint64_t>(config.GetInt("seed", 11)),
                            &trees_);
 }
-
-StatusOr<ProbaMatrix> RandomForestClassifier::PredictProbaImpl(
-    const Dataset& data) const {
-  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
-}
-
-TreeVote RandomForestClassifier::TreeVoteImpl() const { return {trees_, {}}; }
 
 std::vector<double> RandomForestClassifier::FeatureImportances() const {
   std::vector<double> imp(num_features(), 0.0);
@@ -143,12 +134,5 @@ Status BaggingClassifier::FitImpl(const Dataset& train,
                            static_cast<uint64_t>(config.GetInt("seed", 13)),
                            &trees_);
 }
-
-StatusOr<ProbaMatrix> BaggingClassifier::PredictProbaImpl(
-    const Dataset& data) const {
-  return VoteTrees(TreeVoteImpl(), data.ToRawMatrix(), num_classes());
-}
-
-TreeVote BaggingClassifier::TreeVoteImpl() const { return {trees_, {}}; }
 
 }  // namespace smartml

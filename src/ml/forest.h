@@ -10,7 +10,7 @@
 namespace smartml {
 
 /// Random forest: bootstrap samples + per-split random feature subsets.
-class RandomForestClassifier : public Classifier {
+class RandomForestClassifier : public TreeVoteClassifier {
  public:
   /// Table 3 space (0 categorical + 3 numeric): ntree, mtry_frac, nodesize.
   static ParamSpace Space();
@@ -27,14 +27,10 @@ class RandomForestClassifier : public Classifier {
 
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
-  TreeVote TreeVoteImpl() const override;
-
-  std::vector<DecisionTree> trees_;
 };
 
 /// Bagging: bootstrap samples of full (deterministic-split) CART trees.
-class BaggingClassifier : public Classifier {
+class BaggingClassifier : public TreeVoteClassifier {
  public:
   /// Table 3 space (0 categorical + 5 numeric): nbagg, minsplit, maxdepth,
   /// cp, subsample.
@@ -49,10 +45,6 @@ class BaggingClassifier : public Classifier {
 
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
-  StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;
-  TreeVote TreeVoteImpl() const override;
-
-  std::vector<DecisionTree> trees_;
 };
 
 }  // namespace smartml

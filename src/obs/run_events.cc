@@ -3,13 +3,11 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/cancellation.h"
 #include "src/obs/metrics.h"
 
 namespace smartml {
 namespace {
-
-thread_local RunEventSink* tl_sink = nullptr;
-thread_local const std::string* tl_tag = nullptr;
 
 struct EventMetrics {
   Counter* published;
@@ -93,38 +91,17 @@ bool RunEventBuffer::Wait(uint64_t last_seen, double timeout_seconds) const {
                       });
 }
 
-ScopedRunEventScope::ScopedRunEventScope(RunEventSink* sink,
-                                         const std::string* tag)
-    : previous_sink_(tl_sink), previous_tag_(tl_tag) {
-  tl_sink = sink;
-  tl_tag = tag;
-}
-
-ScopedRunEventScope::~ScopedRunEventScope() {
-  tl_sink = previous_sink_;
-  tl_tag = previous_tag_;
-}
-
-ScopedRunEventTag::ScopedRunEventTag(std::string tag)
-    : tag_(std::move(tag)), previous_(tl_tag) {
-  tl_tag = &tag_;
-}
-
-ScopedRunEventTag::~ScopedRunEventTag() { tl_tag = previous_; }
-
-RunEventSink* CurrentRunEventSink() { return tl_sink; }
-
-const std::string* CurrentRunEventTag() { return tl_tag; }
-
 void EmitRunEvent(RunEvent event) {
-  RunEventSink* sink = tl_sink;
-  if (sink == nullptr) return;
-  if (event.algorithm.empty() && tl_tag != nullptr) event.algorithm = *tl_tag;
-  sink->Publish(std::move(event));
+  const RunContext& context = CurrentRunContext();
+  if (context.events == nullptr) return;
+  if (event.algorithm.empty() && context.event_tag != nullptr) {
+    event.algorithm = *context.event_tag;
+  }
+  context.events->Publish(std::move(event));
 }
 
 void EmitPhaseEvent(const std::string& phase) {
-  if (tl_sink == nullptr) return;
+  if (CurrentRunContext().events == nullptr) return;
   RunEvent event;
   event.type = "phase";
   event.phase = phase;
@@ -132,7 +109,7 @@ void EmitPhaseEvent(const std::string& phase) {
 }
 
 void EmitIncumbentEvent(double cost) {
-  if (tl_sink == nullptr) return;
+  if (CurrentRunContext().events == nullptr) return;
   RunEvent event;
   event.type = "incumbent";
   event.value = cost;

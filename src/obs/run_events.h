@@ -1,12 +1,13 @@
 // Live progress events for a single run: a bounded per-run event buffer that
-// the SSE endpoint drains, plus the thread-local plumbing that lets deep
-// pipeline code (phase transitions in the run loop, incumbent updates inside
-// the tuner) publish events without threading a sink through every signature.
+// the SSE endpoint drains, plus the emitters deep pipeline code (phase
+// transitions in the run loop, incumbent updates inside the tuner) uses to
+// publish events without threading a sink through every signature.
 //
-// Mirrors the cancellation-scope pattern (src/common/cancellation.h): the
-// JobManager installs a ScopedRunEventScope around the run, ParallelFor
-// strands forward the calling thread's scope, and EmitRunEvent() is a no-op
-// when no scope is installed so library users pay nothing.
+// The sink and the candidate tag live in the thread's RunContext
+// (src/common/cancellation.h): the JobManager installs the job's sink around
+// the run, the candidate loop installs each candidate's tag, ParallelFor
+// strands run under their caller's context, and EmitRunEvent() is a no-op
+// when no sink is installed so library users pay nothing.
 #ifndef SMARTML_OBS_RUN_EVENTS_H_
 #define SMARTML_OBS_RUN_EVENTS_H_
 
@@ -91,49 +92,8 @@ class RunEventBuffer : public RunEventSink {
   bool closed_ = false;
 };
 
-/// Installs `sink` as the calling thread's event sink for the scope's
-/// lifetime; restores the previous sink (and algorithm tag) on destruction.
-/// Pass the previous thread's tag when forwarding a scope across a pool
-/// strand; a fresh run scope leaves it null.
-class ScopedRunEventScope {
- public:
-  explicit ScopedRunEventScope(RunEventSink* sink,
-                               const std::string* tag = nullptr);
-  ~ScopedRunEventScope();
-
-  ScopedRunEventScope(const ScopedRunEventScope&) = delete;
-  ScopedRunEventScope& operator=(const ScopedRunEventScope&) = delete;
-
- private:
-  RunEventSink* previous_sink_;
-  const std::string* previous_tag_;
-};
-
-/// Labels events emitted in this scope with a candidate algorithm name
-/// (e.g. around one candidate's tuning task). Owns a copy of the tag, so it
-/// stays valid for nested ParallelFor strands that outlive the caller's
-/// arguments but not the scope itself.
-class ScopedRunEventTag {
- public:
-  explicit ScopedRunEventTag(std::string tag);
-  ~ScopedRunEventTag();
-
-  ScopedRunEventTag(const ScopedRunEventTag&) = delete;
-  ScopedRunEventTag& operator=(const ScopedRunEventTag&) = delete;
-
- private:
-  std::string tag_;
-  const std::string* previous_;
-};
-
-/// The calling thread's current sink/tag (null when outside any scope).
-/// Capture both when handing work to another thread, then reinstall with
-/// ScopedRunEventScope(sink, tag).
-RunEventSink* CurrentRunEventSink();
-const std::string* CurrentRunEventTag();
-
-/// Publishes to the current sink, filling event.algorithm from the current
-/// tag when unset. No-op without a sink.
+/// Publishes to the run context's sink, filling event.algorithm from the
+/// context's tag when unset. No-op without a sink.
 void EmitRunEvent(RunEvent event);
 
 /// Convenience emitters for the two pipeline-side event types.

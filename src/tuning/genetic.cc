@@ -187,8 +187,8 @@ StatusOr<TunedResult> GeneticSearch(const ParamSpace& space,
 
     SMARTML_ASSIGN_OR_RETURN(
         const std::vector<double> fitness,
-        EvaluateBatch("genetic", objective, batch, options.cancel.get(),
-                      &evaluations_left, &result));
+        EvaluateBatch("genetic", objective, batch, &evaluations_left,
+                      &result));
     if (evaluations_left <= 0 || options.deadline.Expired()) break;
 
     // With budget left every batched config was scored on all folds: cache

@@ -95,11 +95,11 @@ struct TunerOptions {
   /// Budget in fold-evaluations (each config costs up to NumFolds() evals).
   int max_evaluations = 100;
   /// Optional wall-clock limit (infinite by default). Expiry is graceful:
-  /// the tuner returns the best configuration so far.
+  /// the tuner returns the best configuration so far. Cancellation is not
+  /// an option: every tuner checks the run context's token
+  /// (CancellationRequested()) before every fold evaluation and aborts with
+  /// Status::Cancelled, no result.
   Deadline deadline;
-  /// Optional cooperative cancel token, checked before every fold
-  /// evaluation. Cancellation is an abort: Status::Cancelled, no result.
-  std::shared_ptr<CancelToken> cancel;
   uint64_t seed = 1;
   /// Warm-start configurations (SmartML fills these from the knowledge
   /// base), evaluated before any the tuner proposes itself.

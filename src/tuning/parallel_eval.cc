@@ -19,8 +19,8 @@ Status CheckObjective(const char* tuner, const TuningObjective* objective) {
 
 StatusOr<std::vector<double>> EvaluateBatch(
     const char* tuner, TuningObjective* objective,
-    const std::vector<ParamConfig>& configs, const CancelToken* cancel,
-    int* evaluations_left, TunedResult* result) {
+    const std::vector<ParamConfig>& configs, int* evaluations_left,
+    TunedResult* result) {
   // Plan: every config on every fold, config-major, truncated at the
   // budget — so task t is config t / folds on fold t % folds.
   const size_t folds = objective->NumFolds();
@@ -30,14 +30,11 @@ StatusOr<std::vector<double>> EvaluateBatch(
 
   // Evaluate (parallel across the run's pool).
   std::vector<double> costs(num_tasks, 0.0);
-  const Status status = ParallelFor(
-      num_tasks,
-      [&](size_t t) -> Status {
-        SMARTML_ASSIGN_OR_RETURN(
-            costs[t], objective->EvaluateFold(configs[t / folds], t % folds));
-        return Status::OK();
-      },
-      cancel);
+  const Status status = ParallelFor(num_tasks, [&](size_t t) -> Status {
+    SMARTML_ASSIGN_OR_RETURN(
+        costs[t], objective->EvaluateFold(configs[t / folds], t % folds));
+    return Status::OK();
+  });
   if (status.code() == StatusCode::kCancelled) {
     return Status::Cancelled(std::string(tuner) + ": run cancelled");
   }

@@ -37,12 +37,12 @@ Status CheckObjective(const char* tuner, const TuningObjective* objective);
 /// incumbent). A config becomes the incumbent when it is the run's first
 /// scored config, or when it was scored on every fold and beats the
 /// incumbent.
-/// Cancellation aborts with Status::Cancelled; other errors propagate
-/// lowest task index first.
+/// Cancellation of the run context's token aborts with Status::Cancelled;
+/// other errors propagate lowest task index first.
 StatusOr<std::vector<double>> EvaluateBatch(
     const char* tuner, TuningObjective* objective,
-    const std::vector<ParamConfig>& configs, const CancelToken* cancel,
-    int* evaluations_left, TunedResult* result);
+    const std::vector<ParamConfig>& configs, int* evaluations_left,
+    TunedResult* result);
 
 /// Closes a run: clamps best_cost to at most 1.0 and adds num_evaluations
 /// to smartml_tuner_evaluations_total{tuner}.

@@ -35,14 +35,16 @@ std::string ParamConfig::GetChoice(const std::string& name,
   return fallback;
 }
 
-std::string ParamConfig::ToString() const {
+namespace {
+
+std::string Serialize(const ParamConfig& config, bool exact) {
   std::string out;
-  for (const auto& [key, value] : values_) {
+  for (const auto& [key, value] : config.values()) {
     if (!out.empty()) out += ";";
     out += key;
     out += "=";
     if (const double* d = std::get_if<double>(&value)) {
-      out += StrFormat("%.12g", *d);
+      out += StrFormat(exact ? "%.17g" : "%.12g", *d);
     } else if (const int64_t* i = std::get_if<int64_t>(&value)) {
       out += StrFormat("%lldL", static_cast<long long>(*i));
     } else {
@@ -50,6 +52,16 @@ std::string ParamConfig::ToString() const {
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::string ParamConfig::ToString() const {
+  return Serialize(*this, /*exact=*/false);
+}
+
+std::string ParamConfig::ToExactString() const {
+  return Serialize(*this, /*exact=*/true);
 }
 
 StatusOr<ParamConfig> ParamConfig::FromString(const std::string& text) {

@@ -68,7 +68,14 @@ class ParamConfig {
   bool empty() const { return values_.empty(); }
 
   /// Deterministic "k=v;k=v" serialization (keys sorted by map order).
+  /// Doubles keep 12 significant digits; SMAC and the genetic search use
+  /// the string as their dedupe key.
   std::string ToString() const;
+
+  /// ToString with doubles written to round-trip exactly (%.17g), so a
+  /// stored config parses back to the same values. The knowledge base
+  /// stores warm-start configurations this way.
+  std::string ToExactString() const;
 
   /// Inverse of ToString. Values are parsed as int when integral-looking,
   /// double when numeric, string otherwise.

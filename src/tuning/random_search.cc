@@ -64,7 +64,7 @@ StatusOr<TunedResult> SearchLoop(
     const std::function<bool(ParamConfig*)>& next_config,
     const std::function<std::string(int, const TunedResult&)>& serialize,
     int evaluations_left, TunedResult result) {
-  ThreadPool* pool = CurrentThreadPool();
+  ThreadPool* pool = CurrentRunContext().pool;
   const size_t batch_configs =
       pool == nullptr ? 1 : static_cast<size_t>(pool->num_workers()) + 1;
   const size_t folds = objective->NumFolds();
@@ -81,10 +81,9 @@ StatusOr<TunedResult> SearchLoop(
            (more = next_config(&config))) {
       batch.push_back(std::move(config));
     }
-    SMARTML_RETURN_NOT_OK(EvaluateBatch(tuner, objective, batch,
-                                        options.cancel.get(),
-                                        &evaluations_left, &result)
-                              .status());
+    SMARTML_RETURN_NOT_OK(
+        EvaluateBatch(tuner, objective, batch, &evaluations_left, &result)
+            .status());
   }
   return FinishTuning(tuner, std::move(result));
 }

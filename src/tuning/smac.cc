@@ -166,6 +166,16 @@ RegressionForest::Prediction RegressionForest::Predict(
 
 namespace {
 
+/// Random candidates scored by EI per iteration.
+constexpr int kEiCandidates = 400;
+/// Local-search neighbours explored around the top EI points.
+constexpr int kLocalSearchSteps = 8;
+/// Challengers raced against the incumbent per iteration.
+constexpr int kChallengersPerIter = 3;
+/// Every kRandomInterleave-th challenger is drawn uniformly (SMAC's
+/// round-robin random interleaving for worst-case coverage).
+constexpr int kRandomInterleave = 2;
+
 // Resolved once against the global registry (stable pointers, atomic
 // updates), so concurrent SMAC runs in the job-manager pool never contend.
 struct SmacMetrics {
@@ -380,7 +390,7 @@ class SmacRun {
 
   // Evaluates record `id` on its next unevaluated fold.
   Status EvaluateNextFold(size_t id) {
-    if (options_.cancel != nullptr && options_.cancel->IsCancelled()) {
+    if (CancellationRequested()) {
       return Status::Cancelled("smac: run cancelled");
     }
     ConfigRecord& record = records_[id];
@@ -471,7 +481,6 @@ class SmacRun {
   // random configs.
   std::vector<ParamConfig> SelectChallengers() {
     std::vector<ParamConfig> out;
-    const int n_challengers = std::max(1, options_.challengers_per_iter);
 
     // Fit the surrogate on all evaluated configs.
     std::vector<size_t> evaluated;
@@ -489,7 +498,7 @@ class SmacRun {
         for (size_t j = 0; j < enc.size(); ++j) x(i, j) = enc[j];
         y[i] = records_[evaluated[i]].MeanCost();
       }
-      RegressionForest::Options fo = options_.forest;
+      RegressionForest::Options fo;
       fo.seed = rng_.NextU64();
       ScopedTimer fit_timer(SmacMetrics::Get().surrogate_fit_seconds);
       have_model = forest.Fit(x, y, fo).ok();
@@ -498,18 +507,16 @@ class SmacRun {
     const double f_best =
         incumbent_ == kNone ? 1.0 : records_[incumbent_].MeanCost();
 
-    for (int c = 0; c < n_challengers; ++c) {
+    for (int c = 0; c < kChallengersPerIter; ++c) {
       const bool random_pick =
-          !have_model || (options_.random_interleave > 0 &&
-                          (c % options_.random_interleave) ==
-                              options_.random_interleave - 1);
+          !have_model || c % kRandomInterleave == kRandomInterleave - 1;
       if (random_pick) {
         out.push_back(space_.Sample(&rng_));
         continue;
       }
       // EI maximization: random candidates + local search around the best.
       // Candidate generation keeps the historical RNG call order (one
-      // sample, ei_candidates samples, the incumbent's neighbor chain —
+      // sample, kEiCandidates samples, the incumbent's neighbor chain —
       // the chain's cursor never depends on scores); scoring runs in
       // parallel and a sequential argmax replays the original strict-`>`
       // tie-breaking, so challengers are identical at any thread count.
@@ -525,12 +532,12 @@ class SmacRun {
         }
       };
       std::vector<ParamConfig> candidates;
-      for (int i = 0; i < options_.ei_candidates; ++i) {
+      for (int i = 0; i < kEiCandidates; ++i) {
         candidates.push_back(space_.Sample(&rng_));
       }
       if (incumbent_ != kNone) {
         ParamConfig cursor = records_[incumbent_].config;
-        for (int s = 0; s < options_.local_search_steps; ++s) {
+        for (int s = 0; s < kLocalSearchSteps; ++s) {
           cursor = space_.Neighbor(cursor, &rng_);
           candidates.push_back(cursor);
         }
@@ -540,7 +547,7 @@ class SmacRun {
       // far, so it is generated (and scored) after the first argmax pass.
       std::vector<ParamConfig> chain;
       ParamConfig cursor = best_candidate;
-      for (int s = 0; s < options_.local_search_steps; ++s) {
+      for (int s = 0; s < kLocalSearchSteps; ++s) {
         cursor = space_.Neighbor(cursor, &rng_);
         chain.push_back(cursor);
       }

@@ -67,25 +67,15 @@ class RegressionForest {
   size_t dim_ = 0;
 };
 
-/// The shared TunerOptions plus SMAC's own knobs. The budget defaults to
-/// 120 fold evaluations. initial_configs are evaluated before model-based
-/// search begins. With checkpoint set, the run snapshots its full search
+/// The shared TunerOptions with SMAC's default budget of 120 fold
+/// evaluations. initial_configs are evaluated before model-based search
+/// begins. With checkpoint set, the run snapshots its full search
 /// state (RNG stream, evaluated configs, fold costs, incumbent, trajectory)
 /// at the top of every iteration; the continuation is bit-identical to an
 /// uninterrupted run because the objective is deterministic per (config,
 /// fold) and doubles round-trip exactly.
 struct SmacOptions : TunerOptions {
   SmacOptions() { max_evaluations = 120; }
-  /// Random candidates scored by EI per iteration.
-  int ei_candidates = 400;
-  /// Local-search neighbours explored around the top EI points.
-  int local_search_steps = 8;
-  /// Challengers raced against the incumbent per iteration.
-  int challengers_per_iter = 3;
-  /// Every `random_interleave`-th challenger is drawn uniformly (SMAC's
-  /// round-robin random interleaving for worst-case coverage).
-  int random_interleave = 2;
-  RegressionForest::Options forest;
 };
 
 /// Runs SMAC on `objective`, minimizing mean fold cost.

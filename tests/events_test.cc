@@ -98,20 +98,21 @@ TEST(RunEventBufferTest, PublishAfterCloseIsDropped) {
 
 TEST(RunEventScopeTest, EmitWithoutScopeIsANoOp) {
   EmitPhaseEvent("tuning");  // Must not crash or leak anywhere.
-  EXPECT_EQ(CurrentRunEventSink(), nullptr);
+  EXPECT_EQ(CurrentRunContext().events, nullptr);
 }
 
 TEST(RunEventScopeTest, ScopeCapturesEmitsAndRestores) {
   RunEventBuffer buffer(8);
   {
-    ScopedRunEventScope scope(&buffer);
+    ScopedRunContext scope({.events = &buffer});
     EmitPhaseEvent("selection");
     {
-      ScopedRunEventTag tag("knn");
+      const std::string knn = "knn";
+      ScopedRunContext tag({.events = &buffer, .event_tag = &knn});
       EmitIncumbentEvent(0.25);
     }
   }
-  EXPECT_EQ(CurrentRunEventSink(), nullptr);
+  EXPECT_EQ(CurrentRunContext().events, nullptr);
   const auto events = buffer.After(0);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].type, "phase");
@@ -125,8 +126,7 @@ TEST(RunEventScopeTest, ParallelForStrandsInheritTheSink) {
   RunEventBuffer buffer(64);
   ThreadPool pool(3);
   {
-    ScopedRunEventScope scope(&buffer);
-    ScopedPoolScope pool_scope(&pool);
+    ScopedRunContext scope({.pool = &pool, .events = &buffer});
     const Status status = ParallelFor(8, [&](size_t i) {
       EmitIncumbentEvent(0.1 * static_cast<double>(i));
       return Status::OK();

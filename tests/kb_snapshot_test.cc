@@ -415,5 +415,51 @@ TEST(KbSnapshot, TextRoundTripIsLossless) {
   }
 }
 
+// Both formats store each warm-start configuration with 17 significant
+// digits, so its doubles survive a text save, a binary save and a
+// text -> binary -> text conversion bit for bit.
+TEST(KbSnapshot, StoredConfigsRoundTripExactly) {
+  Rng rng(79);
+  std::vector<KbRecord> records;
+  KnowledgeBase kb;
+  for (int i = 0; i < 100; ++i) {
+    KbRecord record = MakeRecord(i);
+    ParamConfig& config = record.results[0].best_config;
+    config.SetDouble("C", rng.Uniform(1.0, 1000.0) / 7.0);
+    config.SetDouble("gamma", rng.Uniform() / 7.0);
+    config.SetInt("degree", i % 5 + 1);
+    config.SetChoice("kernel", "rbf");
+    records.push_back(record);
+    kb.AddRecord(record);
+  }
+  // ParamConfig::operator== compares the stored values themselves.
+  const auto expect_exact = [&](const std::vector<KbRecord>& back) {
+    ASSERT_EQ(back.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(back[i].results.size(), 1u) << i;
+      const ParamConfig& in = records[i].results[0].best_config;
+      const ParamConfig& out = back[i].results[0].best_config;
+      EXPECT_EQ(out.GetDouble("C", 0.0), in.GetDouble("C", 0.0)) << i;
+      EXPECT_EQ(out.GetDouble("gamma", 0.0), in.GetDouble("gamma", 0.0)) << i;
+      EXPECT_TRUE(out == in) << i;
+    }
+  };
+
+  auto text = KnowledgeBase::Deserialize(kb.Serialize());
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  expect_exact(text->SnapshotRecords());
+
+  auto binary = DecodeKbSnapshot(EncodeKbSnapshot(records), /*lenient=*/false);
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  expect_exact(binary->records);
+
+  auto converted =
+      KnowledgeBase::Deserialize(EncodeKbSnapshot(text->SnapshotRecords()));
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  auto back_to_text = KnowledgeBase::Deserialize(converted->Serialize());
+  ASSERT_TRUE(back_to_text.ok()) << back_to_text.status().ToString();
+  expect_exact(back_to_text->SnapshotRecords());
+}
+
 }  // namespace
 }  // namespace smartml

@@ -2,11 +2,13 @@
 // several pool widths, the deterministic error model (lowest index wins,
 // exceptions become Status::Internal), cancellation mid-loop, nested
 // ParallelFor on a starved pool (the historical deadlock shape), bounded
-// queues, and end-to-end determinism of SmartML::Run across thread counts.
+// queues, the run context every helper strand inherits from its caller, and
+// end-to-end determinism of SmartML::Run across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/smartml.h"
 #include "src/data/synthetic.h"
+#include "src/obs/run_events.h"
 
 namespace smartml {
 namespace {
@@ -28,6 +31,7 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnceAtAnyWidth) {
   for (int workers : {0, 1, 7}) {
     std::unique_ptr<ThreadPool> pool;
     if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    ScopedRunContext scope({.pool = pool.get()});
     constexpr size_t kN = 1000;
     std::vector<std::atomic<int>> hits(kN);
     for (auto& h : hits) h.store(0);
@@ -36,8 +40,7 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnceAtAnyWidth) {
         [&](size_t i) -> Status {
           hits[i].fetch_add(1);
           return Status::OK();
-        },
-        /*cancel=*/nullptr, pool.get());
+        });
     ASSERT_TRUE(status.ok()) << status.ToString();
     for (size_t i = 0; i < kN; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " workers " << workers;
@@ -47,10 +50,10 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnceAtAnyWidth) {
 
 TEST(ParallelForTest, ZeroAndOneIterationDegenerateCases) {
   ThreadPool pool(2);
+  ScopedRunContext scope({.pool = &pool});
   int calls = 0;
   EXPECT_TRUE(ParallelFor(
-                  0, [&](size_t) -> Status { return Status::OK(); },
-                  nullptr, &pool)
+                  0, [&](size_t) -> Status { return Status::OK(); })
                   .ok());
   Status status = ParallelFor(
       1,
@@ -58,14 +61,14 @@ TEST(ParallelForTest, ZeroAndOneIterationDegenerateCases) {
         EXPECT_EQ(i, 0u);
         ++calls;  // Single iteration runs on the caller; no race.
         return Status::OK();
-      },
-      nullptr, &pool);
+      });
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(calls, 1);
 }
 
 TEST(ParallelForTest, LowestIndexErrorWinsDeterministically) {
   ThreadPool pool(4);
+  ScopedRunContext scope({.pool = &pool});
   for (int round = 0; round < 20; ++round) {
     Status status = ParallelFor(
         64,
@@ -74,8 +77,7 @@ TEST(ParallelForTest, LowestIndexErrorWinsDeterministically) {
             return Status::Internal("boom at " + std::to_string(i));
           }
           return Status::OK();
-        },
-        nullptr, &pool);
+        });
     ASSERT_FALSE(status.ok());
     // All odd indices fail; index 1 is the lowest and must be reported no
     // matter which strand got there first.
@@ -87,13 +89,13 @@ TEST(ParallelForTest, LowestIndexErrorWinsDeterministically) {
 
 TEST(ParallelForTest, ExceptionsAreCapturedAsInternal) {
   ThreadPool pool(3);
+  ScopedRunContext scope({.pool = &pool});
   Status status = ParallelFor(
       16,
       [&](size_t i) -> Status {
         if (i == 0) throw std::runtime_error("kaboom");
         return Status::OK();
-      },
-      nullptr, &pool);
+      });
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.ToString().find("kaboom"), std::string::npos)
@@ -103,6 +105,7 @@ TEST(ParallelForTest, ExceptionsAreCapturedAsInternal) {
 TEST(ParallelForTest, CancellationMidLoopStopsFurtherClaims) {
   ThreadPool pool(4);
   CancelToken token;
+  ScopedRunContext scope({.cancel = &token, .pool = &pool});
   std::atomic<int> started{0};
   Status status = ParallelFor(
       10000,
@@ -110,8 +113,7 @@ TEST(ParallelForTest, CancellationMidLoopStopsFurtherClaims) {
         if (started.fetch_add(1) == 8) token.Cancel();
         std::this_thread::sleep_for(std::chrono::microseconds(50));
         return Status::OK();
-      },
-      &token, &pool);
+      });
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCancelled);
   // The loop must stop long before exhausting the index space.
@@ -120,13 +122,13 @@ TEST(ParallelForTest, CancellationMidLoopStopsFurtherClaims) {
 
 TEST(ParallelForTest, TaskReportedCancellationWinsOverGenericMessage) {
   ThreadPool pool(2);
+  ScopedRunContext scope({.pool = &pool});
   Status status = ParallelFor(
       4,
       [&](size_t i) -> Status {
         if (i == 0) return Status::Cancelled("tuner: run cancelled");
         return Status::OK();
-      },
-      nullptr, &pool);
+      });
   ASSERT_EQ(status.code(), StatusCode::kCancelled);
   EXPECT_NE(status.ToString().find("tuner: run cancelled"), std::string::npos)
       << status.ToString();
@@ -137,6 +139,7 @@ TEST(ParallelForTest, TaskReportedCancellationWinsOverGenericMessage) {
 // Work-contribution means the inner caller always drains its own indices.
 TEST(ParallelForTest, NestedParallelForOnStarvedPoolDoesNotDeadlock) {
   ThreadPool pool(1);
+  ScopedRunContext scope({.pool = &pool});
   std::atomic<int> total{0};
   Status status = ParallelFor(
       8,
@@ -146,10 +149,8 @@ TEST(ParallelForTest, NestedParallelForOnStarvedPoolDoesNotDeadlock) {
             [&](size_t) -> Status {
               total.fetch_add(1);
               return Status::OK();
-            },
-            nullptr, &pool);
-      },
-      nullptr, &pool);
+            });
+      });
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(total.load(), 8 * 32);
 }
@@ -158,14 +159,14 @@ TEST(ParallelForTest, TinyQueueOverflowOnlyReducesHelpers) {
   // Queue of 1 forces most TrySubmit calls to fail; correctness must not
   // depend on how many helpers were accepted.
   ThreadPool pool(4, /*max_queued_tasks=*/1);
+  ScopedRunContext scope({.pool = &pool});
   std::atomic<int> total{0};
   Status status = ParallelFor(
       500,
       [&](size_t) -> Status {
         total.fetch_add(1);
         return Status::OK();
-      },
-      nullptr, &pool);
+      });
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(total.load(), 500);
 }
@@ -176,14 +177,14 @@ TEST(ParallelForTest, ConcurrentCallersShareOnePool) {
   std::vector<int> sums(6, 0);
   for (size_t c = 0; c < sums.size(); ++c) {
     callers.emplace_back([&, c] {
+      ScopedRunContext scope({.pool = &pool});
       std::atomic<int> sum{0};
       Status status = ParallelFor(
           200,
           [&](size_t) -> Status {
             sum.fetch_add(1);
             return Status::OK();
-          },
-          nullptr, &pool);
+          });
       if (status.ok()) sums[c] = sum.load();
     });
   }
@@ -195,6 +196,7 @@ TEST(ParallelForTest, ConcurrentCallersShareOnePool) {
 
 TEST(ParallelForRangesTest, RangesTileTheIndexSpace) {
   ThreadPool pool(3);
+  ScopedRunContext scope({.pool = &pool});
   constexpr size_t kN = 1003;  // Deliberately not a multiple of the grain.
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
@@ -204,25 +206,83 @@ TEST(ParallelForRangesTest, RangesTileTheIndexSpace) {
         EXPECT_LT(begin, end);
         for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
         return Status::OK();
-      },
-      nullptr, &pool);
+      });
   ASSERT_TRUE(status.ok()) << status.ToString();
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ThreadPoolTest, ScopedPoolScopeInstallsAndRestores) {
-  EXPECT_EQ(CurrentThreadPool(), nullptr);
+TEST(ThreadPoolTest, ScopedRunContextInstallsAndRestores) {
+  EXPECT_EQ(CurrentRunContext().pool, nullptr);
   ThreadPool pool(2);
+  CancelToken token;
   {
-    ScopedPoolScope outer(&pool);
-    EXPECT_EQ(CurrentThreadPool(), &pool);
+    ScopedRunContext outer({.cancel = &token, .pool = &pool});
+    EXPECT_EQ(CurrentRunContext().pool, &pool);
     {
-      ScopedPoolScope inner(nullptr);  // A sequential sub-scope.
-      EXPECT_EQ(CurrentThreadPool(), nullptr);
+      RunContext sequential = CurrentRunContext();
+      sequential.pool = nullptr;  // A sequential sub-scope.
+      ScopedRunContext inner(sequential);
+      EXPECT_EQ(CurrentRunContext().pool, nullptr);
+      EXPECT_EQ(CurrentRunContext().cancel, &token);
     }
-    EXPECT_EQ(CurrentThreadPool(), &pool);
+    EXPECT_EQ(CurrentRunContext().pool, &pool);
   }
-  EXPECT_EQ(CurrentThreadPool(), nullptr);
+  EXPECT_EQ(CurrentRunContext().pool, nullptr);
+  EXPECT_EQ(CurrentRunContext().cancel, nullptr);
+}
+
+// A caller whose run is already cancelled gets kCancelled without a single
+// index running, on the caller or on any helper strand.
+TEST(RunContextTest, CancelledCallerRunsNoIndex) {
+  ThreadPool pool(4);
+  CancelToken token;
+  token.Cancel();
+  ScopedRunContext scope({.cancel = &token, .pool = &pool});
+  std::atomic<int> ran{0};
+  const Status status = ParallelFor(64, [&](size_t) -> Status {
+    ran.fetch_add(1);
+    return Status::OK();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+  EXPECT_EQ(ran.load(), 0);
+}
+
+// Helper strands run under their caller's context, so a ParallelFor nested
+// two deep sees the outermost caller's token, pool, sink and tag no matter
+// which thread runs each level.
+TEST(RunContextTest, NestedStrandsSeeTheOutermostContext) {
+  ThreadPool pool(4);
+  CancelToken token;
+  RunEventBuffer buffer(8);
+  const std::string tag = "knn";
+  ScopedRunContext scope(
+      {.cancel = &token, .pool = &pool, .events = &buffer, .event_tag = &tag});
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> calls{0};
+  std::atomic<int> on_strands{0};
+  std::atomic<int> mismatches{0};
+  const auto level = [&](const std::function<Status(size_t)>& fn) {
+    return ParallelFor(4, fn);
+  };
+  const Status status = level([&](size_t) {
+    return level([&](size_t) {
+      return level([&](size_t) -> Status {
+        const RunContext& seen = CurrentRunContext();
+        if (seen.cancel != &token || seen.pool != &pool ||
+            seen.events != &buffer || seen.event_tag != &tag) {
+          mismatches.fetch_add(1);
+        }
+        if (std::this_thread::get_id() != caller) on_strands.fetch_add(1);
+        calls.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return Status::OK();
+      });
+    });
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(calls.load(), 64);
+  EXPECT_GT(on_strands.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ThreadPoolTest, ResolveNumThreads) {

@@ -788,7 +788,7 @@ TEST(RecoveryTest, SmacResumeIsBitIdentical) {
     auto cancel = std::make_shared<CancelToken>();
     CancelAfter crashing(&objective, 17, cancel);
     SmacOptions options = base;
-    options.cancel = cancel;
+    ScopedRunContext cancel_scope({.cancel = cancel.get()});
     options.checkpoint = &store;
     options.checkpoint_key = "run-1/smac/bowl";
     auto interrupted = Smac(space, &crashing, options);
@@ -830,7 +830,7 @@ TEST(RecoveryTest, RandomSearchResumeMatchesUninterruptedRun) {
     auto cancel = std::make_shared<CancelToken>();
     CancelAfter crashing(&objective, 13, cancel);
     TunerOptions options = base;
-    options.cancel = cancel;
+    ScopedRunContext cancel_scope({.cancel = cancel.get()});
     options.checkpoint = &store;
     options.checkpoint_key = "run-2/random/bowl";
     auto interrupted = RandomSearch(space, &crashing, options);
@@ -871,7 +871,7 @@ TEST(RecoveryTest, GeneticResumeMatchesUninterruptedRun) {
     auto cancel = std::make_shared<CancelToken>();
     CancelAfter crashing(&objective, 21, cancel);
     GeneticOptions options = base;
-    options.cancel = cancel;
+    ScopedRunContext cancel_scope({.cancel = cancel.get()});
     options.checkpoint = &store;
     options.checkpoint_key = "run-3/ga/bowl";
     auto interrupted = GeneticSearch(space, &crashing, options);
@@ -969,7 +969,7 @@ TEST(RecoveryTest, SmacCheckpointFormatIsUnchanged) {
   SmacOptions options;
   options.max_evaluations = 40;
   options.seed = 7;
-  options.cancel = cancel;
+  ScopedRunContext cancel_scope({.cancel = cancel.get()});
   options.checkpoint = &store;
   options.checkpoint_key = "run-6/smac/bowl";
   ASSERT_FALSE(Smac(BowlSpace(), &crashing, options).ok());

@@ -136,7 +136,7 @@ void CheckTable(const Dataset& data, const std::vector<Expected>& expected,
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    ScopedPoolScope scope(pool.get());
+    ScopedRunContext scope({.pool = pool.get()});
     for (size_t i = 0; i < learners.size(); ++i) {
       const Learner& l = learners[i];
       SCOPED_TRACE(l.label);
@@ -264,7 +264,7 @@ TEST(TreeParityTest, RandomForestTenClassesQuantileBinnedWithMissingCells) {
   for (int threads : {1, 8}) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    ScopedPoolScope scope(pool.get());
+    ScopedRunContext scope({.pool = pool.get()});
     for (const Case& c : cases) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads << " nodesize="
                                       << c.nodesize

@@ -560,7 +560,7 @@ TEST(TunerTest, ResultsMatchRecordedHashesAtOneAndEightThreads) {
   for (const int threads : {1, 8}) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-    ScopedPoolScope scope(pool.get());
+    ScopedRunContext scope({.pool = pool.get()});
     for (const ParityCase& expected : kParityCases) {
       SCOPED_TRACE(std::string(expected.knn ? "knn" : "bowl") + " at " +
                    std::to_string(threads) + " threads");
