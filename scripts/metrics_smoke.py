@@ -6,7 +6,9 @@ selection-only run through POST /v1/runs, then asserts that
 
   * GET /v1/metrics returns parseable Prometheus text exposition,
   * smartml_requests_total advanced between two scrapes,
-  * the completed GET /v1/runs/{id} body carries the nested span tree.
+  * the completed GET /v1/runs/{id} body carries the nested span tree,
+  * GET /v1/health reports the same KB and job counts as GET /v1/metrics
+    (both read the one process registry).
 
 Usage: scripts/metrics_smoke.py path/to/rest_server
 """
@@ -47,6 +49,31 @@ def parse_exposition(text):
         name = re.split(r"[{ ]", line, 1)[0]
         totals[name] = totals.get(name, 0.0) + float(line.rsplit(" ", 1)[1])
     return totals
+
+
+def sample(text, series):
+    """Value of one exact sample line, e.g. 'name{label="v"}'; None if absent."""
+    prefix = series + " "
+    for line in text.splitlines():
+        if line.startswith(prefix):
+            return float(line[len(prefix):])
+    return None
+
+
+def check_health_matches_metrics(base):
+    """/v1/health's counters must equal the samples /v1/metrics serves."""
+    health = json.loads(fetch(base + "/v1/health"))
+    text = fetch(base + "/v1/metrics")
+    for health_value, series in (
+        (health["kb"]["updates_total"], "smartml_kb_updates_total"),
+        (health["kb"]["lookups_total"], "smartml_kb_lookup_seconds_count"),
+        (health["jobs"]["done"], 'smartml_jobs_total{state="done"}'),
+    ):
+        if sample(text, series) != health_value:
+            raise SystemExit(
+                "/v1/health reports %r but /v1/metrics has %s = %r"
+                % (health_value, series, sample(text, series))
+            )
 
 
 def main():
@@ -108,6 +135,7 @@ def main():
             "smartml_requests_total", 0.0
         ):
             raise SystemExit("smartml_requests_total did not advance")
+        check_health_matches_metrics(base)
         print("metrics smoke: OK (%d metric families scraped)" % len(after))
     finally:
         server.terminate()

@@ -19,6 +19,83 @@ namespace smartml {
 
 namespace {
 
+// Resolved once against the global registry; every member is a stable
+// pointer whose updates are plain atomics. The per-tenant series are
+// resolved lazily in TenantLocked.
+struct JobMetrics {
+  Gauge* queued;
+  Gauge* running;
+  Gauge* cancelling;
+  Counter* done;
+  Counter* failed;
+  Counter* cancelled;
+  Counter* runs_cancelled;
+  Counter* scheduler_passes;
+  Histogram* cancel_latency_seconds;
+  Histogram* queue_wait_seconds;
+  Histogram* phase_preprocessing;
+  Histogram* phase_selection;
+  Histogram* phase_tuning;
+  Histogram* phase_output;
+  Counter* runs_recovered;
+
+  JobMetrics() {
+    MetricsRegistry& registry = GlobalMetrics();
+    queued = registry.GetGauge("smartml_jobs_queued",
+                               "Experiments waiting for a worker.");
+    running = registry.GetGauge("smartml_jobs_running",
+                                "Experiments currently executing.");
+    cancelling = registry.GetGauge(
+        "smartml_jobs_cancelling",
+        "Running experiments with a pending cancel request.");
+    const std::string jobs_help = "Finished experiments by terminal state.";
+    done = registry.GetCounter("smartml_jobs_total", jobs_help,
+                               {{"state", "done"}});
+    failed = registry.GetCounter("smartml_jobs_total", jobs_help,
+                                 {{"state", "failed"}});
+    cancelled = registry.GetCounter("smartml_jobs_total", jobs_help,
+                                    {{"state", "cancelled"}});
+    runs_cancelled = registry.GetCounter(
+        "smartml_runs_cancelled_total",
+        "Runs cancelled via DELETE /v1/runs/{id} (queued or running).");
+    scheduler_passes = registry.GetCounter(
+        "smartml_scheduler_passes_total",
+        "Admission passes through the scheduler; a whole batch shares one.");
+    cancel_latency_seconds = registry.GetHistogram(
+        "smartml_cancel_latency_seconds",
+        "Seconds between a cancel request on a running job and the job "
+        "reaching its terminal state.",
+        LatencyBuckets());
+    queue_wait_seconds = registry.GetHistogram(
+        "smartml_job_queue_wait_seconds",
+        "Seconds a job waited in the queue before starting or being "
+        "cancelled.",
+        PhaseBuckets());
+    const std::string phase_help =
+        "Wall-clock seconds per pipeline phase of completed jobs.";
+    phase_preprocessing =
+        registry.GetHistogram("smartml_job_phase_seconds", phase_help,
+                              PhaseBuckets(), {{"phase", "preprocessing"}});
+    phase_selection =
+        registry.GetHistogram("smartml_job_phase_seconds", phase_help,
+                              PhaseBuckets(), {{"phase", "selection"}});
+    phase_tuning =
+        registry.GetHistogram("smartml_job_phase_seconds", phase_help,
+                              PhaseBuckets(), {{"phase", "tuning"}});
+    phase_output =
+        registry.GetHistogram("smartml_job_phase_seconds", phase_help,
+                              PhaseBuckets(), {{"phase", "output"}});
+    runs_recovered = registry.GetCounter(
+        "smartml_runs_recovered_total",
+        "Jobs re-admitted from the write-ahead journal after a restart.");
+  }
+
+  static const JobMetrics& Get() {
+    static const JobMetrics metrics;
+    return metrics;
+  }
+};
+
 double SecondsBetween(std::chrono::steady_clock::time_point a,
                       std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -298,55 +375,8 @@ JobManager::JobManager(SmartML* framework, JobManagerOptions options)
   options_.max_pending_jobs = std::max<size_t>(options_.max_pending_jobs, 1);
   if (options_.event_buffer_capacity == 0) options_.event_buffer_capacity = 1;
 
-  registry_ = options_.metrics != nullptr ? options_.metrics : &GlobalMetrics();
-  MetricsRegistry& registry = *registry_;
-  metrics_.queued = registry.GetGauge("smartml_jobs_queued",
-                                      "Experiments waiting for a worker.");
-  metrics_.running = registry.GetGauge("smartml_jobs_running",
-                                       "Experiments currently executing.");
-  metrics_.cancelling = registry.GetGauge(
-      "smartml_jobs_cancelling",
-      "Running experiments with a pending cancel request.");
-  const std::string jobs_help = "Finished experiments by terminal state.";
-  metrics_.done =
-      registry.GetCounter("smartml_jobs_total", jobs_help, {{"state", "done"}});
-  metrics_.failed = registry.GetCounter("smartml_jobs_total", jobs_help,
-                                        {{"state", "failed"}});
-  metrics_.cancelled = registry.GetCounter("smartml_jobs_total", jobs_help,
-                                           {{"state", "cancelled"}});
-  metrics_.runs_cancelled = registry.GetCounter(
-      "smartml_runs_cancelled_total",
-      "Runs cancelled via DELETE /v1/runs/{id} (queued or running).");
-  metrics_.scheduler_passes = registry.GetCounter(
-      "smartml_scheduler_passes_total",
-      "Admission passes through the scheduler; a whole batch shares one.");
-  metrics_.cancel_latency_seconds = registry.GetHistogram(
-      "smartml_cancel_latency_seconds",
-      "Seconds between a cancel request on a running job and the job "
-      "reaching its terminal state.",
-      LatencyBuckets());
-  metrics_.queue_wait_seconds = registry.GetHistogram(
-      "smartml_job_queue_wait_seconds",
-      "Seconds a job waited in the queue before starting or being "
-      "cancelled.",
-      PhaseBuckets());
-  const std::string phase_help =
-      "Wall-clock seconds per pipeline phase of completed jobs.";
-  metrics_.phase_preprocessing =
-      registry.GetHistogram("smartml_job_phase_seconds", phase_help,
-                            PhaseBuckets(), {{"phase", "preprocessing"}});
-  metrics_.phase_selection =
-      registry.GetHistogram("smartml_job_phase_seconds", phase_help,
-                            PhaseBuckets(), {{"phase", "selection"}});
-  metrics_.phase_tuning =
-      registry.GetHistogram("smartml_job_phase_seconds", phase_help,
-                            PhaseBuckets(), {{"phase", "tuning"}});
-  metrics_.phase_output =
-      registry.GetHistogram("smartml_job_phase_seconds", phase_help,
-                            PhaseBuckets(), {{"phase", "output"}});
-  metrics_.runs_recovered = registry.GetCounter(
-      "smartml_runs_recovered_total",
-      "Jobs re-admitted from the write-ahead journal after a restart.");
+  // Registers the manager's families before the first scrape can run.
+  JobMetrics::Get();
 
   // Durability: open journal + checkpoint store and replay the journal
   // BEFORE the first worker starts, so replay needs no locking and
@@ -354,7 +384,6 @@ JobManager::JobManager(SmartML* framework, JobManagerOptions options)
   if (!options_.journal_dir.empty()) {
     JournalOptions journal_options;
     journal_options.segment_bytes = options_.journal_segment_bytes;
-    journal_options.metrics = registry_;
     auto journal = JobJournal::Open(options_.journal_dir, journal_options);
     if (journal.ok()) {
       journal_ = std::move(*journal);
@@ -398,7 +427,7 @@ JobManager::TenantState& JobManager::TenantLocked(const std::string& tenant) {
   auto weight = options_.tenant_weights.find(tenant);
   state.weight = std::max(
       1, weight != options_.tenant_weights.end() ? weight->second : 1);
-  state.shed = registry_->GetCounter(
+  state.shed = GlobalMetrics().GetCounter(
       "smartml_tenant_shed_total",
       "Admissions rejected with 429 by tenant (quota or global capacity).",
       {{"tenant", tenant}});
@@ -412,7 +441,7 @@ JobManager::TenantState& JobManager::TenantLocked(const std::string& tenant) {
     state.burst_capacity = static_cast<double>(burst_capacity);
     state.burst_tokens = state.burst_capacity;
     state.burst_refilled = std::chrono::steady_clock::now();
-    state.burst_gauge = registry_->GetGauge(
+    state.burst_gauge = GlobalMetrics().GetGauge(
         "smartml_tenant_burst_tokens",
         "Remaining token-bucket burst credits per tenant.",
         {{"tenant", tenant}});
@@ -504,7 +533,7 @@ StatusOr<std::string> JobManager::AdmitLocked(JobRequest request,
   state.queues[static_cast<size_t>(job->priority)].push_back(job);
   ++state.pending;
   ++num_queued_;
-  metrics_.queued->Increment();
+  JobMetrics::Get().queued->Increment();
   if (!idem_map_key.empty()) idempotency_[idem_map_key] = job->id;
   // Write-ahead: the admission is journaled (with the dataset CSV, so a
   // restart can rebuild the job) before the id is acknowledged.
@@ -520,7 +549,7 @@ StatusOr<std::string> JobManager::Submit(JobRequest request) {
   if (stopping_) {
     return Status::FailedPrecondition("job manager is shutting down");
   }
-  metrics_.scheduler_passes->Increment();
+  JobMetrics::Get().scheduler_passes->Increment();
   StatusOr<std::string> id = AdmitLocked(std::move(request), /*batch_id=*/"");
   lock.unlock();
   if (id.ok()) queue_cv_.notify_one();
@@ -574,7 +603,7 @@ StatusOr<BatchSubmitResult> JobManager::SubmitBatch(
     // One scheduler pass for the whole batch: a single lock acquisition
     // admits every item back to back (no interleaved foreign admissions),
     // and the pass counter moves once.
-    metrics_.scheduler_passes->Increment();
+    JobMetrics::Get().scheduler_passes->Increment();
     result.batch_id = StrFormat(
         "batch-%06llu", static_cast<unsigned long long>(next_batch_id_++));
     BatchSnapshot record;
@@ -671,6 +700,7 @@ StatusOr<std::shared_ptr<RunEventBuffer>> JobManager::Events(
 }
 
 StatusOr<JobSnapshot> JobManager::Cancel(const std::string& id) {
+  const JobMetrics& metrics = JobMetrics::Get();
   JobSnapshot snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -688,14 +718,14 @@ StatusOr<JobSnapshot> JobManager::Cancel(const std::string& id) {
                     queue.end());
         --tenant.pending;
         --num_queued_;
-        metrics_.queued->Decrement();
-        metrics_.cancelled->Increment();
-        metrics_.runs_cancelled->Increment();
+        metrics.queued->Decrement();
+        metrics.cancelled->Increment();
+        metrics.runs_cancelled->Increment();
         FinishLocked(job, JobState::kCancelled,
                      Status::Cancelled("run cancelled"));
         // The whole wait was queue time; without this, cancelled-while-
         // queued jobs vanish from the per-tenant wait distribution.
-        metrics_.queue_wait_seconds->Observe(
+        metrics.queue_wait_seconds->Observe(
             SecondsBetween(job.submitted, job.finished));
         break;
       }
@@ -708,7 +738,7 @@ StatusOr<JobSnapshot> JobManager::Cancel(const std::string& id) {
         job.cancel_requested = true;
         job.cancel_requested_at = std::chrono::steady_clock::now();
         job.state = JobState::kCancelling;
-        metrics_.cancelling->Increment();
+        metrics.cancelling->Increment();
         JournalAppend(JobJournalRecordType::kCancelRequest, job.id, "");
         break;
       case JobState::kCancelling:
@@ -801,6 +831,7 @@ std::shared_ptr<JobManager::Job> JobManager::TakeNextLocked() {
   return nullptr;  // Unreachable: QueuedCount() > 0.
 }
 
+  const JobMetrics& metrics = JobMetrics::Get();
 void JobManager::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Job> job;
@@ -818,9 +849,9 @@ void JobManager::WorkerLoop() {
       job->dispatch_sequence = next_dispatch_++;
       --num_queued_;
       ++num_running_;
-      metrics_.queued->Decrement();
-      metrics_.running->Increment();
-      metrics_.queue_wait_seconds->Observe(
+      metrics.queued->Decrement();
+      metrics.running->Increment();
+      metrics.queue_wait_seconds->Observe(
           SecondsBetween(job->submitted, job->started));
       PublishLifecycle(*job, "state");
     }
@@ -851,19 +882,19 @@ void JobManager::WorkerLoop() {
       std::lock_guard<std::mutex> lock(mutex_);
       --num_running_;
       --TenantLocked(job->tenant).pending;
-      metrics_.running->Decrement();
+      metrics.running->Decrement();
       if (job->state == JobState::kCancelling) {
-        metrics_.cancelling->Decrement();
+        metrics.cancelling->Decrement();
       }
       if (job->cancel_requested) {
         // The caller disowned this run; its outcome (even a completed
         // result) is discarded and the job lands terminal "cancelled".
-        metrics_.cancelled->Increment();
-        metrics_.runs_cancelled->Increment();
+        metrics.cancelled->Increment();
+        metrics.runs_cancelled->Increment();
         FinishLocked(*job, JobState::kCancelled,
                      result.ok() ? Status::Cancelled("run cancelled")
                                  : result.status());
-        metrics_.cancel_latency_seconds->Observe(
+        metrics.cancel_latency_seconds->Observe(
             SecondsBetween(job->cancel_requested_at, job->finished));
       } else if (result.ok()) {
         job->resumed_from_checkpoint = result->resumed_from_checkpoint;
@@ -877,14 +908,14 @@ void JobManager::WorkerLoop() {
         job->best_validation_accuracy = result->best_validation_accuracy;
         job->degraded = result->degraded;
         job->failed_candidates = result->failed_candidates.size();
-        metrics_.done->Increment();
-        metrics_.phase_preprocessing->Observe(result->preprocessing_seconds);
-        metrics_.phase_selection->Observe(result->selection_seconds);
-        metrics_.phase_tuning->Observe(result->tuning_seconds);
-        metrics_.phase_output->Observe(result->output_seconds);
+        metrics.done->Increment();
+        metrics.phase_preprocessing->Observe(result->preprocessing_seconds);
+        metrics.phase_selection->Observe(result->selection_seconds);
+        metrics.phase_tuning->Observe(result->tuning_seconds);
+        metrics.phase_output->Observe(result->output_seconds);
         FinishLocked(*job, JobState::kDone, Status::OK());
       } else {
-        metrics_.failed->Increment();
+        metrics.failed->Increment();
         FinishLocked(*job, JobState::kFailed, result.status());
       }
     }
@@ -1071,8 +1102,8 @@ void JobManager::ReplayJournal() {
     tenant.queues[static_cast<size_t>(job->priority)].push_back(job);
     ++tenant.pending;
     ++num_queued_;
-    metrics_.queued->Increment();
-    metrics_.runs_recovered->Increment();
+    JobMetrics::Get().queued->Increment();
+    JobMetrics::Get().runs_recovered->Increment();
     PublishLifecycle(*job, "state");
     RunEvent restart;
     restart.type = "restart";

@@ -42,7 +42,9 @@
 // Each piece of bookkeeping exists once: a job is one record (Job derives
 // from JobSnapshot), every terminal edge goes through FinishLocked, and the
 // kAdmit/kTerminal payloads and the API's run options are each written and
-// read from one field list in job_manager.cc.
+// read from one field list in job_manager.cc. Metrics go to the process
+// registry (`GlobalMetrics()`): the manager's families are resolved once,
+// the per-tenant series on a tenant's first admission.
 #ifndef SMARTML_API_JOB_MANAGER_H_
 #define SMARTML_API_JOB_MANAGER_H_
 
@@ -126,9 +128,6 @@ struct JobManagerOptions {
   size_t event_buffer_capacity = 256;
   /// Hint returned with 429 responses.
   double retry_after_seconds = 5.0;
-  /// Registry receiving the manager's gauges/counters/histograms; null
-  /// means the process-global registry. Tests inject their own.
-  MetricsRegistry* metrics = nullptr;
   /// Durability: directory for the write-ahead job journal and the tuner
   /// checkpoint store (a "checkpoints" subdirectory). Empty disables both —
   /// accepted jobs then live only in memory, as before. With a journal, a
@@ -402,28 +401,6 @@ class JobManager {
 
   SmartML* framework_;
   JobManagerOptions options_;
-  MetricsRegistry* registry_ = nullptr;
-
-  /// Stable pointers into options_.metrics (or the global registry),
-  /// resolved once in the constructor; all updates are plain atomics.
-  struct Metrics {
-    Gauge* queued = nullptr;
-    Gauge* running = nullptr;
-    Gauge* cancelling = nullptr;
-    Counter* done = nullptr;
-    Counter* failed = nullptr;
-    Counter* cancelled = nullptr;
-    Counter* runs_cancelled = nullptr;
-    Counter* scheduler_passes = nullptr;
-    Histogram* cancel_latency_seconds = nullptr;
-    Histogram* queue_wait_seconds = nullptr;
-    Histogram* phase_preprocessing = nullptr;
-    Histogram* phase_selection = nullptr;
-    Histogram* phase_tuning = nullptr;
-    Histogram* phase_output = nullptr;
-    Counter* runs_recovered = nullptr;
-  };
-  Metrics metrics_;
 
   /// Durability (all null/empty when options_.journal_dir is empty).
   std::unique_ptr<JobJournal> journal_;

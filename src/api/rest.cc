@@ -20,6 +20,7 @@
 #include "src/data/csv.h"
 #include "src/metafeatures/metafeature_cache.h"
 #include "src/ml/registry.h"
+#include "src/obs/metrics.h"
 #include "src/obs/run_events.h"
 
 namespace smartml {
@@ -523,17 +524,12 @@ HttpResponse RestService::RouteV1(const HttpRequest& request) {
 HttpResponse RestService::HandleHealth() {
   // Degraded = the process has run on a reduced path: the KB needed crash
   // recovery at load, or candidate algorithms have been failing.
-  const bool degraded =
-      metrics_
-              ->GetCounter("smartml_kb_recoveries_total",
-                           "Knowledge-base loads that required salvage or "
-                           ".bak fallback.")
-              ->Value() > 0 ||
-      metrics_
-              ->GetCounter("smartml_candidates_failed_total",
-                           "Nominated algorithms whose tuning failed; the "
-                           "run degrades to the surviving candidates.")
-              ->Value() > 0;
+  const MetricsRegistry& metrics = GlobalMetrics();
+  auto count = [&metrics](const char* name, const MetricLabels& labels = {}) {
+    return static_cast<int64_t>(metrics.Value(name, labels));
+  };
+  const bool degraded = count("smartml_kb_recoveries_total") > 0 ||
+                        count("smartml_candidates_failed_total") > 0;
   JsonWriter w;
   w.BeginObject();
   w.Key("status");
@@ -569,32 +565,13 @@ HttpResponse RestService::HandleHealth() {
     w.Key("capacity");
     w.Int(static_cast<int64_t>(jobs_->max_pending_jobs()));
     w.Key("done");
-    w.Int(static_cast<int64_t>(
-        metrics_
-            ->GetCounter("smartml_jobs_total",
-                         "Finished experiments by terminal state.",
-                         {{"state", "done"}})
-            ->Value()));
+    w.Int(count("smartml_jobs_total", {{"state", "done"}}));
     w.Key("failed");
-    w.Int(static_cast<int64_t>(
-        metrics_
-            ->GetCounter("smartml_jobs_total",
-                         "Finished experiments by terminal state.",
-                         {{"state", "failed"}})
-            ->Value()));
+    w.Int(count("smartml_jobs_total", {{"state", "failed"}}));
     w.Key("cancelling");
-    w.Int(static_cast<int64_t>(
-        metrics_
-            ->GetGauge("smartml_jobs_cancelling",
-                       "Running experiments with a pending cancel request.")
-            ->Value()));
+    w.Int(count("smartml_jobs_cancelling"));
     w.Key("cancelled");
-    w.Int(static_cast<int64_t>(
-        metrics_
-            ->GetCounter("smartml_runs_cancelled_total",
-                         "Runs cancelled via DELETE /v1/runs/{id} (queued "
-                         "or running).")
-            ->Value()));
+    w.Int(count("smartml_runs_cancelled_total"));
     w.EndObject();
   }
   // Key observability gauges (from the same registry /v1/metrics exposes).
@@ -603,19 +580,9 @@ HttpResponse RestService::HandleHealth() {
   w.Key("records");
   w.Int(static_cast<int64_t>(framework_->kb().NumRecords()));
   w.Key("updates_total");
-  w.Int(static_cast<int64_t>(
-      metrics_
-          ->GetCounter("smartml_kb_updates_total",
-                       "Knowledge-base record inserts and merges.")
-          ->Value()));
+  w.Int(count("smartml_kb_updates_total"));
   w.Key("lookups_total");
-  w.Int(static_cast<int64_t>(
-      metrics_
-          ->GetHistogram("smartml_kb_lookup_seconds",
-                         "Latency of knowledge-base nearest-neighbour "
-                         "lookups.",
-                         LatencyBuckets())
-          ->TotalCount()));
+  w.Int(count("smartml_kb_lookup_seconds"));
   {
     // Lookup-index state: whether queries ride the k-d tree and how much of
     // the KB sits in the linear tail awaiting the next bounded rebuild.
@@ -652,7 +619,7 @@ HttpResponse RestService::HandleHealth() {
 HttpResponse RestService::HandleMetrics() {
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  response.body = metrics_->EncodePrometheus();
+  response.body = GlobalMetrics().EncodePrometheus();
   return response;
 }
 
@@ -1144,6 +1111,48 @@ HttpResponse RestService::HandleCancelRun(const std::string& id) {
 // HttpServer
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Resolved once against the global registry; every member is a stable
+// pointer whose updates are plain atomics.
+struct HttpMetrics {
+  /// Indexed by status class - 2 ("2xx" .. "5xx").
+  Counter* requests_by_class[4];
+  Histogram* request_seconds;
+  Gauge* queue_depth;
+  Counter* shed;
+  Counter* keepalive_reuses;
+
+  HttpMetrics() {
+    MetricsRegistry& registry = GlobalMetrics();
+    static const char* kClasses[] = {"2xx", "3xx", "4xx", "5xx"};
+    for (int c = 0; c < 4; ++c) {
+      requests_by_class[c] = registry.GetCounter(
+          "smartml_requests_total", "HTTP responses by status class.",
+          {{"code", kClasses[c]}});
+    }
+    request_seconds = registry.GetHistogram(
+        "smartml_request_seconds",
+        "End-to-end request latency (read, handle, write).", LatencyBuckets());
+    queue_depth = registry.GetGauge(
+        "smartml_http_queue_depth",
+        "Accepted connections waiting for a worker.");
+    shed = registry.GetCounter(
+        "smartml_http_shed_total",
+        "Connections rejected with 503 because the queue was full.");
+    keepalive_reuses = registry.GetCounter(
+        "smartml_http_keepalive_reuses_total",
+        "Requests served on an already-open keep-alive connection.");
+  }
+
+  static const HttpMetrics& Get() {
+    static const HttpMetrics metrics;
+    return metrics;
+  }
+};
+
+}  // namespace
+
 HttpServer::HttpServer(RestService* service, HttpServerOptions options)
     : service_(service), options_(options) {
   options_.num_workers = std::max(options_.num_workers, 1);
@@ -1153,27 +1162,8 @@ HttpServer::HttpServer(RestService* service, HttpServerOptions options)
       std::max(options_.max_requests_per_connection, 1);
   options_.keepalive_idle_timeout_seconds =
       std::max(options_.keepalive_idle_timeout_seconds, 0.0);
-
-  MetricsRegistry& registry =
-      options_.metrics != nullptr ? *options_.metrics : GlobalMetrics();
-  const std::string requests_help = "HTTP responses by status class.";
-  static const char* kClasses[] = {"2xx", "3xx", "4xx", "5xx"};
-  for (int c = 0; c < 4; ++c) {
-    metrics_.requests_by_class[c] = registry.GetCounter(
-        "smartml_requests_total", requests_help, {{"code", kClasses[c]}});
-  }
-  metrics_.request_seconds = registry.GetHistogram(
-      "smartml_request_seconds",
-      "End-to-end request latency (read, handle, write).", LatencyBuckets());
-  metrics_.queue_depth = registry.GetGauge(
-      "smartml_http_queue_depth",
-      "Accepted connections waiting for a worker.");
-  metrics_.shed = registry.GetCounter(
-      "smartml_http_shed_total",
-      "Connections rejected with 503 because the queue was full.");
-  metrics_.keepalive_reuses = registry.GetCounter(
-      "smartml_http_keepalive_reuses_total",
-      "Requests served on an already-open keep-alive connection.");
+  // Registers the transport families before the first scrape can run.
+  HttpMetrics::Get();
 }
 
 HttpServer::~HttpServer() {
@@ -1271,7 +1261,8 @@ Status HttpServer::Serve(int max_requests) {
         shed = true;
       } else {
         pending_.push_back(client);
-        metrics_.queue_depth->Set(static_cast<int64_t>(pending_.size()));
+        HttpMetrics::Get().queue_depth->Set(
+            static_cast<int64_t>(pending_.size()));
       }
     }
     if (shed) {
@@ -1279,8 +1270,8 @@ Status HttpServer::Serve(int max_requests) {
       // thanks to SO_SNDTIMEO.
       (void)SendAll(client, shed_wire);
       ::close(client);
-      metrics_.shed->Increment();
-      metrics_.requests_by_class[5 - 2]->Increment();
+      HttpMetrics::Get().shed->Increment();
+      HttpMetrics::Get().requests_by_class[5 - 2]->Increment();
     } else {
       queue_cv_.notify_one();
     }
@@ -1314,7 +1305,8 @@ void HttpServer::WorkerLoop() {
       if (pending_.empty()) return;  // Draining and nothing left.
       client = pending_.front();
       pending_.pop_front();
-      metrics_.queue_depth->Set(static_cast<int64_t>(pending_.size()));
+      HttpMetrics::Get().queue_depth->Set(
+          static_cast<int64_t>(pending_.size()));
     }
     HandleConnection(client);
   }
@@ -1352,7 +1344,7 @@ void HttpServer::HandleConnection(int client) {
       if (!readable) break;  // Idle timeout or drain: quiet close.
     }
 
-    ScopedTimer latency_timer(metrics_.request_seconds);
+    ScopedTimer latency_timer(HttpMetrics::Get().request_seconds);
     // Read until the header block has arrived, parse it once, then read its
     // Content-Length body (or until the socket times out / the client goes
     // away). ParseHttpRequest validated and canonicalized Content-Length.
@@ -1435,7 +1427,9 @@ void HttpServer::HandleConnection(int client) {
     }
 
     ++requests_on_connection;
-    if (requests_on_connection > 1) metrics_.keepalive_reuses->Increment();
+    if (requests_on_connection > 1) {
+      HttpMetrics::Get().keepalive_reuses->Increment();
+    }
 
     // Keep-alive decision: HTTP/1.1 defaults to keep, HTTP/1.0 and
     // `Connection: close` to close; framing errors, streamed responses, the
@@ -1456,7 +1450,7 @@ void HttpServer::HandleConnection(int client) {
 
     const int status_class = response.status / 100;
     if (status_class >= 2 && status_class <= 5) {
-      metrics_.requests_by_class[status_class - 2]->Increment();
+      HttpMetrics::Get().requests_by_class[status_class - 2]->Increment();
     }
     // Count before writing: a client that reads the response must be able
     // to observe the updated requests_served().

@@ -65,7 +65,6 @@
 
 #include "src/common/status.h"
 #include "src/core/smartml.h"
-#include "src/obs/metrics.h"
 
 namespace smartml {
 
@@ -123,14 +122,10 @@ class RestService {
  public:
   /// `framework` must outlive the service. Without a JobManager, POST
   /// /v1/runs responds 503 (async execution disabled); everything else
-  /// works. `metrics` is the registry GET /v1/metrics exposes (and the one
-  /// /v1/health reads its observability gauges from); null means the
-  /// process-global registry. Tests inject an isolated instance.
-  explicit RestService(SmartML* framework, JobManager* jobs = nullptr,
-                       MetricsRegistry* metrics = nullptr)
-      : framework_(framework),
-        jobs_(jobs),
-        metrics_(metrics != nullptr ? metrics : &GlobalMetrics()) {}
+  /// works. GET /v1/metrics exposes the process registry (`GlobalMetrics()`),
+  /// and /v1/health reads its counters from it without registering any.
+  explicit RestService(SmartML* framework, JobManager* jobs = nullptr)
+      : framework_(framework), jobs_(jobs) {}
 
   HttpResponse Handle(const HttpRequest& request);
 
@@ -157,7 +152,6 @@ class RestService {
 
   SmartML* framework_;
   JobManager* jobs_;
-  MetricsRegistry* metrics_;
   const HttpServer* server_ = nullptr;
 };
 
@@ -176,9 +170,6 @@ struct HttpServerOptions {
   /// How long a keep-alive connection may sit idle between requests before
   /// the server closes it quietly.
   double keepalive_idle_timeout_seconds = 5.0;
-  /// Registry receiving the transport metrics (request counts/latency,
-  /// queue depth, shed connections); null means the process-global one.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// HTTP server on 127.0.0.1:`port` (0 = ephemeral) with a fixed worker
@@ -218,18 +209,6 @@ class HttpServer {
 
   RestService* service_;
   HttpServerOptions options_;
-
-  /// Stable pointers into options_.metrics (or the global registry),
-  /// resolved once in the constructor; all updates are plain atomics.
-  struct Metrics {
-    /// Indexed by status class - 2 ("2xx" .. "5xx").
-    Counter* requests_by_class[4] = {nullptr, nullptr, nullptr, nullptr};
-    Histogram* request_seconds = nullptr;
-    Gauge* queue_depth = nullptr;
-    Counter* shed = nullptr;
-    Counter* keepalive_reuses = nullptr;
-  };
-  Metrics metrics_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};

@@ -6,9 +6,7 @@
 // Both are written as manual 4-wide unrolls with independent accumulators so
 // any -O2 compiler can keep four lanes in flight (and auto-vectorize the
 // distance kernel); neither requires intrinsics, so the code is portable to
-// every target the repo builds on. Define SMARTML_SIMD_SCALAR to force the
-// plain scalar loops — the unit tests build both flavours to prove they
-// agree, and the macro is the escape hatch for odd targets.
+// every target the repo builds on.
 #ifndef SMARTML_COMMON_SIMD_H_
 #define SMARTML_COMMON_SIMD_H_
 
@@ -23,7 +21,6 @@ namespace smartml {
 /// the pairwise reduction at the end keeps the summation tree fixed, making
 /// results identical across calls on the same data.
 inline double SquaredDistance(const double* a, const double* b, size_t n) {
-#if !defined(SMARTML_SIMD_SCALAR)
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -42,14 +39,6 @@ inline double SquaredDistance(const double* a, const double* b, size_t n) {
     s += d * d;
   }
   return s;
-#else
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
-#endif
 }
 
 /// Scatters `n` training rows into per-bin class histograms: for each listed
@@ -64,7 +53,6 @@ inline void AccumulateBinHistogram(const uint8_t* codes, const size_t* rows,
                                    size_t n, const int* y, const double* w,
                                    size_t num_classes, size_t num_bins,
                                    double* wsum, uint32_t* cnt) {
-#if !defined(SMARTML_SIMD_SCALAR)
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const size_t r0 = rows[i];
@@ -95,15 +83,6 @@ inline void AccumulateBinHistogram(const uint8_t* codes, const size_t* rows,
     wsum[b * num_classes + static_cast<size_t>(y[r])] += w[r];
     ++cnt[b];
   }
-#else
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = rows[i];
-    size_t b = codes[r];
-    if (b > num_bins) b = num_bins;
-    wsum[b * num_classes + static_cast<size_t>(y[r])] += w[r];
-    ++cnt[b];
-  }
-#endif
 }
 
 }  // namespace smartml

@@ -41,14 +41,10 @@ class Deadline {
   /// Expires `seconds` from now.
   static Deadline After(double seconds) { return Deadline(seconds); }
 
-  static Deadline Infinite() { return Deadline(); }
-
   bool Expired() const { return watch_.ElapsedSeconds() >= seconds_; }
 
   /// Seconds until expiry (may be negative once expired, +inf if infinite).
   double Remaining() const { return seconds_ - watch_.ElapsedSeconds(); }
-
-  double BudgetSeconds() const { return seconds_; }
 
  private:
   explicit Deadline(double seconds) : seconds_(seconds) {}

@@ -74,11 +74,6 @@ bool ThreadPool::TrySubmit(std::function<void()> fn) {
   return true;
 }
 
-size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

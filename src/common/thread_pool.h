@@ -57,14 +57,11 @@ class ThreadPool {
   /// (ParallelFor treats it as "one fewer helper").
   bool TrySubmit(std::function<void()> fn);
 
-  /// Tasks currently waiting in the queue (not the ones running).
-  size_t QueueDepth() const;
-
  private:
   void WorkerLoop();
 
   const size_t max_queued_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
   std::deque<std::function<void()>> queue_;

@@ -36,9 +36,9 @@ uint64_t DatasetContentHash(const Dataset& dataset) {
   return h;
 }
 
-MetaFeatureCache::MetaFeatureCache(size_t capacity, MetricsRegistry* metrics)
+MetaFeatureCache::MetaFeatureCache(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
-  MetricsRegistry& registry = metrics != nullptr ? *metrics : GlobalMetrics();
+  MetricsRegistry& registry = GlobalMetrics();
   hits_ = registry.GetCounter(
       "smartml_metafeature_cache_hits_total",
       "Meta-feature/landmark extractions served from the content-hash cache.");

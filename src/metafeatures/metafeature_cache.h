@@ -37,9 +37,9 @@ uint64_t DatasetContentHash(const Dataset& dataset);
 class MetaFeatureCache {
  public:
   /// `capacity` bounds the number of distinct datasets retained (LRU
-  /// eviction). `metrics` defaults to the global registry.
-  explicit MetaFeatureCache(size_t capacity = 128,
-                            MetricsRegistry* metrics = nullptr);
+  /// eviction). Hits and misses count into the process registry's
+  /// smartml_metafeature_cache_{hits,misses}_total.
+  explicit MetaFeatureCache(size_t capacity = 128);
 
   /// Process-wide instance used by the serving path.
   static MetaFeatureCache& Global();

@@ -23,8 +23,6 @@ class LmtClassifier : public Classifier {
     return std::make_unique<LmtClassifier>();
   }
 
-  size_t NumLeafModels() const { return leaf_models_.size(); }
-
  private:
   Status FitImpl(const Dataset& train, const ParamConfig& config) override;
   StatusOr<ProbaMatrix> PredictProbaImpl(const Dataset& data) const override;

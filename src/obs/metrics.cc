@@ -79,6 +79,15 @@ void AppendSample(std::string* out, const std::string& name,
   *out += '\n';
 }
 
+/// First entry of a key-sorted vector of (key, value) pairs whose key is not
+/// less than `key`.
+template <typename Entries>
+auto LowerBoundByKey(Entries& entries, const std::string& key) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const auto& entry, const std::string& k) { return entry.first < k; });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -140,9 +149,7 @@ MetricsRegistry::Series* MetricsRegistry::GetSeries(
   const std::string key = RenderLabels(labels);
   std::lock_guard<std::mutex> lock(mutex_);
 
-  auto family_it = std::lower_bound(
-      families_.begin(), families_.end(), name,
-      [](const auto& entry, const std::string& n) { return entry.first < n; });
+  auto family_it = LowerBoundByKey(families_, name);
   if (family_it == families_.end() || family_it->first != name) {
     Family family;
     family.type = type;
@@ -153,9 +160,7 @@ MetricsRegistry::Series* MetricsRegistry::GetSeries(
   Family& family = family_it->second;
   if (family.type != type) return nullptr;  // Caller hands out a dummy.
 
-  auto series_it = std::lower_bound(
-      family.series.begin(), family.series.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
+  auto series_it = LowerBoundByKey(family.series, key);
   if (series_it != family.series.end() && series_it->first == key) {
     return &series_it->second;
   }
@@ -210,6 +215,27 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
     return dummy;
   }
   return series->histogram.get();
+}
+
+double MetricsRegistry::Value(const std::string& name,
+                              const MetricLabels& labels) const {
+  const std::string key = RenderLabels(labels);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto family_it = LowerBoundByKey(families_, name);
+  if (family_it == families_.end() || family_it->first != name) return 0.0;
+  const Family& family = family_it->second;
+  auto series_it = LowerBoundByKey(family.series, key);
+  if (series_it == family.series.end() || series_it->first != key) return 0.0;
+  const Series& series = series_it->second;
+  switch (family.type) {
+    case Type::kCounter:
+      return static_cast<double>(series.counter->Value());
+    case Type::kGauge:
+      return static_cast<double>(series.gauge->Value());
+    case Type::kHistogram:
+      return static_cast<double>(series.histogram->TotalCount());
+  }
+  return 0.0;
 }
 
 std::string MetricsRegistry::EncodePrometheus() const {

@@ -12,10 +12,10 @@
 // end in `_total`, histograms emit cumulative `_bucket{le="..."}` series
 // plus `_sum`/`_count`, and every family carries `# HELP` / `# TYPE` lines.
 //
-// One process-global registry (`GlobalMetrics()`) backs the REST server's
-// GET /v1/metrics; components that serve metrics (RestService, HttpServer,
-// JobManager) also accept an explicit registry so tests can assert against
-// an isolated instance.
+// One process-global registry (`GlobalMetrics()`) receives every built-in
+// metric and backs the REST server's GET /v1/metrics. Each family is
+// registered in exactly one place; readers such as GET /v1/health and tests
+// use the read-only `Value()` instead of re-declaring it.
 #ifndef SMARTML_OBS_METRICS_H_
 #define SMARTML_OBS_METRICS_H_
 
@@ -127,6 +127,11 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name, const std::string& help,
                           const std::vector<double>& bounds,
                           const MetricLabels& labels = {});
+
+  /// Current value of one series without registering anything: a
+  /// counter's or gauge's value, or a histogram's observation count. An
+  /// absent family or label set reads 0. `labels` match in any order.
+  double Value(const std::string& name, const MetricLabels& labels = {}) const;
 
   /// Prometheus text exposition (format version 0.0.4) of every family,
   /// sorted by metric name. Safe to call while writers are active.

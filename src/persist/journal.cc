@@ -47,6 +47,42 @@ void DecodeSegment(std::string_view bytes,
   if (decoded_end < bytes.size()) ++*torn;
 }
 
+// Resolved once against the global registry; every member is a stable
+// pointer whose updates are plain atomics.
+struct JournalMetrics {
+  Counter* appends;
+  Counter* bytes_written;
+  Counter* rotations;
+  Counter* compactions;
+  Counter* replayed;
+  Counter* torn;
+  Gauge* segments;
+
+  JournalMetrics() {
+    MetricsRegistry& registry = GlobalMetrics();
+    appends = registry.GetCounter("smartml_journal_appends_total",
+                                  "Journal records appended");
+    bytes_written = registry.GetCounter("smartml_journal_bytes_written_total",
+                                        "Bytes written to journal segments");
+    rotations = registry.GetCounter("smartml_journal_rotations_total",
+                                    "Journal segment rotations");
+    compactions = registry.GetCounter("smartml_journal_compactions_total",
+                                      "Journal compaction passes");
+    replayed = registry.GetCounter("smartml_journal_replayed_records_total",
+                                   "Records decoded during journal replay");
+    torn = registry.GetCounter(
+        "smartml_journal_torn_records_total",
+        "Torn/corrupt journal frames dropped by salvage");
+    segments = registry.GetGauge("smartml_journal_segments",
+                                 "Journal segment files on disk");
+  }
+
+  static const JournalMetrics& Get() {
+    static const JournalMetrics metrics;
+    return metrics;
+  }
+};
+
 }  // namespace
 
 std::string EncodeJournalFrame(const JournalRecord& record) {
@@ -63,41 +99,8 @@ std::string EncodeJournalFrame(const JournalRecord& record) {
   return frame;
 }
 
-struct JobJournal::Metrics {
-  Counter* appends = nullptr;
-  Counter* bytes_written = nullptr;
-  Counter* rotations = nullptr;
-  Counter* compactions = nullptr;
-  Counter* replayed = nullptr;
-  Counter* torn = nullptr;
-  Gauge* segments = nullptr;
-
-  explicit Metrics(MetricsRegistry* registry) {
-    appends = registry->GetCounter("smartml_journal_appends_total",
-                                   "Journal records appended");
-    bytes_written =
-        registry->GetCounter("smartml_journal_bytes_written_total",
-                             "Bytes written to journal segments");
-    rotations = registry->GetCounter("smartml_journal_rotations_total",
-                                     "Journal segment rotations");
-    compactions = registry->GetCounter("smartml_journal_compactions_total",
-                                       "Journal compaction passes");
-    replayed = registry->GetCounter("smartml_journal_replayed_records_total",
-                                    "Records decoded during journal replay");
-    torn = registry->GetCounter(
-        "smartml_journal_torn_records_total",
-        "Torn/corrupt journal frames dropped by salvage");
-    segments = registry->GetGauge("smartml_journal_segments",
-                                  "Journal segment files on disk");
-  }
-};
-
 JobJournal::JobJournal(std::string dir, const JournalOptions& options)
-    : dir_(std::move(dir)), options_(options) {
-  if (options_.metrics != nullptr) {
-    metrics_ = std::make_unique<Metrics>(options_.metrics);
-  }
-}
+    : dir_(std::move(dir)), options_(options) {}
 
 JobJournal::~JobJournal() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -146,7 +149,7 @@ Status JobJournal::OpenActiveLocked() {
   active_bytes_ = ::fstat(fd, &st) == 0 ? static_cast<size_t>(st.st_size) : 0;
   if (active_fd_ >= 0) ::close(active_fd_);
   active_fd_ = fd;
-  if (metrics_) metrics_->segments->Set(static_cast<int64_t>(segments_.size()));
+  JournalMetrics::Get().segments->Set(static_cast<int64_t>(segments_.size()));
   return Status::OK();
 }
 
@@ -186,14 +189,13 @@ Status JobJournal::AppendLocked(const JournalRecord& record) {
   if (FaultShouldFire("journal_fsync_fail") || ::fsync(active_fd_) != 0) {
     return Status::IOError("journal fsync failed");
   }
-  if (metrics_) {
-    metrics_->appends->Increment();
-    metrics_->bytes_written->Increment(frame.size());
-  }
+  const JournalMetrics& metrics = JournalMetrics::Get();
+  metrics.appends->Increment();
+  metrics.bytes_written->Increment(frame.size());
   if (active_bytes_ >= options_.segment_bytes) {
     segments_.push_back(segments_.back() + 1);
     SMARTML_RETURN_NOT_OK(OpenActiveLocked());
-    if (metrics_) metrics_->rotations->Increment();
+    metrics.rotations->Increment();
   }
   return Status::OK();
 }
@@ -215,10 +217,8 @@ StatusOr<ReplayStats> JobJournal::Replay(
     ++stats.segments;
     DecodeSegment(*bytes, fn, &stats.records, &stats.torn_records);
   }
-  if (metrics_) {
-    metrics_->replayed->Increment(stats.records);
-    metrics_->torn->Increment(stats.torn_records);
-  }
+  JournalMetrics::Get().replayed->Increment(stats.records);
+  JournalMetrics::Get().torn->Increment(stats.torn_records);
   return stats;
 }
 
@@ -268,7 +268,7 @@ Status JobJournal::Compact(const std::function<bool(JournalRecord*)>& keep) {
   if (!compacted.empty()) segments_.push_back(compacted_number);
   segments_.push_back(next_active);
   SMARTML_RETURN_NOT_OK(OpenActiveLocked());
-  if (metrics_) metrics_->compactions->Increment();
+  JournalMetrics::Get().compactions->Increment();
   SMARTML_LOG_INFO << "journal compacted: " << dropped << " records dropped, "
                    << compacted.size() << " bytes retained";
   return Status::OK();

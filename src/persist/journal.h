@@ -29,6 +29,10 @@
 // visible; replayers tolerate this because they aggregate records per key,
 // so duplicates are benign.
 //
+// Every journal counts into the process registry's smartml_journal_*
+// families (appends, bytes written, rotations, compactions, replayed and
+// torn records, segments on disk).
+//
 // Fault points (see fault_injection.h): `journal_write_torn` truncates a
 // frame mid-write and skips the fsync, `journal_fsync_fail` simulates the
 // fsync itself failing.
@@ -46,8 +50,6 @@
 
 namespace smartml {
 
-class MetricsRegistry;
-
 /// One journal entry. `type` is caller-defined (JobManager uses the
 /// JobJournalRecordType enum in job_manager.h), `key` identifies the entity
 /// (a run or batch id), `payload` is an opaque blob (JSON in practice —
@@ -61,8 +63,6 @@ struct JournalRecord {
 struct JournalOptions {
   /// Rotate the active segment once it exceeds this many bytes.
   size_t segment_bytes = 1 << 20;
-  /// Registry for smartml_journal_* metrics; nullptr disables them.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// What Replay found. `torn_records` counts frames dropped by salvage.
@@ -121,10 +121,6 @@ class JobJournal {
   std::vector<unsigned> segments_;  // sorted ascending; back() is active
   int active_fd_ = -1;
   size_t active_bytes_ = 0;
-
-  // Metrics (owned by the registry; nullptr when metrics are disabled).
-  struct Metrics;
-  std::unique_ptr<Metrics> metrics_;
 };
 
 /// Encodes one record as a framed byte string (exposed for tests that

@@ -68,7 +68,6 @@ class PreprocessPipeline {
   StatusOr<Dataset> Transform(const Dataset& data) const;
   StatusOr<Dataset> FitTransform(const Dataset& train);
 
-  size_t NumSteps() const { return steps_.size(); }
   bool fitted() const { return fitted_; }
 
  private:

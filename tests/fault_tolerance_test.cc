@@ -139,11 +139,11 @@ TEST_F(FaultTolerance, CancelRunningJobReachesTerminalStateQuickly) {
   // running long enough to observe the cancelling -> cancelled transition.
   ASSERT_TRUE(FaultInjection::Instance().SetSpec("slow_train:100ms").ok());
 
-  MetricsRegistry metrics;
+  const double cancelled_before =
+      GlobalMetrics().Value("smartml_runs_cancelled_total");
   SmartML framework(FastOptions());
   JobManagerOptions job_options;
   job_options.num_workers = 1;
-  job_options.metrics = &metrics;
   JobManager jobs(&framework, job_options);
 
   auto id = jobs.Submit(SmallDataset(), framework.options());
@@ -173,18 +173,10 @@ TEST_F(FaultTolerance, CancelRunningJobReachesTerminalStateQuickly) {
           .count();
   EXPECT_LT(latency, 2.0) << "cancellation latency exceeded the 2s bound";
 
-  EXPECT_EQ(metrics
-                .GetCounter("smartml_runs_cancelled_total",
-                            "Runs cancelled via DELETE /v1/runs/{id} "
-                            "(queued or running).")
-                ->Value(),
-            1u);
-  EXPECT_EQ(metrics
-                .GetGauge("smartml_jobs_cancelling",
-                          "Running experiments with a pending cancel "
-                          "request.")
-                ->Value(),
-            0);
+  EXPECT_EQ(GlobalMetrics().Value("smartml_runs_cancelled_total") -
+                cancelled_before,
+            1.0);
+  EXPECT_EQ(GlobalMetrics().Value("smartml_jobs_cancelling"), 0.0);
 }
 
 TEST_F(FaultTolerance, DeadlineExpiryReturnsBestSoFarNotDegraded) {
@@ -223,11 +215,10 @@ TEST_F(FaultTolerance, ThrowingCandidateDegradesRunToSurvivors) {
   // the run completes on the surviving candidate (rpart) and reports the
   // degradation instead of failing.
   ASSERT_TRUE(FaultInjection::Instance().SetSpec("tuner_throw:1x").ok());
-  Counter* failed = GlobalMetrics().GetCounter(
-      "smartml_candidates_failed_total",
-      "Nominated algorithms whose tuning failed; the run degrades to the "
-      "surviving candidates.");
-  const uint64_t failed_before = failed->Value();
+  auto failed = [] {
+    return GlobalMetrics().Value("smartml_candidates_failed_total");
+  };
+  const double failed_before = failed();
 
   SmartML framework(FastOptions());
   auto result = framework.Run(SmallDataset());
@@ -239,7 +230,7 @@ TEST_F(FaultTolerance, ThrowingCandidateDegradesRunToSurvivors) {
   EXPECT_EQ(result->failed_candidates[0].algorithm, "knn");
   EXPECT_NE(result->failed_candidates[0].error.find("tuner_throw"),
             std::string::npos);
-  EXPECT_EQ(failed->Value(), failed_before + 1);
+  EXPECT_EQ(failed(), failed_before + 1);
 
   // The failure surfaces in the trace.
   bool found_failure_span = false;
@@ -427,22 +418,15 @@ TEST_F(FaultTolerance, TornTailIsSalvagedWithWarning) {
   // Tear the file mid-way (simulates a kill -9 between write and fsync).
   WriteAll(path, text.substr(0, text.size() * 2 / 3));
 
-  const uint64_t recoveries_before =
-      GlobalMetrics()
-          .GetCounter("smartml_kb_recoveries_total",
-                      "Knowledge-base loads that required salvage or .bak "
-                      "fallback.")
-          ->Value();
+  auto recoveries = [] {
+    return GlobalMetrics().Value("smartml_kb_recoveries_total");
+  };
+  const double recoveries_before = recoveries();
   auto salvaged = KnowledgeBase::LoadFromFile(path);
   ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
   EXPECT_GE(salvaged->NumRecords(), 1u);
   EXPECT_LT(salvaged->NumRecords(), 4u);
-  EXPECT_EQ(GlobalMetrics()
-                .GetCounter("smartml_kb_recoveries_total",
-                            "Knowledge-base loads that required salvage or "
-                            ".bak fallback.")
-                ->Value(),
-            recoveries_before + 1);
+  EXPECT_EQ(recoveries(), recoveries_before + 1);
   std::remove(path.c_str());
 }
 
@@ -479,17 +463,18 @@ TEST_F(FaultTolerance, InjectedLoadCorruptionIsCaughtAndRecovered) {
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultTolerance, CancelledRunIncrementsPipelineCancelCounter) {
-  Counter* cancelled = GlobalMetrics().GetCounter(
-      "smartml_runs_total", "Completed SmartML pipeline runs by outcome.",
-      {{"outcome", "cancelled"}});
-  const uint64_t before = cancelled->Value();
+  auto cancelled = [] {
+    return GlobalMetrics().Value("smartml_runs_total",
+                                 {{"outcome", "cancelled"}});
+  };
+  const double before = cancelled();
   RunBudget budget;
   budget.token = std::make_shared<CancelToken>();
   budget.token->Cancel();
   SmartML framework(FastOptions());
   auto result = framework.Run(SmallDataset(), framework.options(), budget);
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(cancelled->Value(), before + 1);
+  EXPECT_EQ(cancelled(), before + 1);
 }
 
 }  // namespace

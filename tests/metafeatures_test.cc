@@ -182,22 +182,24 @@ TEST(NormalizerTest, DistanceBecomesScaleFree) {
 // MetaFeatureCache: content-hash memoization of extraction
 // ---------------------------------------------------------------------------
 
-uint64_t CacheCounter(MetricsRegistry* registry, const char* name,
-                      const char* help) {
-  return registry->GetCounter(name, help)->Value();
-}
-
 struct CacheStats {
   uint64_t hits;
   uint64_t misses;
 };
 
-CacheStats StatsOf(MetricsRegistry* registry) {
-  return {CacheCounter(registry, "smartml_metafeature_cache_hits_total",
-                       "Meta-feature/landmark extractions served from the "
-                       "content-hash cache."),
-          CacheCounter(registry, "smartml_metafeature_cache_misses_total",
-                       "Meta-feature/landmark extractions that had to run.")};
+// The cache counters of the process registry; a test subtracts the values
+// it read before touching its cache.
+CacheStats CacheTotals() {
+  auto read = [](const char* name) {
+    return static_cast<uint64_t>(GlobalMetrics().Value(name));
+  };
+  return {read("smartml_metafeature_cache_hits_total"),
+          read("smartml_metafeature_cache_misses_total")};
+}
+
+CacheStats StatsSince(const CacheStats& base) {
+  const CacheStats now = CacheTotals();
+  return {now.hits - base.hits, now.misses - base.misses};
 }
 
 TEST(MetaFeatureCacheTest, ContentHashIgnoresNameButSeesData) {
@@ -213,19 +215,19 @@ TEST(MetaFeatureCacheTest, ContentHashIgnoresNameButSeesData) {
 }
 
 TEST(MetaFeatureCacheTest, RepeatedExtractionHitsTheCache) {
-  MetricsRegistry registry;
-  MetaFeatureCache cache(/*capacity=*/8, &registry);
+  const CacheStats base = CacheTotals();
+  MetaFeatureCache cache(/*capacity=*/8);
   const Dataset d = MakeMixedDataset();
 
   auto first = cache.MetaFeatures(d);
   ASSERT_TRUE(first.ok());
-  CacheStats stats = StatsOf(&registry);
+  CacheStats stats = StatsSince(base);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
 
   auto second = cache.MetaFeatures(d);
   ASSERT_TRUE(second.ok());
-  stats = StatsOf(&registry);
+  stats = StatsSince(base);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   for (size_t i = 0; i < kNumMetaFeatures; ++i) {
@@ -240,21 +242,21 @@ TEST(MetaFeatureCacheTest, RepeatedExtractionHitsTheCache) {
 }
 
 TEST(MetaFeatureCacheTest, LandmarksKeyedByDatasetAndSeed) {
-  MetricsRegistry registry;
-  MetaFeatureCache cache(/*capacity=*/8, &registry);
+  const CacheStats base = CacheTotals();
+  MetaFeatureCache cache(/*capacity=*/8);
   const Dataset d = MakeMixedDataset();
 
   ASSERT_TRUE(cache.Landmarks(d, /*seed=*/1).ok());
   ASSERT_TRUE(cache.Landmarks(d, /*seed=*/1).ok());  // Hit.
   ASSERT_TRUE(cache.Landmarks(d, /*seed=*/2).ok());  // Different seed: miss.
-  const CacheStats stats = StatsOf(&registry);
+  const CacheStats stats = StatsSince(base);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
 }
 
 TEST(MetaFeatureCacheTest, BoundedLruEvictsLeastRecentlyUsed) {
-  MetricsRegistry registry;
-  MetaFeatureCache cache(/*capacity=*/2, &registry);
+  const CacheStats base = CacheTotals();
+  MetaFeatureCache cache(/*capacity=*/2);
   auto make = [](int seed) {
     SyntheticSpec spec;
     spec.num_instances = 60;
@@ -270,19 +272,19 @@ TEST(MetaFeatureCacheTest, BoundedLruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.size(), 2u);
   ASSERT_TRUE(cache.MetaFeatures(d1).ok());  // miss again (was evicted)
   ASSERT_TRUE(cache.MetaFeatures(d2).ok());  // hit (still resident)
-  const CacheStats stats = StatsOf(&registry);
+  const CacheStats stats = StatsSince(base);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 4u);
 }
 
 TEST(MetaFeatureCacheTest, ExtractionErrorsAreNotCached) {
-  MetricsRegistry registry;
-  MetaFeatureCache cache(/*capacity=*/4, &registry);
+  const CacheStats base = CacheTotals();
+  MetaFeatureCache cache(/*capacity=*/4);
   const Dataset empty;  // No rows/features: extraction fails.
   EXPECT_FALSE(cache.MetaFeatures(empty).ok());
   EXPECT_FALSE(cache.MetaFeatures(empty).ok());
   EXPECT_EQ(cache.size(), 0u);
-  const CacheStats stats = StatsOf(&registry);
+  const CacheStats stats = StatsSince(base);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
 }

@@ -10,10 +10,6 @@
 // less than a deliberately time-boxed blocker run.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -29,6 +25,7 @@
 #include "src/data/csv.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
+#include "tests/loopback_client.h"
 
 namespace smartml {
 namespace {
@@ -98,13 +95,11 @@ TEST(JobPriorityTest, NamesRoundTrip) {
 }
 
 TEST(MultiTenantTest, FairShareDispatchFollowsWeights) {
-  MetricsRegistry registry;
   SmartML framework(FastOptions());
   JobManagerOptions options;
   options.num_workers = 1;
   options.max_pending_jobs = 16;
   options.tenant_weights = {{"a", 2}, {"b", 1}};
-  options.metrics = &registry;
   JobManager jobs(&framework, options);
 
   // Occupy the single worker so the six fair-share jobs queue up together.
@@ -139,13 +134,14 @@ TEST(MultiTenantTest, FairShareDispatchFollowsWeights) {
 }
 
 TEST(MultiTenantTest, QuotaShedsWithRetryableErrorAndMetric) {
-  MetricsRegistry registry;
+  const MetricLabels tenant_a = {{"tenant", "a"}};
+  const double shed_before =
+      GlobalMetrics().Value("smartml_tenant_shed_total", tenant_a);
   SmartML framework(FastOptions());
   JobManagerOptions options;
   options.num_workers = 1;
   options.max_pending_jobs = 16;
   options.default_tenant_quota = 2;
-  options.metrics = &registry;
   JobManager jobs(&framework, options);
 
   // Two pending jobs fill tenant a's quota (one running, one queued).
@@ -166,12 +162,8 @@ TEST(MultiTenantTest, QuotaShedsWithRetryableErrorAndMetric) {
   EXPECT_NE(rejected.status().ToString().find("quota"), std::string::npos)
       << rejected.status().ToString();
   EXPECT_DOUBLE_EQ(
-      registry
-          .GetCounter("smartml_tenant_shed_total",
-                      "Admissions rejected with 429 by tenant (quota or "
-                      "global capacity).",
-                      {{"tenant", "a"}})
-          ->Value(),
+      GlobalMetrics().Value("smartml_tenant_shed_total", tenant_a) -
+          shed_before,
       1.0);
 
   // Other tenants are unaffected by a's quota exhaustion.
@@ -185,12 +177,10 @@ TEST(MultiTenantTest, QuotaShedsWithRetryableErrorAndMetric) {
 }
 
 TEST(MultiTenantTest, CancelWhileQueuedRecordsQueueWait) {
-  MetricsRegistry registry;
   SmartML framework(FastOptions());
   JobManagerOptions options;
   options.num_workers = 1;
   options.max_pending_jobs = 8;
-  options.metrics = &registry;
   JobManager jobs(&framework, options);
 
   auto blocker = jobs.Submit(BlockerRequest(/*budget_seconds=*/2.0));
@@ -199,17 +189,15 @@ TEST(MultiTenantTest, CancelWhileQueuedRecordsQueueWait) {
   auto queued = jobs.Submit(FastRequest("a"));
   ASSERT_TRUE(queued.ok());
 
-  Histogram* queue_wait = registry.GetHistogram(
-      "smartml_job_queue_wait_seconds",
-      "Seconds a job waited in the queue before starting or being "
-      "cancelled.",
-      LatencyBuckets());
+  auto queue_waits = [] {
+    return GlobalMetrics().Value("smartml_job_queue_wait_seconds");
+  };
   // The blocker has already been dispatched (or is about to be); only the
   // cancelled job is guaranteed to still be queued.
-  const uint64_t before = queue_wait->TotalCount();
+  const double before = queue_waits();
   ASSERT_TRUE(jobs.Cancel(*queued).ok());
   // A job that never ran still waited: the histogram must see its wait.
-  EXPECT_EQ(queue_wait->TotalCount(), before + 1);
+  EXPECT_EQ(queue_waits(), before + 1);
 }
 
 TEST(MultiTenantTest, PriorityClassesOrderWithinATenant) {
@@ -242,24 +230,22 @@ TEST(MultiTenantTest, PriorityClassesOrderWithinATenant) {
 }
 
 TEST(MultiTenantTest, BatchAdmitsUnderOneSchedulerPass) {
-  MetricsRegistry registry;
   SmartML framework(FastOptions());
   JobManagerOptions options;
   options.num_workers = 1;
   options.max_pending_jobs = 16;
-  options.metrics = &registry;
   JobManager jobs(&framework, options);
 
-  Counter* passes = registry.GetCounter(
-      "smartml_scheduler_passes_total",
-      "Admission passes through the scheduler; a whole batch shares one.");
-  const double before = passes->Value();
+  auto passes = [] {
+    return GlobalMetrics().Value("smartml_scheduler_passes_total");
+  };
+  const double before = passes();
 
   std::vector<JobRequest> requests;
   for (int i = 0; i < 3; ++i) requests.push_back(FastRequest("a"));
   auto batch = jobs.SubmitBatch(std::move(requests));
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_DOUBLE_EQ(passes->Value(), before + 1.0);
+  EXPECT_DOUBLE_EQ(passes(), before + 1.0);
 
   ASSERT_EQ(batch->items.size(), 3u);
   for (const auto& item : batch->items) {
@@ -311,64 +297,6 @@ TEST(MultiTenantTest, BatchQuotaFailuresArePerItem) {
 // ---------------------------------------------------------------------------
 // End-to-end acceptance over loopback sockets
 // ---------------------------------------------------------------------------
-
-int ConnectLoopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool WriteAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// One `Connection: close` request; reads until EOF (covers SSE streams).
-std::string Fetch(int port, const std::string& method, const std::string& path,
-                  const std::string& body = "",
-                  const std::string& extra_headers = "") {
-  const int fd = ConnectLoopback(port);
-  if (fd < 0) return "";
-  const std::string request =
-      method + " " + path +
-      " HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
-      std::to_string(body.size()) + "\r\n" + extra_headers +
-      "Connection: close\r\n\r\n" + body;
-  WriteAll(fd, request);
-  std::string reply;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
-    reply.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return reply;
-}
-
-std::string BodyOf(const std::string& reply) {
-  const size_t split = reply.find("\r\n\r\n");
-  return split == std::string::npos ? "" : reply.substr(split + 4);
-}
-
-// Value of a labelless counter in a Prometheus exposition, 0 when absent.
-double CounterFrom(const std::string& exposition, const std::string& name) {
-  const size_t pos = exposition.find("\n" + name + " ");
-  if (pos == std::string::npos) return 0.0;
-  return std::atof(exposition.c_str() + pos + 1 + name.size() + 1);
-}
 
 TEST(MultiTenantTest, EndToEndBatchesFromTwoTenantsWithUnequalQuotas) {
   SmartML framework(FastOptions());

@@ -1,16 +1,20 @@
 // Tests for the observability subsystem: lock-cheap metric primitives under
 // concurrent hammering (exact totals — run these under ThreadSanitizer),
-// histogram bucket semantics, the Prometheus text encoder, and the
-// GET /v1/metrics exposition through the REST routing layer.
+// histogram bucket semantics, the Prometheus text encoder, the read-only
+// Value() lookup, and the GET /v1/metrics and /v1/health views of the
+// process registry through the REST routing layer.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/api/json.h"
 #include "src/api/rest.h"
 #include "src/core/smartml.h"
+#include "src/kb/knowledge_base.h"
 #include "src/obs/metrics.h"
+#include "tests/loopback_client.h"
 
 namespace smartml {
 namespace {
@@ -175,11 +179,31 @@ TEST(ObsRegistryTest, LabelValuesAreEscaped) {
             std::string::npos);
 }
 
+TEST(MetricsRegistryTest, ValueReadsWithoutRegistering) {
+  MetricsRegistry registry;
+  registry.GetCounter("v_total", "help", {{"a", "1"}, {"b", "2"}})
+      ->Increment(3);
+  registry.GetGauge("v_depth", "help")->Set(-4);
+  Histogram* latency = registry.GetHistogram("v_seconds", "help", {1.0});
+  latency->Observe(0.5);
+  latency->Observe(7.0);
+  const std::string before = registry.EncodePrometheus();
+
+  EXPECT_EQ(registry.Value("v_total", {{"a", "1"}, {"b", "2"}}), 3.0);
+  EXPECT_EQ(registry.Value("v_total", {{"b", "2"}, {"a", "1"}}), 3.0);
+  EXPECT_EQ(registry.Value("v_depth"), -4.0);
+  EXPECT_EQ(registry.Value("v_seconds"), 2.0);
+  // Absent families and absent label sets read 0 and register nothing.
+  EXPECT_EQ(registry.Value("v_missing_total"), 0.0);
+  EXPECT_EQ(registry.Value("v_total"), 0.0);
+  EXPECT_EQ(registry.Value("v_total", {{"a", "1"}}), 0.0);
+  EXPECT_EQ(registry.EncodePrometheus(), before);
+}
+
 TEST(ObsRestTest, MetricsEndpointServesExposition) {
   SmartML framework;
-  MetricsRegistry registry;
-  registry.GetCounter("e_total", "help")->Increment(5);
-  RestService service(&framework, /*jobs=*/nullptr, &registry);
+  GlobalMetrics().GetCounter("e_total", "help")->Increment(5);
+  RestService service(&framework);
 
   HttpRequest request;
   request.method = "GET";
@@ -196,8 +220,7 @@ TEST(ObsRestTest, MetricsEndpointServesExposition) {
 
 TEST(ObsRestTest, HealthReportsObservabilityGauges) {
   SmartML framework;
-  MetricsRegistry registry;
-  RestService service(&framework, /*jobs=*/nullptr, &registry);
+  RestService service(&framework);
   HttpRequest request;
   request.method = "GET";
   request.path = "/v1/health";
@@ -206,6 +229,41 @@ TEST(ObsRestTest, HealthReportsObservabilityGauges) {
   EXPECT_NE(response.body.find("\"kb\""), std::string::npos);
   EXPECT_NE(response.body.find("\"updates_total\""), std::string::npos);
   EXPECT_NE(response.body.find("\"lookups_total\""), std::string::npos);
+}
+
+TEST(ObsRestTest, HealthAgreesWithExposition) {
+  KnowledgeBase kb;
+  KbRecord record;
+  record.dataset_name = "health";
+  kb.AddRecord(record);
+  EXPECT_EQ(kb.NearestRecords(record.meta_features, 1).size(), 1u);
+
+  SmartML framework;
+  RestService service(&framework);
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/v1/health";
+  // Reading health registers nothing in the process registry.
+  const std::string before = GlobalMetrics().EncodePrometheus();
+  const HttpResponse health = service.Handle(request);
+  EXPECT_EQ(GlobalMetrics().EncodePrometheus(), before);
+  ASSERT_EQ(health.status, 200);
+  request.path = "/v1/metrics";
+  const std::string exposition = service.Handle(request).body;
+
+  auto parsed = ParseJson(health.body);
+  ASSERT_TRUE(parsed.ok()) << health.body;
+  const JsonValue* kb_health = parsed->Find("kb");
+  ASSERT_NE(kb_health, nullptr);
+  ASSERT_NE(kb_health->Find("updates_total"), nullptr);
+  ASSERT_NE(kb_health->Find("lookups_total"), nullptr);
+  const double updates = kb_health->Find("updates_total")->number;
+  const double lookups = kb_health->Find("lookups_total")->number;
+  EXPECT_GE(updates, 1.0);
+  EXPECT_GE(lookups, 1.0);
+  EXPECT_EQ(updates, CounterFrom(exposition, "smartml_kb_updates_total"));
+  EXPECT_EQ(lookups,
+            CounterFrom(exposition, "smartml_kb_lookup_seconds_count"));
 }
 
 }  // namespace

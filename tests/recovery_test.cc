@@ -158,14 +158,11 @@ ParamSpace BowlSpace() {
 
 TEST(RecoveryTest, TerminalJobStaysPollableAfterRestart) {
   const std::string dir = JournalDir("recover_terminal");
-  MetricsRegistry registry;
   std::string id;
   JobSnapshot before;
   {
     SmartML framework;
-    auto options = Durable(dir, 1);
-    options.metrics = &registry;
-    JobManager jobs(&framework, options);
+    JobManager jobs(&framework, Durable(dir, 1));
     auto submitted = jobs.Submit(FastRequest());
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     id = *submitted;
@@ -177,10 +174,7 @@ TEST(RecoveryTest, TerminalJobStaysPollableAfterRestart) {
   // A fresh manager on the same directory reconstructs the terminal job
   // from the journal without re-running anything.
   SmartML framework;
-  MetricsRegistry registry2;
-  auto options = Durable(dir, 1);
-  options.metrics = &registry2;
-  JobManager restarted(&framework, options);
+  JobManager restarted(&framework, Durable(dir, 1));
   auto after = restarted.Get(id);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->state, JobState::kDone);
@@ -228,11 +222,10 @@ TEST(RecoveryTest, QueuedJobsReRunInSubmissionOrderAfterRestart) {
     }
     EXPECT_EQ(jobs.NumQueued(), 3u);
   }
-  MetricsRegistry registry;
+  const double recovered_before =
+      GlobalMetrics().Value("smartml_runs_recovered_total");
   SmartML framework;
-  auto options = Durable(dir, 1);
-  options.metrics = &registry;
-  JobManager restarted(&framework, options);
+  JobManager restarted(&framework, Durable(dir, 1));
   for (const std::string& id : ids) {
     auto finished = restarted.Wait(id, 60.0);
     ASSERT_TRUE(finished.ok()) << id << ": " << finished.status().ToString();
@@ -250,9 +243,9 @@ TEST(RecoveryTest, QueuedJobsReRunInSubmissionOrderAfterRestart) {
   }
   // The blocker reached terminal before the "crash", so only the three
   // re-queued jobs count as recovered runs.
-  const Counter* recovered_counter = registry.GetCounter(
-      "smartml_runs_recovered_total", "Jobs recovered from the journal");
-  EXPECT_EQ(recovered_counter->Value(), 3u);
+  EXPECT_EQ(GlobalMetrics().Value("smartml_runs_recovered_total") -
+                recovered_before,
+            3.0);
 }
 
 TEST(RecoveryTest, CancelledQueuedJobStaysCancelledAfterRestart) {
@@ -618,11 +611,8 @@ std::string Canonical(const JsonValue& value) {
 TEST(RecoveryTest, ParentJournalReplaysToRecordedBodies) {
   const std::string dir = WriteParentJournal();
   SmartML framework;
-  MetricsRegistry registry;
-  auto options = Durable(dir, 1);
-  options.metrics = &registry;
-  JobManager jobs(&framework, options);
-  RestService service(&framework, &jobs, &registry);
+  JobManager jobs(&framework, Durable(dir, 1));
+  RestService service(&framework, &jobs);
   auto get = [&](const std::string& path) {
     HttpRequest request;
     request.method = "GET";

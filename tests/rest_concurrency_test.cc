@@ -8,8 +8,6 @@
 // CMakeLists.txt): modest thread counts, no sleeps as synchronization.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +23,7 @@
 #include "src/data/csv.h"
 #include "src/data/synthetic.h"
 #include "src/metafeatures/metafeatures.h"
+#include "tests/loopback_client.h"
 
 namespace smartml {
 namespace {
@@ -43,96 +42,6 @@ SmartMlOptions FastOptions() {
   options.cv_folds = 2;
   options.cold_start_algorithms = {"knn"};
   return options;
-}
-
-int ConnectLoopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::string BuildRequest(const std::string& method, const std::string& path,
-                         const std::string& body, bool close_connection) {
-  std::string request = method + " " + path +
-                        " HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
-                        std::to_string(body.size()) + "\r\n";
-  if (close_connection) request += "Connection: close\r\n";
-  request += "\r\n" + body;
-  return request;
-}
-
-bool WriteAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// Reads exactly one Content-Length-framed response from `fd`, consuming
-// bytes from `*pending` first (pipelined replies arrive back-to-back).
-std::string ReadOneResponse(int fd, std::string* pending) {
-  std::string& data = *pending;
-  char buffer[4096];
-  size_t expected = std::string::npos;
-  for (;;) {
-    if (expected == std::string::npos) {
-      const size_t head_end = data.find("\r\n\r\n");
-      if (head_end != std::string::npos) {
-        size_t content_length = 0;
-        const size_t cl = data.find("Content-Length: ");
-        if (cl != std::string::npos && cl < head_end) {
-          content_length = static_cast<size_t>(
-              std::strtoull(data.c_str() + cl + 16, nullptr, 10));
-        }
-        expected = head_end + 4 + content_length;
-      }
-    }
-    if (expected != std::string::npos && data.size() >= expected) break;
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n <= 0) break;
-    data.append(buffer, static_cast<size_t>(n));
-  }
-  if (expected == std::string::npos || data.size() < expected) {
-    std::string all = std::move(data);
-    data.clear();
-    return all;
-  }
-  std::string reply = data.substr(0, expected);
-  data.erase(0, expected);
-  return reply;
-}
-
-// Minimal blocking HTTP/1.1 client: one request with `Connection: close`,
-// reads until EOF. Returns the raw reply.
-std::string Fetch(int port, const std::string& method, const std::string& path,
-                  const std::string& body = "") {
-  const int fd = ConnectLoopback(port);
-  if (fd < 0) return "";
-  WriteAll(fd, BuildRequest(method, path, body, /*close_connection=*/true));
-  std::string reply;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
-    reply.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return reply;
-}
-
-std::string BodyOf(const std::string& reply) {
-  const size_t split = reply.find("\r\n\r\n");
-  return split == std::string::npos ? "" : reply.substr(split + 4);
 }
 
 std::string JobIdFrom(const std::string& reply) {
