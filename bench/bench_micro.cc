@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/core/smartml.h"
+#include "src/data/csv.h"
 #include "src/data/synthetic.h"
 #include "src/interpret/interpret.h"
 #include "src/kb/knowledge_base.h"
@@ -52,7 +55,8 @@ void BM_KbNomination(benchmark::State& state) {
   Rng rng(3);
   for (int64_t i = 0; i < state.range(0); ++i) {
     KbRecord record;
-    record.dataset_name = "d" + std::to_string(i);
+    record.dataset_name = "d";
+    record.dataset_name += std::to_string(i);
     for (auto& v : record.meta_features) v = rng.Uniform(0, 100);
     for (const char* algo : {"knn", "svm", "rpart"}) {
       KbAlgorithmResult r;
@@ -119,7 +123,8 @@ const LookupBenchData& LookupBench(int64_t n) {
   LookupBenchData& data = (*cache)[n];
   for (int64_t i = 0; i < n; ++i) {
     KbRecord record;
-    record.dataset_name = "d" + std::to_string(i);
+    record.dataset_name = "d";
+    record.dataset_name += std::to_string(i);
     record.meta_features = ClusteredMetaFeatures(rng, loadings, centers);
     KbAlgorithmResult r;
     r.algorithm = "rf";
@@ -293,7 +298,8 @@ void BM_KbSerialize(benchmark::State& state) {
   Rng rng(3);
   for (int64_t i = 0; i < state.range(0); ++i) {
     KbRecord record;
-    record.dataset_name = "d" + std::to_string(i);
+    record.dataset_name = "d";
+    record.dataset_name += std::to_string(i);
     for (auto& v : record.meta_features) v = rng.Uniform();
     KbAlgorithmResult r;
     r.algorithm = "svm";
@@ -453,6 +459,36 @@ void BM_PermutationImportance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PermutationImportance)->Unit(benchmark::kMillisecond);
+
+// ReadCsvString on a 300 x 30 upload as a client sends it (WriteCsvString
+// output: 17-significant-digit numbers). The admission path parses every
+// POST /v1/runs body with it. Reported by the CI bench smoke; not gated.
+void BM_ReadCsv(benchmark::State& state) {
+  const std::string csv = WriteCsvString(BenchDataset(300, 30));
+  for (auto _ : state) {
+    auto dataset = ReadCsvString(csv);
+    if (!dataset.ok()) state.SkipWithError(dataset.status().ToString().c_str());
+    benchmark::DoNotOptimize(dataset);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(csv.size()));
+}
+BENCHMARK(BM_ReadCsv)->Unit(benchmark::kMicrosecond);
+
+// CRC-32 over a 172 KB buffer, the size of a ~9k-cell upload's kAdmit journal
+// record; journal frames, compaction, KB snapshots and checkpoints all
+// checksum with it. Reported by the CI bench smoke; not gated.
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(172 * 1024, '\0');
+  Rng rng(5);
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(uint64_t{256}));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 // End-to-end 4-candidate run at a given intra-run thread count. Results are
 // bit-identical across the Arg values (see ParallelDeterminismTest); the

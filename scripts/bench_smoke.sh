@@ -84,11 +84,14 @@ for n in (1000, 10000, 100000):
         "k-d tree %.1fus, speedup %.2fx" % (n, cached / 1e3, tree / 1e3, ratio)
     )
 
-# RandomForest fit and its permutation importance at the table4 shape:
-# reported for developers, not gated.
+# RandomForest fit and its permutation importance at the table4 shape, and
+# the admission path's CSV parse and CRC-32: reported for developers, not
+# gated.
 labels = {
     "BM_ForestFit": "RandomForest fit at table4 shape",
     "BM_PermutationImportance": "RandomForest permutation importance",
+    "BM_ReadCsv": "ReadCsvString on a 300 x 30 upload",
+    "BM_Crc32": "Crc32 over 172 KB",
 }
 for b in data.get("benchmarks", []):
     if b["name"] in labels:

@@ -284,9 +284,11 @@ auto JournalReader(const JsonValue& record) {
 /// The kAdmit record: everything needed to re-admit the job after a
 /// restart. Only the API-settable run options are journaled; the rest of
 /// SmartMlOptions is taken from the framework defaults at replay time
-/// (exactly how the REST layer builds them at admission time).
+/// (exactly how the REST layer builds them at admission time). `csv` is the
+/// text the dataset was parsed from, journaled as received; without it the
+/// dataset is printed back to CSV.
 template <typename JobT>
-std::string AdmitPayload(const JobT& job) {
+std::string AdmitPayload(const JobT& job, std::string_view csv) {
   JsonWriter w;
   w.BeginObject();
   auto write = [&w](const char* key, const auto& field, auto&&...) {
@@ -300,7 +302,11 @@ std::string AdmitPayload(const JobT& job) {
   // "csv" must stay the LAST member: compaction strips it from terminal
   // jobs' records with plain string surgery (StripCsvFromAdmitPayload).
   w.Key("csv");
-  w.String(WriteCsvString(job.dataset));
+  if (csv.empty()) {
+    w.String(WriteCsvString(job.dataset));
+  } else {
+    w.String(csv);
+  }
   w.EndObject();
   return std::move(w).Take();
 }
@@ -465,7 +471,8 @@ void JobManager::PublishLifecycle(Job& job, const char* type) {
 }
 
 StatusOr<std::string> JobManager::AdmitLocked(JobRequest request,
-                                              const std::string& batch_id) {
+                                              const std::string& batch_id,
+                                              std::string_view csv) {
   const std::string tenant =
       request.tenant.empty() ? kDefaultTenant : request.tenant;
   TenantState& state = TenantLocked(tenant);
@@ -538,19 +545,22 @@ StatusOr<std::string> JobManager::AdmitLocked(JobRequest request,
   // Write-ahead: the admission is journaled (with the dataset CSV, so a
   // restart can rebuild the job) before the id is acknowledged.
   if (journal_ != nullptr) {
-    JournalAppend(JobJournalRecordType::kAdmit, job->id, AdmitPayload(*job));
+    JournalAppend(JobJournalRecordType::kAdmit, job->id,
+                  AdmitPayload(*job, csv));
   }
   PublishLifecycle(*job, "state");
   return job->id;
 }
 
-StatusOr<std::string> JobManager::Submit(JobRequest request) {
+StatusOr<std::string> JobManager::Submit(JobRequest request,
+                                         std::string_view csv) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_) {
     return Status::FailedPrecondition("job manager is shutting down");
   }
   JobMetrics::Get().scheduler_passes->Increment();
-  StatusOr<std::string> id = AdmitLocked(std::move(request), /*batch_id=*/"");
+  StatusOr<std::string> id =
+      AdmitLocked(std::move(request), /*batch_id=*/"", csv);
   lock.unlock();
   if (id.ok()) queue_cv_.notify_one();
   return id;
@@ -565,9 +575,15 @@ StatusOr<std::string> JobManager::Submit(Dataset dataset,
 }
 
 StatusOr<BatchSubmitResult> JobManager::SubmitBatch(
-    std::vector<JobRequest> requests, const std::string& idempotency_key) {
+    std::vector<JobRequest> requests, const std::string& idempotency_key,
+    const std::vector<std::string_view>& csvs) {
   if (requests.empty()) {
     return Status::InvalidArgument("batch has no items");
+  }
+  if (!csvs.empty() && csvs.size() != requests.size()) {
+    return Status::InvalidArgument(
+        StrFormat("batch has %zu items but %zu CSV texts", requests.size(),
+                  csvs.size()));
   }
   BatchSubmitResult result;
   {
@@ -608,13 +624,15 @@ StatusOr<BatchSubmitResult> JobManager::SubmitBatch(
         "batch-%06llu", static_cast<unsigned long long>(next_batch_id_++));
     BatchSnapshot record;
     record.id = result.batch_id;
-    for (JobRequest& request : requests) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      JobRequest& request = requests[i];
       if (record.tenant.empty()) {
         record.tenant =
             request.tenant.empty() ? kDefaultTenant : request.tenant;
       }
       StatusOr<std::string> admitted =
-          AdmitLocked(std::move(request), result.batch_id);
+          AdmitLocked(std::move(request), result.batch_id,
+                      csvs.empty() ? std::string_view() : csvs[i]);
       BatchSnapshot::Item item;
       if (admitted.ok()) {
         item.job_id = *admitted;

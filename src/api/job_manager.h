@@ -57,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -267,7 +268,13 @@ class JobManager {
   /// Validates nothing beyond capacity (the dataset was parsed by the
   /// caller); enqueues and returns the job id. ResourceExhausted when the
   /// global pending cap or the request's tenant quota is reached.
-  StatusOr<std::string> Submit(JobRequest request);
+  ///
+  /// `csv`, when non-empty, must be the exact text that ReadCsvString with
+  /// default CsvOptions parsed into `request.dataset` (the REST layer passes
+  /// the upload): the kAdmit record journals it as received, and a restart
+  /// re-parses it that way. Empty journals WriteCsvString(dataset) instead.
+  /// The text is only read during the call.
+  StatusOr<std::string> Submit(JobRequest request, std::string_view csv = {});
 
   /// Single-tenant convenience overload (library users, older tests).
   StatusOr<std::string> Submit(Dataset dataset, SmartMlOptions run_options);
@@ -277,10 +284,11 @@ class JobManager {
   /// cap) land in the corresponding `items` slot without failing the rest.
   /// Fails outright only during shutdown or for an empty batch. A non-empty
   /// `idempotency_key` (scoped by the first item's tenant) makes retries
-  /// return the original batch instead of admitting duplicates.
-  StatusOr<BatchSubmitResult> SubmitBatch(std::vector<JobRequest> requests,
-                                          const std::string& idempotency_key =
-                                              "");
+  /// return the original batch instead of admitting duplicates. `csvs` is
+  /// empty or aligned with `requests`, each entry as Submit's `csv`.
+  StatusOr<BatchSubmitResult> SubmitBatch(
+      std::vector<JobRequest> requests, const std::string& idempotency_key = "",
+      const std::vector<std::string_view>& csvs = {});
 
   /// Point-in-time view of a past batch; NotFound for unknown ids.
   StatusOr<BatchSnapshot> GetBatch(const std::string& id) const;
@@ -368,9 +376,10 @@ class JobManager {
   void WorkerLoop();
   JobSnapshot SnapshotLocked(const Job& job) const;
   /// Admits one request; mutex_ must be held. `out_error` receives the shed
-  /// reason on failure.
+  /// reason on failure. `csv` is as in Submit.
   StatusOr<std::string> AdmitLocked(JobRequest request,
-                                    const std::string& batch_id);
+                                    const std::string& batch_id,
+                                    std::string_view csv);
   TenantState& TenantLocked(const std::string& tenant);
   /// Appends one record to the journal (no-op without one); logs on error
   /// instead of failing the caller — a degraded journal beats a dead server.

@@ -41,19 +41,16 @@ void JsonWriter::EndArray() {
   needs_comma_.pop_back();
 }
 
-void JsonWriter::Key(const std::string& key) {
+void JsonWriter::Key(std::string_view key) {
   MaybeComma();
-  out_ += "\"";
-  out_ += Escape(key);
-  out_ += "\":";
+  AppendQuoted(key);
+  out_ += ':';
   after_key_ = true;
 }
 
-void JsonWriter::String(const std::string& value) {
+void JsonWriter::String(std::string_view value) {
   MaybeComma();
-  out_ += "\"";
-  out_ += Escape(value);
-  out_ += "\"";
+  AppendQuoted(value);
 }
 
 void JsonWriter::Number(double value) {
@@ -85,40 +82,62 @@ void JsonWriter::Raw(const std::string& json) {
   out_ += json;
 }
 
-std::string JsonWriter::Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
+namespace {
+
+/// Appends `s` escaped per RFC 8259 to *out: runs of bytes that need no
+/// escape are copied in bulk.
+void AppendEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\b':
-        out += "\\b";
+        *out += "\\b";
         break;
       case '\f':
-        out += "\\f";
+        *out += "\\f";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+void JsonWriter::AppendQuoted(std::string_view s) {
+  out_ += '"';
+  AppendEscaped(s, &out_);
+  out_ += '"';
+}
+
+std::string JsonWriter::Escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendEscaped(s, &out);
   return out;
 }
 

@@ -9,6 +9,7 @@
 #define SMARTML_API_JSON_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,8 +33,8 @@ class JsonWriter {
   void BeginArray();
   void EndArray();
   /// Object key (must be followed by exactly one value).
-  void Key(const std::string& key);
-  void String(const std::string& value);
+  void Key(std::string_view key);
+  void String(std::string_view value);
   void Number(double value);
   void Int(int64_t value);
   void Bool(bool value);
@@ -46,10 +47,12 @@ class JsonWriter {
   const std::string& str() const { return out_; }
 
   /// Escapes a string per RFC 8259 (without surrounding quotes).
-  static std::string Escape(const std::string& s);
+  static std::string Escape(std::string_view s);
 
  private:
   void MaybeComma();
+  /// Appends `"` + Escape(s) + `"` to out_ without a temporary.
+  void AppendQuoted(std::string_view s);
 
   std::string out_;
   std::vector<bool> needs_comma_;  // Per open container.

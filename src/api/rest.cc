@@ -731,7 +731,8 @@ HttpResponse RestService::HandleSubmitRun(const HttpRequest& request) {
     job.priority = ParseJobPriority(*priority);
   }
 
-  auto id = jobs_->Submit(std::move(job));
+  // The body is journaled as received: it is the text `dataset` came from.
+  auto id = jobs_->Submit(std::move(job), request.body);
   if (!id.ok()) {
     HttpResponse response = ErrorResponseFromStatus(id.status());
     if (response.status == 429) {
@@ -785,6 +786,7 @@ HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
       OptionsFromQuery(framework_->options(), request);
   if (!base.ok()) return ErrorResponseFromStatus(base.status());
   std::vector<JobRequest> requests;
+  std::vector<std::string_view> csvs;
   for (size_t i = 0; i < items->array.size(); ++i) {
     const JsonValue& item = items->array[i];
     if (!item.is_object()) {
@@ -805,6 +807,7 @@ HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
     }
     JobRequest job;
     job.dataset = std::move(*dataset);
+    csvs.push_back(csv->string);
     job.run_options = *base;
     job.tenant = tenant;
     job.priority = JobPriority::kBatch;
@@ -828,7 +831,7 @@ HttpResponse RestService::HandleSubmitBatch(const HttpRequest& request) {
   }
 
   auto batch = jobs_->SubmitBatch(std::move(requests),
-                                  IdempotencyKeyFor(request));
+                                  IdempotencyKeyFor(request), csvs);
   if (!batch.ok()) {
     return ErrorResponseFromStatus(batch.status());
   }

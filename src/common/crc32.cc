@@ -1,30 +1,59 @@
 #include "src/common/crc32.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace smartml {
 
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: tables[0] is the byte-wise table, and tables[k][b]
+/// is the CRC of byte b followed by k zero bytes.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Crc32Tables BuildTables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> table = BuildTable();
+  static const Crc32Tables t = BuildTables();
   uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  const char* p = data.data();
+  size_t n = data.size();
+  // Eight bytes per step; the word loads assume little-endian byte order,
+  // so other hosts take the byte-wise loop for everything.
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      uint32_t lo;
+      uint32_t hi;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= crc;
+      crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+            t[0][hi >> 24];
+    }
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

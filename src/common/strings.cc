@@ -1,6 +1,7 @@
 #include "src/common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -19,34 +20,53 @@ std::vector<std::string> Split(std::string_view s, char delim) {
   return out;
 }
 
-std::vector<std::string> SplitCsvLine(std::string_view line, char delim) {
-  std::vector<std::string> out;
-  std::string field;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == delim) {
-      out.push_back(std::move(field));
-      field.clear();
-    } else if (c != '\r') {
-      field += c;
+void SplitCsvRecord(std::string_view line, char delim,
+                    std::vector<std::string_view>* fields,
+                    std::deque<std::string>* owned) {
+  size_t begin = 0;
+  while (true) {
+    // Fast path: a field without quotes or '\r' is a view.
+    size_t i = begin;
+    while (i < line.size() && line[i] != delim && line[i] != '"' &&
+           line[i] != '\r') {
+      ++i;
     }
+    if (i < line.size() && (line[i] == '"' || line[i] == '\r')) {
+      std::string& field = owned->emplace_back(line.substr(begin, i - begin));
+      bool in_quotes = false;
+      for (; i < line.size(); ++i) {
+        const char c = line[i];
+        if (in_quotes) {
+          if (c != '"') {
+            field += c;
+          } else if (i + 1 < line.size() && line[i + 1] == '"') {
+            field += '"';
+            ++i;
+          } else {
+            in_quotes = false;
+          }
+        } else if (c == '"') {
+          in_quotes = true;
+        } else if (c == delim) {
+          break;
+        } else if (c != '\r') {
+          field += c;
+        }
+      }
+      fields->push_back(field);
+    } else {
+      fields->push_back(line.substr(begin, i - begin));
+    }
+    if (i == line.size()) break;
+    begin = i + 1;
   }
-  out.push_back(std::move(field));
-  return out;
+}
+
+std::vector<std::string> SplitCsvLine(std::string_view line, char delim) {
+  std::vector<std::string_view> fields;
+  std::deque<std::string> owned;
+  SplitCsvRecord(line, delim, &fields, &owned);
+  return {fields.begin(), fields.end()};
 }
 
 std::string_view StripAsciiWhitespace(std::string_view s) {
@@ -70,10 +90,48 @@ std::string AsciiToLower(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// True for -?digits[.digits][(e|E)[+-]digits], the only spellings handed
+/// to std::from_chars; strtod takes everything else.
+bool IsPlainDecimal(std::string_view s) {
+  size_t i = 0;
+  auto digits = [&] {
+    const size_t start = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > start;
+  };
+  if (i < s.size() && s[i] == '-') ++i;
+  if (!digits()) return false;
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == s.size();
+}
+
+}  // namespace
+
 bool ParseDouble(std::string_view s, double* out) {
   s = StripAsciiWhitespace(s);
   if (s.empty()) return false;
-  std::string buf(s);
+  // Both parsers round correctly, so the fast path keeps every bit; it
+  // defers to strtod on anything it does not consume whole without error
+  // (out-of-range values included).
+  if (IsPlainDecimal(s)) {
+    double v = 0.0;
+    const auto [end, error] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (error == std::errc() && end == s.data() + s.size()) {
+      *out = v;
+      return true;
+    }
+  }
+  const std::string buf(s);
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return false;

@@ -2,6 +2,7 @@
 #ifndef SMARTML_COMMON_STRINGS_H_
 #define SMARTML_COMMON_STRINGS_H_
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,8 +12,17 @@ namespace smartml {
 /// Splits `s` on `delim`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char delim);
 
-/// Splits a CSV record, honouring double-quoted fields with embedded commas
-/// and doubled quotes.
+/// Appends the fields of one CSV record (a line without its '\n') to
+/// *fields. Quotes toggle anywhere in a field, so a quoted delimiter is
+/// data; "" inside quotes is a literal quote; '\r' outside quotes is
+/// dropped. A field is a view into `line`, except a quoted field or one
+/// holding '\r', which is unescaped into *owned (a deque, so earlier views
+/// stay valid as it grows).
+void SplitCsvRecord(std::string_view line, char delim,
+                    std::vector<std::string_view>* fields,
+                    std::deque<std::string>* owned);
+
+/// SplitCsvRecord with each field copied.
 std::vector<std::string> SplitCsvLine(std::string_view line, char delim = ',');
 
 /// Removes leading/trailing ASCII whitespace.
@@ -21,7 +31,8 @@ std::string_view StripAsciiWhitespace(std::string_view s);
 /// Lower-cases ASCII letters.
 std::string AsciiToLower(std::string_view s);
 
-/// True if `s` parses fully as a finite double; stores it in *out.
+/// True if strtod consumes all of `s` (trimmed of ASCII whitespace); stores
+/// the value in *out. Plain decimals take a faster, equally exact parser.
 bool ParseDouble(std::string_view s, double* out);
 
 /// Joins items with `sep`.

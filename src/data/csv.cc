@@ -1,9 +1,11 @@
 #include "src/data/csv.h"
 
 #include <algorithm>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/common/strings.h"
@@ -12,47 +14,69 @@ namespace smartml {
 
 namespace {
 
-bool IsMissingToken(const std::string& cell, const CsvOptions& options) {
-  const std::string trimmed(StripAsciiWhitespace(cell));
-  return std::find(options.missing_tokens.begin(), options.missing_tokens.end(),
-                   trimmed) != options.missing_tokens.end();
+/// The non-blank records of a CSV text, split by SplitCsvRecord: fields view
+/// the text or `owned`.
+struct CsvTable {
+  std::vector<std::string_view> fields;
+  /// Record r spans fields[starts[r], starts[r + 1]).
+  std::vector<size_t> starts;
+  std::deque<std::string> owned;
+
+  size_t NumRecords() const { return starts.size() - 1; }
+  size_t Size(size_t r) const { return starts[r + 1] - starts[r]; }
+  std::string_view Field(size_t r, size_t c) const {
+    return fields[starts[r] + c];
+  }
+};
+
+CsvTable SplitRecords(std::string_view text, char delim) {
+  CsvTable table;
+  table.starts.push_back(0);
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(begin, end - begin);
+    if (!StripAsciiWhitespace(line).empty()) {
+      SplitCsvRecord(line, delim, &table.fields, &table.owned);
+      table.starts.push_back(table.fields.size());
+    }
+    begin = end + 1;
+  }
+  return table;
 }
 
 }  // namespace
 
-StatusOr<Dataset> ReadCsvString(const std::string& text,
+StatusOr<Dataset> ReadCsvString(std::string_view text,
                                 const CsvOptions& options) {
-  std::vector<std::vector<std::string>> records;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (StripAsciiWhitespace(line).empty()) continue;
-    records.push_back(SplitCsvLine(line, options.delimiter));
-  }
-  if (records.empty()) {
+  const CsvTable table = SplitRecords(text, options.delimiter);
+  if (table.NumRecords() == 0) {
     return Status::InvalidArgument("CSV: no data rows");
   }
 
   std::vector<std::string> header;
   size_t first_data = 0;
   if (options.has_header) {
-    header = records[0];
+    for (size_t c = 0; c < table.Size(0); ++c) {
+      header.emplace_back(table.Field(0, c));
+    }
     first_data = 1;
   } else {
-    header.resize(records[0].size());
+    header.resize(table.Size(0));
     for (size_t i = 0; i < header.size(); ++i) {
       header[i] = StrFormat("f%zu", i);
     }
   }
   const size_t num_cols = header.size();
-  if (first_data >= records.size()) {
+  if (first_data >= table.NumRecords()) {
     return Status::InvalidArgument("CSV: header but no data rows");
   }
-  for (size_t r = first_data; r < records.size(); ++r) {
-    if (records[r].size() != num_cols) {
+  for (size_t r = first_data; r < table.NumRecords(); ++r) {
+    if (table.Size(r) != num_cols) {
       return Status::InvalidArgument(
           StrFormat("CSV: row %zu has %zu fields, expected %zu", r,
-                    records[r].size(), num_cols));
+                    table.Size(r), num_cols));
     }
   }
 
@@ -72,63 +96,66 @@ StatusOr<Dataset> ReadCsvString(const std::string& text,
     target = static_cast<size_t>(options.target_index);
   }
 
-  const size_t num_rows = records.size() - first_data;
+  const size_t num_rows = table.NumRecords() - first_data;
+  // The trimmed cell; *missing tells whether it is a missing token.
+  auto cell = [&](size_t r, size_t c, bool* missing) {
+    const std::string_view trimmed =
+        StripAsciiWhitespace(table.Field(first_data + r, c));
+    *missing = std::find(options.missing_tokens.begin(),
+                         options.missing_tokens.end(),
+                         trimmed) != options.missing_tokens.end();
+    return trimmed;
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   Dataset dataset;
 
   for (size_t c = 0; c < num_cols; ++c) {
     if (c == target) continue;
-    // Type inference pass.
-    bool numeric = true;
-    for (size_t r = 0; r < num_rows; ++r) {
-      const std::string& cell = records[first_data + r][c];
-      if (IsMissingToken(cell, options)) continue;
-      double v;
-      if (!ParseDouble(cell, &v)) {
-        numeric = false;
-        break;
-      }
-    }
+    // Each cell is parsed once: the column stays numeric until a
+    // non-missing cell fails to parse.
     std::vector<double> values(num_rows);
-    if (numeric) {
-      for (size_t r = 0; r < num_rows; ++r) {
-        const std::string& cell = records[first_data + r][c];
-        if (IsMissingToken(cell, options)) {
-          values[r] = std::numeric_limits<double>::quiet_NaN();
-        } else {
-          ParseDouble(cell, &values[r]);
-        }
+    bool numeric = true;
+    bool missing = false;
+    for (size_t r = 0; r < num_rows && numeric; ++r) {
+      const std::string_view trimmed = cell(r, c, &missing);
+      if (missing) {
+        values[r] = kNaN;
+      } else {
+        numeric = ParseDouble(trimmed, &values[r]);
       }
-      dataset.AddNumericFeature(header[c], std::move(values));
-    } else {
-      std::vector<std::string> categories;
-      std::unordered_map<std::string, double> codes;
-      for (size_t r = 0; r < num_rows; ++r) {
-        const std::string& cell = records[first_data + r][c];
-        if (IsMissingToken(cell, options)) {
-          values[r] = std::numeric_limits<double>::quiet_NaN();
-          continue;
-        }
-        const std::string key(StripAsciiWhitespace(cell));
-        auto it = codes.find(key);
-        if (it == codes.end()) {
-          it = codes.emplace(key, static_cast<double>(categories.size())).first;
-          categories.push_back(key);
-        }
-        values[r] = it->second;
-      }
-      dataset.AddCategoricalFeature(header[c], std::move(values),
-                                    std::move(categories));
     }
+    if (numeric) {
+      dataset.AddNumericFeature(header[c], std::move(values));
+      continue;
+    }
+    std::vector<std::string> categories;
+    std::unordered_map<std::string_view, double> codes;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const std::string_view key = cell(r, c, &missing);
+      if (missing) {
+        values[r] = kNaN;
+        continue;
+      }
+      auto it = codes.find(key);
+      if (it == codes.end()) {
+        it = codes.emplace(key, static_cast<double>(categories.size())).first;
+        categories.emplace_back(key);
+      }
+      values[r] = it->second;
+    }
+    dataset.AddCategoricalFeature(header[c], std::move(values),
+                                  std::move(categories));
   }
 
   std::vector<std::string> raw_labels(num_rows);
   for (size_t r = 0; r < num_rows; ++r) {
-    const std::string& cell = records[first_data + r][target];
-    if (IsMissingToken(cell, options)) {
+    bool missing = false;
+    const std::string_view label = cell(r, target, &missing);
+    if (missing) {
       return Status::InvalidArgument(
           StrFormat("CSV: missing target value at data row %zu", r));
     }
-    raw_labels[r] = std::string(StripAsciiWhitespace(cell));
+    raw_labels[r] = std::string(label);
   }
   dataset.SetLabelsFromStrings(raw_labels);
   SMARTML_RETURN_NOT_OK(dataset.Validate());

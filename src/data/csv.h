@@ -4,6 +4,7 @@
 #define SMARTML_DATA_CSV_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/common/status.h"
 #include "src/data/dataset.h"
@@ -23,8 +24,10 @@ struct CsvOptions {
 
 /// Parses CSV text into a Dataset. Column types are inferred: a column whose
 /// every non-missing cell parses as a double becomes numeric, otherwise
-/// categorical (dictionary in first-appearance order).
-StatusOr<Dataset> ReadCsvString(const std::string& text,
+/// categorical (dictionary in first-appearance order). One pass splits the
+/// text into views and each cell is parsed at most once; only quoted fields
+/// and fields holding '\r' are copied.
+StatusOr<Dataset> ReadCsvString(std::string_view text,
                                 const CsvOptions& options = {});
 
 /// Reads a CSV file from disk.

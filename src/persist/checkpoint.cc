@@ -100,7 +100,7 @@ std::string FileCheckpointStore::SanitizeKey(const std::string& key) {
                       (c >= '0' && c <= '9') || c == '.' || c == '-';
     out.push_back(safe ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out + ".ckpt";
 }
 

@@ -8,8 +8,10 @@
 #include <netinet/in.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 
@@ -63,6 +65,77 @@ TEST(JsonWriterTest, NestedContainers) {
 TEST(JsonWriterTest, EscapesSpecialCharacters) {
   EXPECT_EQ(JsonWriter::Escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
   EXPECT_EQ(JsonWriter::Escape(std::string("\x01", 1)), "\\u0001");
+}
+
+// The escaper as it was written before String and Key escaped in place,
+// kept as the oracle for both.
+std::string ReferenceJsonEscape(const std::string& s) {
+  std::string out;
+  for (const unsigned char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
+void ExpectEscapesLikeReference(const std::string& s) {
+  const std::string escaped = ReferenceJsonEscape(s);
+  ASSERT_EQ(JsonWriter::Escape(s), escaped);
+  JsonWriter w;
+  w.BeginObject();
+  w.Key(s);
+  w.String(s);
+  w.EndObject();
+  ASSERT_EQ(std::move(w).Take(),
+            "{\"" + escaped + "\":\"" + escaped + "\"}");
+}
+
+TEST(JsonWriterTest, EscapingMatchesReferenceOnEveryByte) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    ExpectEscapesLikeReference(one);
+    ExpectEscapesLikeReference("ab" + one + "cd" + one);
+  }
+  ExpectEscapesLikeReference("");
+  std::mt19937_64 rng(8259);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(rng() % 64, '\0');
+    for (char& c : s) {
+      // Mostly printable runs, with escapes sprinkled in.
+      c = (rng() % 4 == 0) ? static_cast<char>(rng())
+                           : static_cast<char>(0x20 + rng() % 95);
+    }
+    ExpectEscapesLikeReference(s);
+  }
 }
 
 TEST(JsonWriterTest, NonFiniteBecomesNull) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <random>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "src/common/crc32.h"
 #include "src/common/distributions.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -228,6 +233,49 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(v, -1000.0);
   EXPECT_FALSE(ParseDouble("12x", &v));
   EXPECT_FALSE(ParseDouble("", &v));
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32
+// ---------------------------------------------------------------------------
+
+// The byte-at-a-time table CRC-32 (reflected polynomial 0xEDB88320), kept
+// here as the oracle for the library's implementation.
+uint32_t BytewiseCrc32(std::string_view data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const unsigned char byte : data) {
+    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(0xC0FFEE);
+  std::string buffer(300 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(StringsTest, Join) {

@@ -259,6 +259,13 @@ TEST(MultiTenantTest, BatchAdmitsUnderOneSchedulerPass) {
   EXPECT_EQ(snapshot->items[0].job_id, *batch->items[0]);
 
   EXPECT_FALSE(jobs.SubmitBatch({}).ok());
+  // CSV texts, when given, must align with the requests.
+  std::vector<JobRequest> one;
+  one.push_back(FastRequest("a"));
+  EXPECT_EQ(jobs.SubmitBatch(std::move(one), "", {"a,label\n1,x\n", "a\n"})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(jobs.GetBatch("batch-999999").ok());
   for (const auto& item : batch->items) {
     ASSERT_TRUE(jobs.Wait(*item, 60.0).ok());

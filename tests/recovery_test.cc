@@ -27,8 +27,10 @@
 #include "src/api/json.h"
 #include "src/api/rest.h"
 #include "src/common/cancellation.h"
+#include "src/common/strings.h"
 #include "src/data/csv.h"
 #include "src/data/synthetic.h"
+#include "src/metafeatures/metafeature_cache.h"
 #include "src/obs/metrics.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/journal.h"
@@ -418,6 +420,116 @@ TEST(RecoveryTest, BatchIdempotencySurvivesRestart) {
   }
   // The two recovered jobs, not four.
   EXPECT_EQ(restarted.List({}).size(), 2u);
+}
+
+// An upload as a client may send it: values a re-print would change
+// ("0.1", "1.50", "-0.250"), CRLF line ends and padded cells.
+std::string ClientUpload(int salt) {
+  std::string text = "x1, x2 ,colour,label\r\n";
+  for (int i = 0; i < 40; ++i) {
+    const bool yes = (i + salt) % 3 != 0;
+    text += StrFormat("%s0.1,%d.50, %s ,%s\r\n", yes ? "" : "-", i % 7 + salt,
+                      i % 4 == 0 ? "red" : "blue", yes ? " yes" : "no ");
+    if (i % 5 == 0) text += StrFormat("-0.250,  %d ,red,yes\r\n", i);
+  }
+  return text;
+}
+
+TEST(RecoveryTest, AdmitRecordJournalsTheUploadAsReceived) {
+  const std::string dir = JournalDir("admit_upload");
+  const std::vector<std::string> uploads = {ClientUpload(0), ClientUpload(1),
+                                            ClientUpload(2)};
+  std::vector<std::string> ids;
+  {
+    SmartML framework;
+    JobManager jobs(&framework, Durable(dir, 1));
+    // The blocker holds the one worker: the uploads stay queued until the
+    // manager is torn down, and re-run only after the restart.
+    ASSERT_NO_FATAL_FAILURE(StartBlocker(jobs));
+    RestService service(&framework, &jobs);
+    HttpRequest run;
+    run.method = "POST";
+    run.path = "/v1/runs";
+    run.query["selection_only"] = "1";
+    run.body = uploads[0];
+    HttpResponse response = service.Handle(run);
+    ASSERT_EQ(response.status, 202) << response.body;
+    auto parsed = ParseJson(response.body);
+    ASSERT_TRUE(parsed.ok());
+    ids.push_back(parsed->Find("id")->string);
+
+    HttpRequest batch = run;
+    batch.path = "/v1/batch";
+    batch.body = "{\"items\":[{\"csv\":\"" + JsonWriter::Escape(uploads[1]) +
+                 "\"},{\"csv\":\"" + JsonWriter::Escape(uploads[2]) + "\"}]}";
+    response = service.Handle(batch);
+    ASSERT_EQ(response.status, 202) << response.body;
+    parsed = ParseJson(response.body);
+    ASSERT_TRUE(parsed.ok());
+    for (const JsonValue& item : parsed->Find("items")->array) {
+      ASSERT_NE(item.Find("id"), nullptr) << response.body;
+      ids.push_back(item.Find("id")->string);
+    }
+    for (const std::string& id : ids) {
+      EXPECT_EQ(jobs.Get(id)->state, JobState::kQueued) << id;
+    }
+  }
+  ASSERT_EQ(ids.size(), uploads.size());
+
+  // The kAdmit "csv" member is the body the client sent, byte for byte.
+  std::map<std::string, std::string> admits;
+  {
+    auto journal = JobJournal::Open(dir);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*journal)
+                    ->Replay([&](const JournalRecord& record) {
+                      if (record.type == static_cast<uint8_t>(
+                                             JobJournalRecordType::kAdmit)) {
+                        admits[record.key] = record.payload;
+                      }
+                    })
+                    .ok());
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    SCOPED_TRACE(ids[i]);
+    const std::string& payload = admits[ids[i]];
+    const std::string tail =
+        ",\"csv\":\"" + JsonWriter::Escape(uploads[i]) + "\"}";
+    ASSERT_GE(payload.size(), tail.size());
+    EXPECT_EQ(payload.substr(payload.size() - tail.size()), tail);
+    auto admit = ParseJson(payload);
+    ASSERT_TRUE(admit.ok());
+    EXPECT_EQ(admit->Find("csv")->string, uploads[i]);
+  }
+
+  // After a restart every job re-runs on ReadCsvString(body), bit for bit:
+  // the meta-feature cache is keyed by a hash over every cell's bits, so a
+  // reference run on ReadCsvString(body) must hit what the recovered job
+  // stored and miss nothing.
+  MetaFeatureCache::Global().Clear();
+  SmartML framework;
+  JobManager restarted(&framework, Durable(dir, 1));
+  for (const std::string& id : ids) {
+    auto finished = restarted.Wait(id, 60.0);
+    ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+    EXPECT_EQ(finished->state, JobState::kDone) << id;
+    EXPECT_TRUE(finished->recovered);
+  }
+  SmartMlOptions options = framework.options();
+  options.selection_only = true;
+  for (const std::string& upload : uploads) {
+    auto dataset = ReadCsvString(upload);
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    const double misses =
+        GlobalMetrics().Value("smartml_metafeature_cache_misses_total");
+    const double hits =
+        GlobalMetrics().Value("smartml_metafeature_cache_hits_total");
+    ASSERT_TRUE(framework.Run(*dataset, options).ok());
+    EXPECT_EQ(GlobalMetrics().Value("smartml_metafeature_cache_misses_total"),
+              misses);
+    EXPECT_GT(GlobalMetrics().Value("smartml_metafeature_cache_hits_total"),
+              hits);
+  }
 }
 
 TEST(RecoveryTest, RestartWithoutJournalDirStartsEmpty) {
