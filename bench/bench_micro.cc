@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/api/json.h"
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
@@ -22,6 +23,7 @@
 #include "src/metafeatures/metafeatures.h"
 #include "src/ml/decision_tree.h"
 #include "src/ml/registry.h"
+#include "src/persist/journal.h"
 #include "src/preprocess/preprocess.h"
 #include "src/tuning/objective.h"
 #include "src/tuning/smac.h"
@@ -489,6 +491,32 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+// JSON-escaping that 300 x 30 upload (~172 KB), as admission does to put it
+// into the kAdmit journal record. Reported by the CI bench smoke; not gated.
+void BM_JsonEscape(benchmark::State& state) {
+  const std::string csv = WriteCsvString(BenchDataset(300, 30));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(JsonWriter::Escape(csv));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(csv.size()));
+}
+BENCHMARK(BM_JsonEscape)->Unit(benchmark::kMicrosecond);
+
+// Framing a kAdmit-sized journal record (the escaped upload as payload):
+// the frame copy and its CRC-32. Reported by the CI bench smoke; not gated.
+void BM_JournalEncode(benchmark::State& state) {
+  const JournalRecord record{
+      1, "run-000001",
+      JsonWriter::Escape(WriteCsvString(BenchDataset(300, 30)))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EncodeJournalFrame(record));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(record.payload.size()));
+}
+BENCHMARK(BM_JournalEncode)->Unit(benchmark::kMicrosecond);
 
 // End-to-end 4-candidate run at a given intra-run thread count. Results are
 // bit-identical across the Arg values (see ParallelDeterminismTest); the

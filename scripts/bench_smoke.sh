@@ -85,12 +85,14 @@ for n in (1000, 10000, 100000):
     )
 
 # RandomForest fit and its permutation importance at the table4 shape, and
-# the admission path's CSV parse and CRC-32: reported for developers, not
-# gated.
+# the admission path's CSV parse, JSON escape, journal framing and CRC-32:
+# reported for developers, not gated.
 labels = {
     "BM_ForestFit": "RandomForest fit at table4 shape",
     "BM_PermutationImportance": "RandomForest permutation importance",
     "BM_ReadCsv": "ReadCsvString on a 300 x 30 upload",
+    "BM_JsonEscape": "JsonWriter::Escape of that upload",
+    "BM_JournalEncode": "EncodeJournalFrame of its kAdmit-sized record",
     "BM_Crc32": "Crc32 over 172 KB",
 }
 for b in data.get("benchmarks", []):

@@ -1,7 +1,9 @@
 #include "src/api/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "src/common/strings.h"
@@ -84,43 +86,71 @@ void JsonWriter::Raw(const std::string& json) {
 
 namespace {
 
-/// Appends `s` escaped per RFC 8259 to *out: runs of bytes that need no
-/// escape are copied in bulk.
+/// True when any of the 8 bytes packed in `word` is below 0x20, '"' or
+/// '\\': the exact any-byte tests of "Bit Twiddling Hacks" (haszero, and
+/// hasless for n <= 128), with no byte order assumed.
+bool WordNeedsEscape(uint64_t word) {
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kHighs = 0x8080808080808080ULL;
+  auto has_zero = [](uint64_t v) { return (v - kOnes) & ~v & kHighs; };
+  const uint64_t below_space = (word - kOnes * 0x20) & ~word & kHighs;
+  return (below_space | has_zero(word ^ (kOnes * '"')) |
+          has_zero(word ^ (kOnes * '\\'))) != 0;
+}
+
+/// Appends the RFC 8259 escape of a byte below 0x20, '"' or '\\'.
+void AppendEscape(unsigned char c, std::string* out) {
+  switch (c) {
+    case '"':
+      *out += "\\\"";
+      break;
+    case '\\':
+      *out += "\\\\";
+      break;
+    case '\b':
+      *out += "\\b";
+      break;
+    case '\f':
+      *out += "\\f";
+      break;
+    case '\n':
+      *out += "\\n";
+      break;
+    case '\r':
+      *out += "\\r";
+      break;
+    case '\t':
+      *out += "\\t";
+      break;
+    default: {
+      static constexpr char kHex[] = "0123456789abcdef";
+      const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                             kHex[c & 0xF]};
+      out->append(escape, sizeof(escape));
+    }
+  }
+}
+
+/// Appends `s` escaped per RFC 8259 to *out: clean 8-byte words are skipped
+/// whole, and runs of bytes that need no escape are copied in bulk.
 void AppendEscaped(std::string_view s, std::string* out) {
   size_t run = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out->append(s.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\b':
-        *out += "\\b";
-        break;
-      case '\f':
-        *out += "\\f";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default: {
-        static constexpr char kHex[] = "0123456789abcdef";
-        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
-                               kHex[c & 0xF]};
-        out->append(escape, sizeof(escape));
+  size_t i = 0;
+  while (i < s.size()) {
+    if (s.size() - i >= 8) {
+      uint64_t word;
+      std::memcpy(&word, s.data() + i, sizeof(word));
+      if (!WordNeedsEscape(word)) {
+        i += 8;
+        continue;
       }
+    }
+    for (const size_t stop = std::min(s.size(), i + 8); i < stop; ++i) {
+      const unsigned char c = static_cast<unsigned char>(s[i]);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      out->append(s.data() + run, i - run);
+      run = i + 1;
+      AppendEscape(c, out);
     }
   }
   out->append(s.data() + run, s.size() - run);
@@ -129,6 +159,8 @@ void AppendEscaped(std::string_view s, std::string* out) {
 }  // namespace
 
 void JsonWriter::AppendQuoted(std::string_view s) {
+  // One growth step for a long string (an upload), not one per doubling.
+  out_.reserve(out_.size() + s.size() + 2);
   out_ += '"';
   AppendEscaped(s, &out_);
   out_ += '"';

@@ -34,6 +34,8 @@ constexpr size_t kMaxHeaderBytes = 64 * 1024;
 // of the body is read, and the connection closes. 16 MiB is about 15 times
 // the largest dataset upload of the end-to-end benchmark (~1 MiB).
 constexpr uint64_t kMaxBodyBytes = 16 * 1024 * 1024;
+// The first read window of a body; each later one doubles the body so far.
+constexpr size_t kBodyWindowBytes = 64 * 1024;
 
 std::string UrlDecode(std::string_view s) {
   std::string out;
@@ -444,9 +446,9 @@ HttpResponse RestService::Handle(const HttpRequest& request) {
   ScopedRequestId id_scope(request_id);
   HttpResponse response;
   if (request.path.rfind("/v1/", 0) == 0) {
-    HttpRequest v1 = request;
-    v1.path = request.path.substr(3);  // Strip "/v1".
-    response = RouteV1(v1);
+    // Routed on the path without "/v1"; the request (and its body) is not
+    // copied.
+    response = RouteV1(request, request.path.substr(3));
   } else {
     // The pre-v1 aliases are gone; unversioned paths get the structured
     // envelope pointing at the current surface.
@@ -458,8 +460,8 @@ HttpResponse RestService::Handle(const HttpRequest& request) {
   return response;
 }
 
-HttpResponse RestService::RouteV1(const HttpRequest& request) {
-  const std::string& path = request.path;
+HttpResponse RestService::RouteV1(const HttpRequest& request,
+                                  const std::string& path) {
   if (path == "/health" && request.method == "GET") return HandleHealth();
   if (path == "/metrics" && request.method == "GET") return HandleMetrics();
   if (path == "/algorithms" && request.method == "GET") {
@@ -1351,17 +1353,22 @@ void HttpServer::HandleConnection(int client) {
     // Read until the header block has arrived, parse it once, then read its
     // Content-Length body (or until the socket times out / the client goes
     // away). ParseHttpRequest validated and canonicalized Content-Length.
-    // Each terminator search resumes where the previous one stopped.
+    // Each terminator search resumes where the previous one stopped. The
+    // body's bytes that came with the header move into `body`, and the rest
+    // is read straight from the socket into it, so `data` holds only bytes
+    // past this request.
     StatusOr<HttpRequest> parsed =
         Status::InvalidArgument("http: incomplete header");
-    size_t body_start = std::string::npos;
-    size_t expected_total = std::string::npos;
+    bool have_header = false;
+    std::string body;
+    size_t content_length = 0;
+    size_t body_received = 0;
     size_t scanned = 0;
     bool timed_out = false;
     bool peer_closed = false;
     int too_large = 0;  // 431 or 413 when a size cap is exceeded.
     for (;;) {
-      if (body_start == std::string::npos) {
+      if (!have_header) {
         const size_t head_end = data.find("\r\n\r\n", scanned);
         scanned = data.size() < 3 ? 0 : data.size() - 3;
         if ((head_end == std::string::npos ? data.size() : head_end + 4) >
@@ -1370,7 +1377,8 @@ void HttpServer::HandleConnection(int client) {
           break;
         }
         if (head_end != std::string::npos) {
-          body_start = expected_total = head_end + 4;
+          have_header = true;
+          const size_t body_start = head_end + 4;
           parsed = ParseHttpRequest(data.substr(0, body_start));
           if (parsed.ok() && parsed->headers.count("content-length") > 0) {
             const uint64_t length =
@@ -1379,12 +1387,25 @@ void HttpServer::HandleConnection(int client) {
               too_large = 413;
               break;
             }
-            expected_total += static_cast<size_t>(length);
+            content_length = static_cast<size_t>(length);
           }
+          // Reserved, so the body never moves. Its size grows with what
+          // arrives, so a client that only announces a length holds little.
+          body.reserve(content_length);
+          body_received = std::min(content_length, data.size() - body_start);
+          body.assign(data, body_start, body_received);
+          data.erase(0, body_start + body_received);
         }
       }
-      if (data.size() >= expected_total) break;
-      const ssize_t n = ::read(client, buffer, sizeof(buffer));
+      if (have_header && body_received == content_length) break;
+      if (have_header && body_received == body.size()) {
+        body.resize(std::min(content_length,
+                             std::max(2 * body.size(), kBodyWindowBytes)));
+      }
+      const ssize_t n =
+          have_header ? ::read(client, body.data() + body_received,
+                               body.size() - body_received)
+                      : ::read(client, buffer, sizeof(buffer));
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         timed_out = true;
         break;
@@ -1393,10 +1414,14 @@ void HttpServer::HandleConnection(int client) {
         peer_closed = true;
         break;
       }
-      data.append(buffer, static_cast<size_t>(n));
+      if (have_header) {
+        body_received += static_cast<size_t>(n);
+      } else {
+        data.append(buffer, static_cast<size_t>(n));
+      }
     }
     // The peer hung up with no request in flight: quiet close.
-    if (peer_closed && data.empty()) break;
+    if (peer_closed && !have_header && data.empty()) break;
 
     HttpResponse response;
     bool framed_ok = false;
@@ -1424,8 +1449,7 @@ void HttpServer::HandleConnection(int client) {
     } else {
       framed_ok = true;
       request = std::move(*parsed);
-      request.body = data.substr(body_start, expected_total - body_start);
-      data.erase(0, expected_total);
+      request.body = std::move(body);
       response = service_->Handle(request);
     }
 

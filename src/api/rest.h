@@ -133,7 +133,8 @@ class RestService {
   void set_http_server(const HttpServer* server) { server_ = server; }
 
  private:
-  HttpResponse RouteV1(const HttpRequest& request);
+  /// Dispatches a /v1 request; `path` is its path without "/v1".
+  HttpResponse RouteV1(const HttpRequest& request, const std::string& path);
 
   HttpResponse HandleHealth();
   HttpResponse HandleMetrics();

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -23,9 +24,26 @@ std::vector<std::string> Split(std::string_view s, char delim) {
 void SplitCsvRecord(std::string_view line, char delim,
                     std::vector<std::string_view>* fields,
                     std::deque<std::string>* owned) {
+  // Fast path: with no quote and no '\r' but a CRLF's trailing one (which
+  // is dropped, unless '\r' is the delimiter), every field is a view, and
+  // the record splits by memchr (string_view::find).
+  std::string_view bare = line;
+  if (delim != '\r' && !bare.empty() && bare.back() == '\r') {
+    bare.remove_suffix(1);
+  }
+  if (bare.find('"') == std::string_view::npos &&
+      bare.find('\r') == std::string_view::npos) {
+    size_t begin = 0;
+    for (size_t end; (end = bare.find(delim, begin)) != std::string_view::npos;
+         begin = end + 1) {
+      fields->push_back(bare.substr(begin, end - begin));
+    }
+    fields->push_back(bare.substr(begin));
+    return;
+  }
   size_t begin = 0;
   while (true) {
-    // Fast path: a field without quotes or '\r' is a view.
+    // A field without quotes or '\r' is still a view.
     size_t i = begin;
     while (i < line.size() && line[i] != delim && line[i] != '"' &&
            line[i] != '\r') {
@@ -69,16 +87,18 @@ std::vector<std::string> SplitCsvLine(std::string_view line, char delim) {
   return {fields.begin(), fields.end()};
 }
 
+namespace {
+
+/// std::isspace in the "C" locale, the only one the program runs in.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view StripAsciiWhitespace(std::string_view s) {
   size_t begin = 0;
-  while (begin < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
+  while (begin < s.size() && IsAsciiSpace(s[begin])) ++begin;
   size_t end = s.size();
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 
@@ -90,51 +110,26 @@ std::string AsciiToLower(std::string_view s) {
   return out;
 }
 
-namespace {
-
-/// True for -?digits[.digits][(e|E)[+-]digits], the only spellings handed
-/// to std::from_chars; strtod takes everything else.
-bool IsPlainDecimal(std::string_view s) {
-  size_t i = 0;
-  auto digits = [&] {
-    const size_t start = i;
-    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
-    return i > start;
-  };
-  if (i < s.size() && s[i] == '-') ++i;
-  if (!digits()) return false;
-  if (i < s.size() && s[i] == '.') {
-    ++i;
-    if (!digits()) return false;
-  }
-  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-    ++i;
-    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-    if (!digits()) return false;
-  }
-  return i == s.size();
+bool ParseDouble(std::string_view s, double* out) {
+  return ParseStrippedDouble(StripAsciiWhitespace(s), out);
 }
 
-}  // namespace
-
-bool ParseDouble(std::string_view s, double* out) {
-  s = StripAsciiWhitespace(s);
+bool ParseStrippedDouble(std::string_view s, double* out) {
   if (s.empty()) return false;
-  // Both parsers round correctly, so the fast path keeps every bit; it
-  // defers to strtod on anything it does not consume whole without error
-  // (out-of-range values included).
-  if (IsPlainDecimal(s)) {
-    double v = 0.0;
-    const auto [end, error] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (error == std::errc() && end == s.data() + s.size()) {
-      *out = v;
-      return true;
-    }
+  // from_chars reads a subset of strtod's grammar (no '+', hex or leading
+  // space), and both round correctly, so a finite value it reads whole has
+  // strtod's bits. Anything else goes to strtod: out-of-range values, and
+  // inf and nan spellings, whose NaN payloads from_chars does not keep.
+  double v = 0.0;
+  const auto [end, error] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (error == std::errc() && end == s.data() + s.size() && std::isfinite(v)) {
+    *out = v;
+    return true;
   }
   const std::string buf(s);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
+  char* strtod_end = nullptr;
+  v = std::strtod(buf.c_str(), &strtod_end);
+  if (strtod_end != buf.c_str() + buf.size()) return false;
   *out = v;
   return true;
 }

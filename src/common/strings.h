@@ -17,7 +17,8 @@ std::vector<std::string> Split(std::string_view s, char delim);
 /// data; "" inside quotes is a literal quote; '\r' outside quotes is
 /// dropped. A field is a view into `line`, except a quoted field or one
 /// holding '\r', which is unescaped into *owned (a deque, so earlier views
-/// stay valid as it grows).
+/// stay valid as it grows). In a record with no quote and no other '\r', a
+/// CRLF's trailing '\r' is cut off its field's view instead.
 void SplitCsvRecord(std::string_view line, char delim,
                     std::vector<std::string_view>* fields,
                     std::deque<std::string>* owned);
@@ -32,8 +33,12 @@ std::string_view StripAsciiWhitespace(std::string_view s);
 std::string AsciiToLower(std::string_view s);
 
 /// True if strtod consumes all of `s` (trimmed of ASCII whitespace); stores
-/// the value in *out. Plain decimals take a faster, equally exact parser.
+/// the value in *out. Finite decimals take a faster, equally exact parser.
 bool ParseDouble(std::string_view s, double* out);
+
+/// ParseDouble for a token already stripped of ASCII whitespace (the CSV
+/// reader strips each cell once, then parses it).
+bool ParseStrippedDouble(std::string_view s, double* out);
 
 /// Joins items with `sep`.
 std::string Join(const std::vector<std::string>& items, std::string_view sep);

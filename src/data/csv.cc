@@ -30,7 +30,16 @@ struct CsvTable {
 };
 
 CsvTable SplitRecords(std::string_view text, char delim) {
+  // The line count and the first record's width size both tables once, so
+  // a rectangular upload's fields are never copied as the vector grows. A
+  // text holds at most one field per byte, plus one.
+  size_t lines = 1;
+  for (size_t pos = 0; (pos = text.find('\n', pos)) != std::string_view::npos;
+       ++pos) {
+    ++lines;
+  }
   CsvTable table;
+  table.starts.reserve(lines + 1);
   table.starts.push_back(0);
   size_t begin = 0;
   while (begin < text.size()) {
@@ -39,6 +48,10 @@ CsvTable SplitRecords(std::string_view text, char delim) {
     const std::string_view line = text.substr(begin, end - begin);
     if (!StripAsciiWhitespace(line).empty()) {
       SplitCsvRecord(line, delim, &table.fields, &table.owned);
+      if (table.starts.size() == 1) {
+        table.fields.reserve(
+            std::min(table.fields.size() * lines, text.size() + 1));
+      }
       table.starts.push_back(table.fields.size());
     }
     begin = end + 1;
@@ -97,11 +110,17 @@ StatusOr<Dataset> ReadCsvString(std::string_view text,
   }
 
   const size_t num_rows = table.NumRecords() - first_data;
-  // The trimmed cell; *missing tells whether it is a missing token.
+  // The trimmed cell; *missing tells whether it is a missing token. A cell
+  // longer than every token skips the compares.
+  size_t longest_token = 0;
+  for (const std::string& token : options.missing_tokens) {
+    longest_token = std::max(longest_token, token.size());
+  }
   auto cell = [&](size_t r, size_t c, bool* missing) {
     const std::string_view trimmed =
         StripAsciiWhitespace(table.Field(first_data + r, c));
-    *missing = std::find(options.missing_tokens.begin(),
+    *missing = trimmed.size() <= longest_token &&
+               std::find(options.missing_tokens.begin(),
                          options.missing_tokens.end(),
                          trimmed) != options.missing_tokens.end();
     return trimmed;
@@ -121,7 +140,7 @@ StatusOr<Dataset> ReadCsvString(std::string_view text,
       if (missing) {
         values[r] = kNaN;
       } else {
-        numeric = ParseDouble(trimmed, &values[r]);
+        numeric = ParseStrippedDouble(trimmed, &values[r]);
       }
     }
     if (numeric) {

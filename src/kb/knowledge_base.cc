@@ -55,6 +55,7 @@ struct KbMetrics {
   Counter* compactions = nullptr;
   Counter* records_deduped = nullptr;
   Counter* records_evicted = nullptr;
+  Counter* rejected_records = nullptr;
 
   static const KbMetrics& Get() {
     static const KbMetrics metrics = [] {
@@ -130,11 +131,22 @@ struct KbMetrics {
       m.records_evicted = registry.GetCounter(
           "smartml_kb_records_evicted_total",
           "Records evicted by the quality-weighted size cap.");
+      m.rejected_records = registry.GetCounter(
+          "smartml_kb_rejected_records_total",
+          "Records refused or dropped for a non-finite meta-feature.");
       return m;
     }();
     return metrics;
   }
 };
+
+/// True when every meta-feature is finite. One NaN or inf coordinate makes
+/// the record's distance to every query NaN, and a NaN in the normalizer
+/// spreads that to every record, so such a record is never stored.
+bool HasFiniteMetaFeatures(const KbRecord& record) {
+  return std::all_of(record.meta_features.begin(), record.meta_features.end(),
+                     [](double v) { return std::isfinite(v); });
+}
 
 /// Folds `from`'s per-algorithm results into `into` (higher accuracy wins;
 /// unseen algorithms append) — the paper's incremental update, shared by
@@ -194,7 +206,14 @@ KnowledgeBase& KnowledgeBase::operator=(KnowledgeBase&& other) noexcept {
   return *this;
 }
 
-void KnowledgeBase::AddRecord(const KbRecord& record) {
+Status KnowledgeBase::AddRecord(const KbRecord& record) {
+  if (!HasFiniteMetaFeatures(record)) {
+    KbMetrics::Get().rejected_records->Increment();
+    SMARTML_LOG_WARN << "KB: refused record '" << record.dataset_name
+                     << "' with a non-finite meta-feature";
+    return Status::InvalidArgument("KB: record '" + record.dataset_name +
+                                   "' has a non-finite meta-feature");
+  }
   KbMetrics::Get().updates->Increment();
   std::unique_lock lock(mutex_);
   for (auto& existing : state_.records) {
@@ -203,10 +222,11 @@ void KnowledgeBase::AddRecord(const KbRecord& record) {
     // The record may have moved in meta-feature space: the tree's split
     // planes can no longer be trusted, so this is always a full rebuild.
     RebuildIndexLocked(/*appended_one=*/false);
-    return;
+    return Status::OK();
   }
   state_.records.push_back(record);
   RebuildIndexLocked(/*appended_one=*/true);
+  return Status::OK();
 }
 
 size_t KnowledgeBase::NumRecords() const {
@@ -479,7 +499,12 @@ void KnowledgeBase::BulkLoad(std::vector<KbRecord>&& records) {
   // million-record cold start O(N^2)).
   std::unordered_map<std::string, size_t> by_name;
   by_name.reserve(records.size());
+  size_t rejected = 0;
   for (auto& record : records) {
+    if (!HasFiniteMetaFeatures(record)) {
+      ++rejected;
+      continue;
+    }
     auto [it, inserted] = by_name.try_emplace(record.dataset_name,
                                               state_.records.size());
     if (inserted) {
@@ -487,6 +512,11 @@ void KnowledgeBase::BulkLoad(std::vector<KbRecord>&& records) {
       continue;
     }
     MergeRecordInto(&state_.records[it->second], record);
+  }
+  if (rejected > 0) {
+    KbMetrics::Get().rejected_records->Increment(rejected);
+    SMARTML_LOG_WARN << "KB: dropped " << rejected
+                     << " loaded records with a non-finite meta-feature";
   }
   RebuildIndexLocked(/*appended_one=*/false);
 }

@@ -160,8 +160,10 @@ class KnowledgeBase {
 
   /// Inserts or merges a record. Merging keeps, per algorithm, the result
   /// with the higher accuracy (this is the paper's incremental update).
-  /// Takes the lock exclusively.
-  void AddRecord(const KbRecord& record);
+  /// Takes the lock exclusively. A record with a non-finite meta-feature is
+  /// refused (InvalidArgument), counted in smartml_kb_rejected_records_total
+  /// and logged: stored, it would make every later lookup's distances NaN.
+  Status AddRecord(const KbRecord& record);
 
   size_t NumRecords() const;
 
@@ -291,7 +293,9 @@ class KnowledgeBase {
   void RebuildIndexLocked(bool appended_one);
 
   /// Replaces all records in one step (the load path for both file
-  /// formats: hash-merge duplicate names, single index rebuild).
+  /// formats and salvage: hash-merge duplicate names, single index
+  /// rebuild). Records with a non-finite meta-feature are dropped, counted
+  /// and logged, as AddRecord refuses them.
   void BulkLoad(std::vector<KbRecord>&& records);
 
   /// Guards state_: shared for lookups, exclusive for AddRecord (the REST

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "src/common/crc32.h"
 #include "src/common/fault_injection.h"
@@ -18,33 +19,51 @@ namespace smartml {
 
 namespace {
 
-/// Decodes one segment's bytes into records. A torn or crc-bad frame ends
-/// the segment: everything before it is the salvaged prefix, everything
-/// from it on is dropped and counted in `torn`.
-void DecodeSegment(std::string_view bytes,
-                   const std::function<void(const JournalRecord&)>& fn,
-                   size_t* records, size_t* torn) {
+/// Decodes one segment's bytes into records, handing each to `fn` as a
+/// mutable record whose buffers are reused for the next one. A torn or
+/// crc-bad frame ends the segment: everything before it is the salvaged
+/// prefix, everything from it on is dropped and counted in `torn`.
+template <typename Fn>
+void DecodeSegment(std::string_view bytes, Fn&& fn, size_t* records,
+                   size_t* torn) {
   ByteReader frames(bytes);
   size_t decoded_end = 0;
   uint32_t body_len = 0;
   uint32_t expected_crc = 0;
   std::string_view body;
+  JournalRecord record;
   while (frames.ReadU32(&body_len) && frames.ReadU32(&expected_crc) &&
          frames.ReadBytes(body_len, &body) && Crc32(body) == expected_crc) {
     // body = u8 type | u32 key_len | key | payload
     ByteReader fields(body);
-    JournalRecord record;
     std::string_view key;
     if (!fields.ReadU8(&record.type) || !fields.ReadLengthPrefixed(&key)) {
       break;
     }
-    record.key = key;
-    record.payload = body.substr(fields.position());
+    record.key.assign(key);
+    record.payload.assign(body.substr(fields.position()));
     fn(record);
     ++*records;
     decoded_end = frames.position();
   }
   if (decoded_end < bytes.size()) ++*torn;
+}
+
+/// Appends `record` to *out as one frame.
+void AppendJournalFrame(const JournalRecord& record, std::string* out) {
+  // u32 body_len | u32 crc32(body) | body, built in place: the header is
+  // written once the body behind it is complete.
+  const size_t header = out->size();
+  const size_t body_len = 5 + record.key.size() + record.payload.size();
+  out->reserve(header + 8 + body_len);
+  out->append(8, '\0');
+  AppendU8(out, record.type);
+  AppendLengthPrefixed(out, record.key);
+  out->append(record.payload);
+  const uint32_t fields[2] = {
+      static_cast<uint32_t>(body_len),
+      Crc32(std::string_view(*out).substr(header + 8))};
+  std::memcpy(out->data() + header, fields, sizeof(fields));
 }
 
 // Resolved once against the global registry; every member is a stable
@@ -86,16 +105,8 @@ struct JournalMetrics {
 }  // namespace
 
 std::string EncodeJournalFrame(const JournalRecord& record) {
-  std::string body;
-  body.reserve(5 + record.key.size() + record.payload.size());
-  AppendU8(&body, record.type);
-  AppendLengthPrefixed(&body, record.key);
-  body += record.payload;
   std::string frame;
-  frame.reserve(8 + body.size());  // u32 body_len + u32 crc32 + body
-  AppendU32(&frame, static_cast<uint32_t>(body.size()));
-  AppendU32(&frame, Crc32(body));
-  frame += body;
+  AppendJournalFrame(record, &frame);
   return frame;
 }
 
@@ -235,10 +246,9 @@ Status JobJournal::Compact(const std::function<bool(JournalRecord*)>& keep) {
     size_t records = 0, torn = 0;
     DecodeSegment(
         *bytes,
-        [&](const JournalRecord& record) {
-          JournalRecord mutated = record;
-          if (keep(&mutated)) {
-            compacted += EncodeJournalFrame(mutated);
+        [&](JournalRecord& record) {
+          if (keep(&record)) {
+            AppendJournalFrame(record, &compacted);
           } else {
             ++dropped;
           }

@@ -119,6 +119,40 @@ void ExpectEscapesLikeReference(const std::string& s) {
             "{\"" + escaped + "\":\"" + escaped + "\"}");
 }
 
+TEST(JsonWriterTest, EscapingMatchesReferenceAtEveryWordOffset) {
+  // The escaper skips clean 8-byte words whole. Put every byte that needs
+  // an escape at every offset 0-16 of strings 0-24 bytes long, among bytes
+  // that need none: ASCII, DEL and bytes >= 0x80.
+  std::string escape_worthy = "\"\\";
+  for (int byte = 0; byte < 0x20; ++byte) {
+    escape_worthy += static_cast<char>(byte);
+  }
+  for (const char filler : {'a', '\x7f', '\x80', '\xa2', '\xdc', '\xff'}) {
+    for (size_t length = 0; length <= 24; ++length) {
+      const std::string clean(length, filler);
+      ExpectEscapesLikeReference(clean);
+      for (size_t offset = 0; offset <= 16 && offset < length; ++offset) {
+        for (const char c : escape_worthy) {
+          std::string s = clean;
+          s[offset] = c;
+          ExpectEscapesLikeReference(s);
+          // A second escape in the same word, or the next one.
+          s[length - 1] = '\n';
+          ExpectEscapesLikeReference(s);
+        }
+      }
+    }
+  }
+  // Every byte >= 0x80 at every offset of a clean ASCII string.
+  for (int byte = 0x80; byte < 0x100; ++byte) {
+    for (size_t offset = 0; offset <= 16; ++offset) {
+      std::string s(24, 'z');
+      s[offset] = static_cast<char>(byte);
+      ExpectEscapesLikeReference(s);
+    }
+  }
+}
+
 TEST(JsonWriterTest, EscapingMatchesReferenceOnEveryByte) {
   for (int byte = 0; byte < 256; ++byte) {
     const std::string one(1, static_cast<char>(byte));

@@ -252,6 +252,34 @@ TEST(CsvParityTest, EdgeCorpus) {
   }
 }
 
+TEST(CsvParityTest, RecordsOnEitherSideOfTheSplitFastPath) {
+  // Records without a quote or a '\r' (a CRLF's trailing one aside) are
+  // split by memchr; every other record takes the quoting loop. Each text
+  // mixes both kinds, and every cell is stripped once before parsing.
+  const std::string kTexts[] = {
+      // CRLF records, quoted and plain, with empty fields.
+      "a,b,label\r\n\"1,5\",2,x\r\n3,\"4\"\"\",y\r\n,,x\r\n5,6,y\r\n",
+      // '\v' and '\f' padding, with LF and CRLF ends.
+      "a,b,label\n\v1\f,\f2\v,x\n\f3 ,4\v, y\f\r\n\v\f5,\t6\r\r\n,\v,x\n",
+      // An interior '\r', a doubled trailing one, and '\r'-only lines.
+      "a,b,label\r\n1,\r2,x\r\n3,4,y\r\r\n\r\n5,6\r,x\n\r\n",
+      // A quoted field holding a CRLF's '\r', and one ending a record.
+      "a,label\n\"q\rr\",x\n2,\"y\"\r\n\"3\"\r\n",
+      // Whitespace-only cells around numbers and missing tokens.
+      "a,b,label\n \v?\f,1,x\n\fNA\v,\r2\r,y\n3,\f\v,x\r\n",
+  };
+  CsvOptions no_header;
+  no_header.has_header = false;
+  for (size_t t = 0; t < std::size(kTexts); ++t) {
+    const std::string context = "text " + std::to_string(t);
+    ExpectParity(kTexts[t], no_header, context + ", no header");
+    for (const char delimiter : {',', ';', '\t', '"', '\r', '\v'}) {
+      ExpectParity(kTexts[t], WithDelimiter(delimiter),
+                   context + ", delimiter " + std::to_string(delimiter));
+    }
+  }
+}
+
 void ExpectParseDoubleMatchesStrtod(const std::string& token) {
   double got = 0.0;
   double want = 0.0;

@@ -25,6 +25,7 @@
 #include "src/core/smartml.h"
 #include "src/data/arff.h"
 #include "src/data/csv.h"
+#include "src/data/synthetic.h"
 #include "src/kb/knowledge_base.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/journal.h"
@@ -514,6 +515,43 @@ TEST(HttpFramingTest, HeaderTerminatorSplitAcrossReads) {
                 " close\r\n\r", "\n"});
   EXPECT_EQ(reply.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << reply;
   EXPECT_EQ(served, 1);
+}
+
+// A body several read windows long, arriving in pieces (the first with its
+// header, the last followed by a pipelined request), is read whole and
+// exactly: the reply is the in-process one, and the pipelined request is
+// served after it.
+TEST(HttpFramingTest, LargeBodyInPiecesIsReadExactly) {
+  SyntheticSpec spec;
+  spec.num_instances = 600;
+  spec.num_informative = 20;
+  spec.seed = 5;
+  const std::string csv = WriteCsvString(GenerateSynthetic(spec));
+  ASSERT_GT(csv.size(), 3u * 64 * 1024);
+  const std::string head = StrFormat(
+      "POST /v1/metafeatures HTTP/1.1\r\nHost: x\r\nContent-Length: %zu\r\n\r\n",
+      csv.size());
+  const std::string next =
+      "GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+  const auto [reply, served] =
+      Exchange({head + csv.substr(0, 100), csv.substr(100, 70000),
+                csv.substr(70100, 80000), csv.substr(150100) + next});
+
+  SmartML framework;
+  RestService service(&framework);
+  HttpRequest request;
+  request.method = "POST";
+  request.path = "/v1/metafeatures";
+  request.body = csv;
+  const HttpResponse want = service.Handle(request);
+  ASSERT_EQ(want.status, 200) << want.body;
+  EXPECT_EQ(reply.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << reply.substr(0, 300);
+  const size_t first_body = reply.find("\r\n\r\n") + 4;
+  EXPECT_EQ(reply.compare(first_body, want.body.size(), want.body), 0)
+      << reply.substr(0, 300);
+  EXPECT_NE(reply.find("HTTP/1.1 200 OK\r\n", first_body), std::string::npos)
+      << "the pipelined request was not served";
+  EXPECT_EQ(served, 2);
 }
 
 // A client that pipelines requests and hangs up without reading the

@@ -41,7 +41,7 @@ TEST(CsvTest, NoHeaderGeneratesNames) {
 
 TEST(CsvTest, NamedTargetColumn) {
   CsvOptions options;
-  options.target_column = "y";
+  options.target_column.append("y");  // Not `= "y"`: GCC 12 -Wrestrict.
   auto d = ReadCsvString("y,x\npos,1\nneg,2\n", options);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->NumFeatures(), 1u);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,10 +38,19 @@ TEST(KbConcurrencyTest, ReadersAndWritersDoNotRace) {
   constexpr int kIterations = 150;
   std::atomic<bool> stop{false};
   std::atomic<int> reads_done{0};
+  // Start latch: writers begin only after every reader and the copier have
+  // finished one full iteration. Otherwise, under load, the writers can
+  // finish before any reader is scheduled, and nothing reads concurrently.
+  std::latch warmed_up(kReaders + 1);
+  auto warm = [&warmed_up](bool* counted) {
+    if (!*counted) warmed_up.count_down();
+    *counted = true;
+  };
 
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&kb, w] {
+    threads.emplace_back([&kb, &warmed_up, w] {
+      warmed_up.wait();
       for (int i = 0; i < kIterations; ++i) {
         // Alternate fresh inserts with merges into an existing record.
         const bool merge = i % 3 == 0;
@@ -56,6 +66,7 @@ TEST(KbConcurrencyTest, ReadersAndWritersDoNotRace) {
       query[0] = 1.0;
       NominationOptions options;
       options.max_algorithms = 3;
+      bool counted = false;
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t n = kb.NumRecords();
         const auto snapshot = kb.SnapshotRecords();
@@ -65,14 +76,17 @@ TEST(KbConcurrencyTest, ReadersAndWritersDoNotRace) {
         EXPECT_LE(nominations.size(), options.max_algorithms);
         EXPECT_NE(kb.Serialize().find("smartml-kb"), std::string::npos);
         reads_done.fetch_add(1, std::memory_order_relaxed);
+        warm(&counted);
       }
     });
   }
   // Concurrent copies (used by StatusOr plumbing) must also be safe.
   threads.emplace_back([&] {
+    bool counted = false;
     while (!stop.load(std::memory_order_relaxed)) {
       KnowledgeBase copy = kb;
       EXPECT_GE(copy.NumRecords(), 1u);
+      warm(&counted);
     }
   });
 

@@ -19,6 +19,14 @@
 namespace smartml {
 namespace {
 
+// "d<i>". Appending, rather than `Name(i)`, keeps GCC 12's
+// -Wrestrict false positive out of Release builds.
+std::string Name(size_t i) {
+  std::string name = "d";
+  name += std::to_string(i);
+  return name;
+}
+
 KbRecord MakeRecord(const std::string& name, const MetaFeatureVector& mf) {
   KbRecord record;
   record.dataset_name = name;
@@ -93,7 +101,7 @@ TEST(KdTreeOracle, MatchesLinearScanOnRandomizedKbs) {
       KnowledgeBase kb;
       const auto points = RandomPoints(n, seed);
       for (size_t i = 0; i < points.size(); ++i) {
-        kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+        kb.AddRecord(MakeRecord(Name(i), points[i]));
       }
       const auto queries = RandomPoints(20, seed + 1000);
       for (const size_t k : {size_t{1}, size_t{3}, size_t{10}, n + 5}) {
@@ -116,7 +124,7 @@ TEST(KdTreeOracle, MatchesLinearScanWithDuplicatePointsAndTies) {
   KnowledgeBase kb;
   const auto points = RandomPoints(300, 11, /*dup_every=*/3);
   for (size_t i = 0; i < points.size(); ++i) {
-    kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+    kb.AddRecord(MakeRecord(Name(i), points[i]));
   }
   for (size_t qi = 0; qi < points.size(); qi += 17) {
     // Query *at* a duplicated stored point: distance 0 ties included.
@@ -135,11 +143,11 @@ TEST(KdTreeOracle, MatchesLinearScanAcrossAppendTail) {
   KnowledgeBase kb;
   const auto points = RandomPoints(900, 23);
   for (size_t i = 0; i < 600; ++i) {
-    kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+    kb.AddRecord(MakeRecord(Name(i), points[i]));
   }
   const auto query = RandomPoints(1, 99)[0];
   for (size_t i = 600; i < points.size(); ++i) {
-    kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+    kb.AddRecord(MakeRecord(Name(i), points[i]));
     if (i % 37 != 0) continue;
     kb.SetLookupStrategy(KbLookupStrategy::kKdTree);
     const auto tree = kb.NearestRecords(query, 5);
@@ -159,7 +167,7 @@ TEST(KdTreeOracle, IndexStatsReflectTreeState) {
   KnowledgeBase kb;
   const auto points = RandomPoints(10, 5);
   for (size_t i = 0; i < points.size(); ++i) {
-    kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+    kb.AddRecord(MakeRecord(Name(i), points[i]));
   }
   // Small KB under kAuto: linear, no tree.
   KbIndexStats stats = kb.IndexStats();
@@ -189,12 +197,12 @@ TEST(KdTreeOracle, LookupsRaceAppendsUnderTsan) {
   KnowledgeBase kb;
   const auto points = RandomPoints(800, 31);
   for (size_t i = 0; i < 400; ++i) {
-    kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+    kb.AddRecord(MakeRecord(Name(i), points[i]));
   }
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (size_t i = 400; i < points.size(); ++i) {
-      kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+      kb.AddRecord(MakeRecord(Name(i), points[i]));
     }
     stop = true;
   });
@@ -227,7 +235,7 @@ TEST(KdTreeCompaction, MergesNearDuplicatesEarliestSurvives) {
   KnowledgeBase kb;
   const auto points = RandomPoints(40, 3);
   for (size_t i = 0; i < points.size(); ++i) {
-    kb.AddRecord(MakeRecord("d" + std::to_string(i), points[i]));
+    kb.AddRecord(MakeRecord(Name(i), points[i]));
   }
   // Same meta-features as d5 under a different name, with a better result
   // for another algorithm: after compaction d5 survives carrying both.
@@ -257,7 +265,7 @@ TEST(KdTreeCompaction, QualityWeightedEvictionDropsWorstFirst) {
   KnowledgeBase kb;
   const auto points = RandomPoints(20, 9);
   for (size_t i = 0; i < points.size(); ++i) {
-    KbRecord record = MakeRecord("d" + std::to_string(i), points[i]);
+    KbRecord record = MakeRecord(Name(i), points[i]);
     record.results[0].accuracy = 0.3 + 0.03 * static_cast<double>(i);
     kb.AddRecord(record);
   }
@@ -269,10 +277,10 @@ TEST(KdTreeCompaction, QualityWeightedEvictionDropsWorstFirst) {
   EXPECT_EQ(kb.NumRecords(), 15u);
   // The five lowest-accuracy records (d0..d4) are gone; the best survive.
   for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(kb.Find("d" + std::to_string(i)).has_value()) << i;
+    EXPECT_FALSE(kb.Find(Name(i)).has_value()) << i;
   }
   for (int i = 5; i < 20; ++i) {
-    EXPECT_TRUE(kb.Find("d" + std::to_string(i)).has_value()) << i;
+    EXPECT_TRUE(kb.Find(Name(i)).has_value()) << i;
   }
 }
 

@@ -2,9 +2,16 @@
 // weighted-NN nomination, and persistence.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "src/data/synthetic.h"
+#include "src/kb/kb_snapshot.h"
 #include "src/kb/knowledge_base.h"
+#include "src/obs/metrics.h"
 
 namespace smartml {
 namespace {
@@ -262,6 +269,94 @@ TEST(KbTest, FileRoundTrip) {
   EXPECT_EQ(back->NumRecords(), 1u);
   EXPECT_TRUE(back->Find("disk").has_value());
   std::remove(path.c_str());
+}
+
+double RejectedRecords() {
+  return GlobalMetrics().Value("smartml_kb_rejected_records_total");
+}
+
+void ExpectSameRoster(const std::vector<Nomination>& got,
+                      const std::vector<Nomination>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].algorithm, want[i].algorithm) << i;
+    EXPECT_EQ(got[i].score, want[i].score) << i;
+  }
+}
+
+TEST(KbTest, NonFiniteRecordCannotPoisonLookups) {
+  // A KB of real meta-features, and a clean query from another dataset.
+  KnowledgeBase kb;
+  const std::vector<SyntheticSpec> specs = BootstrapKbSpecs(6, 3);
+  const char* kAlgorithms[] = {"lda", "naive_bayes", "knn",
+                               "c50", "j48",         "rpart"};
+  for (size_t i = 0; i < specs.size(); ++i) {
+    KbRecord record = MakeRecord(specs[i].name, 0.0,
+                                 {{kAlgorithms[i], 0.7 + 0.05 * i},
+                                  {kAlgorithms[(i + 1) % 6], 0.6}});
+    auto mf = ExtractMetaFeatures(GenerateSynthetic(specs[i]));
+    ASSERT_TRUE(mf.ok());
+    record.meta_features = *mf;
+    ASSERT_TRUE(kb.AddRecord(record).ok());
+  }
+  SyntheticSpec probe;
+  probe.num_instances = 40;
+  probe.num_informative = 3;
+  probe.seed = 11;
+  auto query = ExtractMetaFeatures(GenerateSynthetic(probe));
+  ASSERT_TRUE(query.ok());
+  NominationOptions options;
+  options.max_algorithms = 3;
+  const std::vector<Nomination> before = kb.Nominate(*query, options);
+  ASSERT_EQ(before.size(), 3u);
+  for (const Nomination& nomination : before) {
+    EXPECT_TRUE(std::isfinite(nomination.score)) << nomination.algorithm;
+  }
+
+  // What one `inf` cell in an upload gives: non-finite meta-features. Once
+  // stored, such a record made every distance NaN, so every query got the
+  // first-inserted records' algorithms. It is refused, fresh or as a merge.
+  const double rejected = RejectedRecords();
+  KbRecord poisoned = MakeRecord("upload-with-inf", 0.0, {{"svm", 0.99}});
+  poisoned.meta_features = *query;
+  poisoned.meta_features[1] = std::numeric_limits<double>::infinity();
+  poisoned.meta_features[2] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(kb.AddRecord(poisoned).code(), StatusCode::kInvalidArgument);
+  poisoned.dataset_name = specs[0].name;
+  EXPECT_EQ(kb.AddRecord(poisoned).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RejectedRecords() - rejected, 2.0);
+  EXPECT_EQ(kb.NumRecords(), specs.size());
+  EXPECT_FALSE(kb.Find("upload-with-inf").has_value());
+  ExpectSameRoster(kb.Nominate(*query, options), before);
+}
+
+TEST(KbTest, LoadsDropNonFiniteRecords) {
+  std::vector<KbRecord> records = {MakeRecord("near", 1.0, {{"svm", 0.9}}),
+                                   MakeRecord("poisoned", 2.0, {{"j48", 0.8}}),
+                                   MakeRecord("far", 4.0, {{"knn", 0.7}})};
+  KnowledgeBase clean;
+  for (const KbRecord& record : records) ASSERT_TRUE(clean.AddRecord(record).ok());
+  // The text form with the poisoned record's first meta-feature spelled
+  // "inf", and without the crc line the edit would break.
+  std::string text = clean.Serialize();
+  text.erase(text.rfind("crc32 "));
+  const size_t meta = text.find("record poisoned\nmeta ") + 21;
+  text.replace(meta, text.find(' ', meta) - meta, "inf");
+  records[1].meta_features[0] = -std::numeric_limits<double>::infinity();
+  const std::string image = EncodeKbSnapshot(records);
+
+  const double rejected = RejectedRecords();
+  for (const std::string& bytes : {text, image}) {
+    auto strict = KnowledgeBase::Deserialize(bytes);
+    auto salvaged = KnowledgeBase::DeserializeSalvage(bytes, nullptr);
+    for (const auto* loaded : {&strict, &salvaged}) {
+      ASSERT_TRUE(loaded->ok()) << loaded->status().ToString();
+      EXPECT_EQ((*loaded)->NumRecords(), 2u);
+      EXPECT_FALSE((*loaded)->Find("poisoned").has_value());
+      EXPECT_TRUE((*loaded)->Find("far").has_value());
+    }
+  }
+  EXPECT_EQ(RejectedRecords() - rejected, 4.0);
 }
 
 TEST(KbTest, LoadMissingFileFails) {

@@ -24,11 +24,20 @@
 #include "src/common/rng.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/journal.h"
+#include "src/persist/snapshot_io.h"
 #include "src/tuning/checkpoint_codec.h"
 #include "src/tuning/param_space.h"
 
 namespace smartml {
 namespace {
+
+// "k<i>". Appending, rather than `"k" + std::to_string(i)`, keeps GCC 12's
+// -Wrestrict false positive out of Release builds.
+std::string Key(int i) {
+  std::string key = "k";
+  key += std::to_string(i);
+  return key;
+}
 
 class PersistTest : public testing::Test {
  protected:
@@ -142,7 +151,7 @@ TEST_F(PersistTest, TornTailSalvagesLongestValidPrefix) {
     ASSERT_TRUE(journal.ok());
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(
-          (*journal)->Append({1, "k" + std::to_string(i), "payload"}).ok());
+          (*journal)->Append({1, Key(i), "payload"}).ok());
     }
     segment_path = dir + "/journal-000001.wal";
   }
@@ -202,7 +211,7 @@ TEST_F(PersistTest, TornSegmentDoesNotBlockLaterSegments) {
     ASSERT_TRUE(journal.ok());
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(
-          (*journal)->Append({1, "k" + std::to_string(i), "data"}).ok());
+          (*journal)->Append({1, Key(i), "data"}).ok());
     }
     ASSERT_GE((*journal)->NumSegments(), 2u);
   }
@@ -237,7 +246,7 @@ TEST_F(PersistTest, CompactionDropsAndMutatesRecords) {
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE((*journal)
                     ->Append({static_cast<uint8_t>(i % 2 == 0 ? 1 : 2),
-                              "k" + std::to_string(i), "bulky-payload"})
+                              Key(i), "bulky-payload"})
                     .ok());
   }
   const size_t before = (*journal)->NumSegments();
@@ -260,13 +269,35 @@ TEST_F(PersistTest, CompactionDropsAndMutatesRecords) {
   EXPECT_EQ(ReplayAll(**journal).size(), 7u);
 }
 
+TEST_F(PersistTest, CompactedSegmentHoldsKeptFramesByteForByte) {
+  const std::string dir = TempDir("journal_compact_bytes");
+  auto journal = JobJournal::Open(dir);
+  ASSERT_TRUE(journal.ok());
+  const std::string bulky(100000, 'x');
+  ASSERT_TRUE((*journal)->Append({1, "a", "kept as is"}).ok());
+  ASSERT_TRUE((*journal)->Append({2, "b", bulky}).ok());
+  ASSERT_TRUE((*journal)->Append({1, "c", bulky}).ok());
+  ASSERT_TRUE((*journal)
+                  ->Compact([](JournalRecord* record) {
+                    if (record->type == 2) return false;
+                    if (record->key == "c") record->payload = "slim";
+                    return true;
+                  })
+                  .ok());
+  // Segment 1 held the appends; compaction wrote segment 2 and opened 3.
+  auto compacted = ReadFileBytes(dir + "/journal-000002.wal");
+  ASSERT_TRUE(compacted.ok());
+  EXPECT_EQ(*compacted, EncodeJournalFrame({1, "a", "kept as is"}) +
+                            EncodeJournalFrame({1, "c", "slim"}));
+}
+
 TEST_F(PersistTest, CompactionSurvivesReopen) {
   const std::string dir = TempDir("journal_compact_reopen");
   {
     auto journal = JobJournal::Open(dir);
     ASSERT_TRUE(journal.ok());
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE((*journal)->Append({1, "k" + std::to_string(i), "v"}).ok());
+      ASSERT_TRUE((*journal)->Append({1, Key(i), "v"}).ok());
     }
     ASSERT_TRUE((*journal)
                     ->Compact([](JournalRecord* record) {

@@ -27,6 +27,7 @@
 #include "src/api/json.h"
 #include "src/api/rest.h"
 #include "src/common/cancellation.h"
+#include "src/common/crc32.h"
 #include "src/common/strings.h"
 #include "src/data/csv.h"
 #include "src/data/synthetic.h"
@@ -34,6 +35,7 @@
 #include "src/obs/metrics.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/journal.h"
+#include "src/persist/snapshot_io.h"
 #include "src/tuning/genetic.h"
 #include "src/tuning/random_search.h"
 #include "src/tuning/smac.h"
@@ -391,26 +393,33 @@ TEST(RecoveryTest, BatchIdempotencySurvivesRestart) {
   const std::string dir = JournalDir("recover_batch_idem");
   std::string batch_id;
   std::vector<std::string> job_ids;
+  // Each batch item also carries its own idempotency key.
+  auto batch_requests = [] {
+    std::vector<JobRequest> requests;
+    for (int i = 0; i < 2; ++i) {
+      requests.push_back(FastRequest());
+      requests.back().idempotency_key = "nightly-item-" + std::to_string(i);
+    }
+    return requests;
+  };
   {
     SmartML framework;
-    JobManager jobs(&framework, Durable(dir, 0));
-    std::vector<JobRequest> requests;
-    requests.push_back(FastRequest());
-    requests.push_back(FastRequest());
-    auto batch = jobs.SubmitBatch(std::move(requests), "nightly-batch");
+    JobManager jobs(&framework, Durable(dir, 1));
+    // The blocker holds the one worker: the batch is still queued at the
+    // simulated restart, and its jobs re-run only after it.
+    ASSERT_NO_FATAL_FAILURE(StartBlocker(jobs));
+    auto batch = jobs.SubmitBatch(batch_requests(), "nightly-batch");
     ASSERT_TRUE(batch.ok());
     batch_id = batch->batch_id;
     for (const auto& item : batch->items) {
       ASSERT_TRUE(item.ok());
       job_ids.push_back(*item);
     }
+    EXPECT_EQ(jobs.NumQueued(), 2u);
   }
   SmartML framework;
   JobManager restarted(&framework, Durable(dir, 1));
-  std::vector<JobRequest> retry;
-  retry.push_back(FastRequest());
-  retry.push_back(FastRequest());
-  auto batch = restarted.SubmitBatch(std::move(retry), "nightly-batch");
+  auto batch = restarted.SubmitBatch(batch_requests(), "nightly-batch");
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->batch_id, batch_id);
   ASSERT_EQ(batch->items.size(), job_ids.size());
@@ -418,8 +427,22 @@ TEST(RecoveryTest, BatchIdempotencySurvivesRestart) {
     ASSERT_TRUE(batch->items[i].ok());
     EXPECT_EQ(*batch->items[i], job_ids[i]);
   }
-  // The two recovered jobs, not four.
-  EXPECT_EQ(restarted.List({}).size(), 2u);
+  for (size_t i = 0; i < job_ids.size(); ++i) {
+    auto finished = restarted.Wait(job_ids[i], 60.0);
+    ASSERT_TRUE(finished.ok()) << job_ids[i] << ": "
+                               << finished.status().ToString();
+    EXPECT_EQ(finished->state, JobState::kDone) << job_ids[i];
+    EXPECT_TRUE(finished->recovered) << job_ids[i];
+    EXPECT_EQ(finished->batch_id, batch_id) << job_ids[i];
+    // The re-queued job kept its own key: a retry gets the original id.
+    JobRequest retry = FastRequest();
+    retry.idempotency_key = "nightly-item-" + std::to_string(i);
+    auto duplicate = restarted.Submit(std::move(retry));
+    ASSERT_TRUE(duplicate.ok());
+    EXPECT_EQ(*duplicate, job_ids[i]);
+  }
+  // The blocker and the two recovered jobs, not four.
+  EXPECT_EQ(restarted.List({}).size(), 3u);
 }
 
 // An upload as a client may send it: values a re-print would change
@@ -811,6 +834,61 @@ TEST(RecoveryTest, ParentJournalReplaysToRecordedBodies) {
 
 // The member order of the kAdmit, kTerminal and kBatch payloads a live job
 // writes, as recorded before the one-field-list codec.
+// The size and CRC-32 of a byte string, which pin it without spelling it.
+std::pair<size_t, uint32_t> Fingerprint(std::string_view bytes) {
+  return {bytes.size(), Crc32(bytes)};
+}
+
+// Journal bytes as the build before frames were assembled in one buffer
+// wrote them: the kAdmit frame of a fixed upload, and the fixture segment
+// that ParentJournalReplaysToRecordedBodies replays.
+TEST(RecoveryTest, JournalFrameBytesAreUnchanged) {
+  const std::string dir = JournalDir("admit_frame");
+  {
+    SmartML framework;
+    JobManager jobs(&framework, Durable(dir, 1));
+    ASSERT_NO_FATAL_FAILURE(StartBlocker(jobs));  // run-000001
+    RestService service(&framework, &jobs);
+    HttpRequest run;
+    run.method = "POST";
+    run.path = "/v1/runs";
+    run.query["selection_only"] = "1";
+    run.body = ClientUpload(0);
+    const HttpResponse response = service.Handle(run);
+    ASSERT_EQ(response.status, 202) << response.body;
+  }
+  std::string admit_frame;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".wal") continue;
+    auto bytes = ReadFileBytes(entry.path().string());
+    ASSERT_TRUE(bytes.ok());
+    ByteReader frames(*bytes);
+    uint32_t body_len = 0;
+    uint32_t crc = 0;
+    std::string_view body;
+    for (size_t start = 0; frames.ReadU32(&body_len) &&
+                           frames.ReadU32(&crc) &&
+                           frames.ReadBytes(body_len, &body);
+         start = frames.position()) {
+      ByteReader fields(body);
+      uint8_t type = 0;
+      std::string_view key;
+      ASSERT_TRUE(fields.ReadU8(&type) && fields.ReadLengthPrefixed(&key));
+      if (type == static_cast<uint8_t>(JobJournalRecordType::kAdmit) &&
+          key == "run-000002") {
+        admit_frame = bytes->substr(start, frames.position() - start);
+      }
+    }
+  }
+  EXPECT_EQ(Fingerprint(admit_frame),
+            std::make_pair(size_t{1477}, uint32_t{0xe82bf49e}));
+
+  auto parent = ReadFileBytes(WriteParentJournal() + "/journal-000001.wal");
+  ASSERT_TRUE(parent.ok());
+  EXPECT_EQ(Fingerprint(*parent),
+            std::make_pair(size_t{6072}, uint32_t{0xd280c1ad}));
+}
+
 TEST(RecoveryTest, JournalPayloadKeyOrderIsUnchanged) {
   const std::string dir = JournalDir("key_order");
   {

@@ -435,8 +435,11 @@ TEST(TreeHistogramTest, HighCardinalityCategoricalFallsBackToExact) {
     noise[r] = rng.Normal();
     labels[r] = static_cast<int>(code % 2);
   }
-  std::vector<std::string> categories(kCard);
-  for (size_t c = 0; c < kCard; ++c) categories[c] = "c" + std::to_string(c);
+  std::vector<std::string> categories;
+  for (size_t c = 0; c < kCard; ++c) {
+    // "c<c>", appended: `"c" + std::to_string(c)` trips GCC 12's -Wrestrict.
+    categories.emplace_back("c") += std::to_string(c);
+  }
   train.AddCategoricalFeature("big", std::move(codes), std::move(categories));
   train.AddNumericFeature("noise", std::move(noise));
   train.SetLabels(std::move(labels), {"even", "odd"});
