@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <string>
@@ -476,6 +477,43 @@ void BM_ReadCsv(benchmark::State& state) {
                           static_cast<int64_t>(csv.size()));
 }
 BENCHMARK(BM_ReadCsv)->Unit(benchmark::kMicrosecond);
+
+// WriteCsvString of that 300 x 30 dataset: the bytes BM_ReadCsv parses,
+// every numeric cell printed "%.17g". perfbench prints each upload with it.
+// Reported by the CI bench smoke; not gated.
+void BM_WriteCsv(benchmark::State& state) {
+  const Dataset dataset = BenchDataset(300, 30);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string csv = WriteCsvString(dataset);
+    bytes = csv.size();
+    benchmark::DoNotOptimize(csv.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_WriteCsv)->Unit(benchmark::kMicrosecond);
+
+// JsonWriter::Number over 1024 doubles of mixed magnitudes ("%.12g"), as the
+// API bodies print scores, accuracies and meta-features. Reported by the CI
+// bench smoke; not gated.
+void BM_JsonNumber(benchmark::State& state) {
+  Rng rng(11);
+  std::vector<double> values(1024);
+  for (double& v : values) {
+    v = (rng.Uniform() - 0.5) * std::pow(10.0, rng.Uniform() * 16.0 - 8.0);
+  }
+  for (auto _ : state) {
+    JsonWriter w;
+    w.BeginArray();
+    for (const double v : values) w.Number(v);
+    w.EndArray();
+    benchmark::DoNotOptimize(w.str().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(values.size()));
+}
+BENCHMARK(BM_JsonNumber)->Unit(benchmark::kMicrosecond);
 
 // CRC-32 over a 172 KB buffer, the size of a ~9k-cell upload's kAdmit journal
 // record; journal frames, compaction, KB snapshots and checkpoints all

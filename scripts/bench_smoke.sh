@@ -84,9 +84,10 @@ for n in (1000, 10000, 100000):
         "k-d tree %.1fus, speedup %.2fx" % (n, cached / 1e3, tree / 1e3, ratio)
     )
 
-# RandomForest fit and its permutation importance at the table4 shape, and
-# the admission path's CSV parse, JSON escape, journal framing and CRC-32:
-# reported for developers, not gated.
+# RandomForest fit and its permutation importance at the table4 shape, the
+# admission path's CSV parse, JSON escape, journal framing and CRC-32, and
+# the number printers behind the CSV writer and JsonWriter: reported for
+# developers, not gated.
 labels = {
     "BM_ForestFit": "RandomForest fit at table4 shape",
     "BM_PermutationImportance": "RandomForest permutation importance",
@@ -94,6 +95,8 @@ labels = {
     "BM_JsonEscape": "JsonWriter::Escape of that upload",
     "BM_JournalEncode": "EncodeJournalFrame of its kAdmit-sized record",
     "BM_Crc32": "Crc32 over 172 KB",
+    "BM_WriteCsv": "WriteCsvString of the 300 x 30 upload",
+    "BM_JsonNumber": "JsonWriter::Number over 1024 doubles",
 }
 for b in data.get("benchmarks", []):
     if b["name"] in labels:

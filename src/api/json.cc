@@ -60,13 +60,13 @@ void JsonWriter::Number(double value) {
   if (!std::isfinite(value)) {
     out_ += "null";  // JSON has no NaN/Inf.
   } else {
-    out_ += StrFormat("%.12g", value);
+    AppendDouble(&out_, value, 12);
   }
 }
 
 void JsonWriter::Int(int64_t value) {
   MaybeComma();
-  out_ += StrFormat("%lld", static_cast<long long>(value));
+  AppendInt(&out_, value);
 }
 
 void JsonWriter::Bool(bool value) {
@@ -585,7 +585,11 @@ class JsonParser {
       ++pos_;
     }
     double value = 0.0;
-    if (pos_ == start || !ParseDouble(text_.substr(start, pos_ - start), &value)) {
+    // JSON has no infinities: a literal that overflows a double is refused
+    // rather than read as one.
+    if (pos_ == start ||
+        !ParseDouble(text_.substr(start, pos_ - start), &value) ||
+        !std::isfinite(value)) {
       pos_ = start;
       return Error("invalid number");
     }

@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace smartml {
 
@@ -80,13 +81,6 @@ void SplitCsvRecord(std::string_view line, char delim,
   }
 }
 
-std::vector<std::string> SplitCsvLine(std::string_view line, char delim) {
-  std::vector<std::string_view> fields;
-  std::deque<std::string> owned;
-  SplitCsvRecord(line, delim, &fields, &owned);
-  return {fields.begin(), fields.end()};
-}
-
 namespace {
 
 /// std::isspace in the "C" locale, the only one the program runs in.
@@ -141,6 +135,29 @@ std::string Join(const std::vector<std::string>& items, std::string_view sep) {
     out += items[i];
   }
   return out;
+}
+
+void AppendDouble(std::string* out, double value, int precision) {
+  // "-d.<16 digits>e-308" is the longest spelling at precision 17.
+  char buf[32];
+  const auto [end, error] =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general,
+                    precision);
+  if (error == std::errc()) out->append(buf, end);
+}
+
+void AppendFixed0(std::string* out, double value) {
+  // A sign and the 309 digits of DBL_MAX.
+  char buf[std::numeric_limits<double>::max_exponent10 + 2];
+  const auto [end, error] = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::fixed, 0);
+  if (error == std::errc()) out->append(buf, end);
+}
+
+void AppendInt(std::string* out, int64_t value) {
+  char buf[std::numeric_limits<int64_t>::digits10 + 2];
+  const auto [end, error] = std::to_chars(buf, buf + sizeof(buf), value);
+  if (error == std::errc()) out->append(buf, end);
 }
 
 std::string StrFormat(const char* fmt, ...) {

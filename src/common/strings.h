@@ -2,6 +2,7 @@
 #ifndef SMARTML_COMMON_STRINGS_H_
 #define SMARTML_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
@@ -23,9 +24,6 @@ void SplitCsvRecord(std::string_view line, char delim,
                     std::vector<std::string_view>* fields,
                     std::deque<std::string>* owned);
 
-/// SplitCsvRecord with each field copied.
-std::vector<std::string> SplitCsvLine(std::string_view line, char delim = ',');
-
 /// Removes leading/trailing ASCII whitespace.
 std::string_view StripAsciiWhitespace(std::string_view s);
 
@@ -42,6 +40,19 @@ bool ParseStrippedDouble(std::string_view s, double* out);
 
 /// Joins items with `sep`.
 std::string Join(const std::vector<std::string>& items, std::string_view sep);
+
+/// Appends `value` spelled as printf's "%.<precision>g" spells it in the "C"
+/// locale, for precision 1-17: std::to_chars with an explicit precision is
+/// specified to print exactly those characters, without printf's
+/// multi-precision path. Every machine-readable number the library writes
+/// goes through this family; StrFormat is for messages and reports.
+void AppendDouble(std::string* out, double value, int precision);
+
+/// Appends `value` as printf's "%.0f" spells it.
+void AppendFixed0(std::string* out, double value);
+
+/// Appends `value` as printf's "%lld" spells it.
+void AppendInt(std::string* out, int64_t value);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

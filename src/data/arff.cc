@@ -1,5 +1,6 @@
 #include "src/data/arff.h"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -17,14 +18,67 @@ struct ArffAttribute {
   std::vector<std::string> values;  // Nominal domain.
 };
 
-// Strips optional single or double quotes around an ARFF token.
-std::string Unquote(std::string_view s) {
-  s = StripAsciiWhitespace(s);
-  if (s.size() >= 2 && ((s.front() == '\'' && s.back() == '\'') ||
-                        (s.front() == '"' && s.back() == '"'))) {
-    s = s.substr(1, s.size() - 2);
+/// One ARFF name or value, with its quotes and escapes removed.
+struct ArffToken {
+  std::string text;
+  /// A quoted '?' is a value; only a bare one marks a missing value.
+  bool quoted = false;
+};
+
+bool IsArffSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Reads the token at s[*pos] after any whitespace: a quoted one (single or
+/// double quotes, inside which a backslash escapes the next character and
+/// \n, \r, \t spell those controls), or a bare one running up to the first
+/// character of `stops`, trimmed. Leaves *pos past the token and the
+/// whitespace after it.
+Status ReadArffToken(std::string_view s, size_t* pos, std::string_view stops,
+                     ArffToken* token) {
+  size_t i = *pos;
+  while (i < s.size() && IsArffSpace(s[i])) ++i;
+  token->text.clear();
+  token->quoted = i < s.size() && (s[i] == '\'' || s[i] == '"');
+  if (token->quoted) {
+    const char quote = s[i++];
+    for (;; ++i) {
+      if (i == s.size()) {
+        return Status::InvalidArgument("ARFF: unterminated quoted token");
+      }
+      char c = s[i];
+      if (c == quote) {
+        ++i;
+        break;
+      }
+      if (c == '\\' && i + 1 < s.size()) {
+        c = s[++i];
+        c = c == 'n' ? '\n' : c == 'r' ? '\r' : c == 't' ? '\t' : c;
+      }
+      token->text += c;
+    }
+  } else {
+    const size_t end = std::min(s.find_first_of(stops, i), s.size());
+    token->text = StripAsciiWhitespace(s.substr(i, end - i));
+    i = end;
   }
-  return std::string(s);
+  while (i < s.size() && IsArffSpace(s[i])) ++i;
+  *pos = i;
+  return Status::OK();
+}
+
+/// Splits a comma-separated ARFF list (a data row, or a nominal domain
+/// without its braces). A blank list has no tokens.
+StatusOr<std::vector<ArffToken>> SplitArffList(std::string_view s) {
+  std::vector<ArffToken> out;
+  if (StripAsciiWhitespace(s).empty()) return out;
+  size_t pos = 0;
+  while (true) {
+    SMARTML_RETURN_NOT_OK(ReadArffToken(s, &pos, ",", &out.emplace_back()));
+    if (pos == s.size()) return out;
+    if (s[pos] != ',') {
+      return Status::InvalidArgument("ARFF: text after a quoted value");
+    }
+    ++pos;
+  }
 }
 
 // Parses "@attribute name type" after the keyword.
@@ -33,24 +87,10 @@ StatusOr<ArffAttribute> ParseAttribute(std::string_view rest) {
   if (rest.empty()) {
     return Status::InvalidArgument("ARFF: empty @attribute declaration");
   }
-  // Attribute name: quoted or up to first whitespace.
-  std::string name;
+  ArffToken name_token;
   size_t pos = 0;
-  if (rest[0] == '\'' || rest[0] == '"') {
-    const char quote = rest[0];
-    const size_t end = rest.find(quote, 1);
-    if (end == std::string_view::npos) {
-      return Status::InvalidArgument("ARFF: unterminated quoted name");
-    }
-    name = std::string(rest.substr(1, end - 1));
-    pos = end + 1;
-  } else {
-    while (pos < rest.size() &&
-           !std::isspace(static_cast<unsigned char>(rest[pos]))) {
-      ++pos;
-    }
-    name = std::string(rest.substr(0, pos));
-  }
+  SMARTML_RETURN_NOT_OK(ReadArffToken(rest, &pos, " \t", &name_token));
+  const std::string& name = name_token.text;
   std::string_view type = StripAsciiWhitespace(rest.substr(pos));
   if (type.empty()) {
     return Status::InvalidArgument("ARFF: attribute '" + name + "' has no type");
@@ -64,9 +104,10 @@ StatusOr<ArffAttribute> ParseAttribute(std::string_view rest) {
                                      name + "'");
     }
     attr.nominal = true;
-    for (const std::string& tok :
-         Split(type.substr(1, type.size() - 2), ',')) {
-      attr.values.push_back(Unquote(tok));
+    SMARTML_ASSIGN_OR_RETURN(std::vector<ArffToken> values,
+                             SplitArffList(type.substr(1, type.size() - 2)));
+    for (ArffToken& value : values) {
+      attr.values.push_back(std::move(value.text));
     }
     if (attr.values.empty()) {
       return Status::InvalidArgument("ARFF: empty nominal domain for '" + name +
@@ -87,6 +128,10 @@ StatusOr<ArffAttribute> ParseAttribute(std::string_view rest) {
                                  std::string(type) + "'");
 }
 
+bool IsMissingToken(const ArffToken& token) {
+  return !token.quoted && token.text == "?";
+}
+
 }  // namespace
 
 StatusOr<Dataset> ReadArffString(const std::string& text) {
@@ -95,7 +140,7 @@ StatusOr<Dataset> ReadArffString(const std::string& text) {
   std::vector<ArffAttribute> attrs;
   std::string relation = "arff";
   bool in_data = false;
-  std::vector<std::vector<std::string>> rows;
+  std::vector<std::vector<ArffToken>> rows;
 
   while (std::getline(in, line)) {
     std::string_view sv = StripAsciiWhitespace(line);
@@ -109,7 +154,10 @@ StatusOr<Dataset> ReadArffString(const std::string& text) {
       std::string_view rest =
           space == std::string_view::npos ? std::string_view() : sv.substr(space);
       if (keyword == "@relation") {
-        relation = Unquote(rest);
+        ArffToken token;
+        size_t pos = 0;
+        SMARTML_RETURN_NOT_OK(ReadArffToken(rest, &pos, "", &token));
+        relation = std::move(token.text);
       } else if (keyword == "@attribute") {
         SMARTML_ASSIGN_OR_RETURN(ArffAttribute attr, ParseAttribute(rest));
         attrs.push_back(std::move(attr));
@@ -127,13 +175,12 @@ StatusOr<Dataset> ReadArffString(const std::string& text) {
     if (sv[0] == '{') {
       return Status::Unimplemented("ARFF: sparse instances not supported");
     }
-    std::vector<std::string> fields = SplitCsvLine(sv, ',');
+    SMARTML_ASSIGN_OR_RETURN(std::vector<ArffToken> fields, SplitArffList(sv));
     if (fields.size() != attrs.size()) {
       return Status::InvalidArgument(
           StrFormat("ARFF: instance has %zu values, expected %zu",
                     fields.size(), attrs.size()));
     }
-    for (std::string& f : fields) f = Unquote(f);
     rows.push_back(std::move(fields));
   }
 
@@ -172,11 +219,11 @@ StatusOr<Dataset> ReadArffString(const std::string& text) {
         code[attrs[c].values[i]] = static_cast<double>(i);
       }
       for (size_t r = 0; r < n; ++r) {
-        const std::string& cell = rows[r][c];
-        if (cell == "?") {
+        if (IsMissingToken(rows[r][c])) {
           values[r] = std::numeric_limits<double>::quiet_NaN();
           continue;
         }
+        const std::string& cell = rows[r][c].text;
         auto it = code.find(cell);
         if (it == code.end()) {
           return Status::InvalidArgument("ARFF: value '" + cell +
@@ -189,11 +236,11 @@ StatusOr<Dataset> ReadArffString(const std::string& text) {
                                     attrs[c].values);
     } else {
       for (size_t r = 0; r < n; ++r) {
-        const std::string& cell = rows[r][c];
-        if (cell == "?") {
+        if (IsMissingToken(rows[r][c])) {
           values[r] = std::numeric_limits<double>::quiet_NaN();
           continue;
         }
+        const std::string& cell = rows[r][c].text;
         if (!ParseDouble(cell, &values[r])) {
           return Status::InvalidArgument("ARFF: non-numeric value '" + cell +
                                          "' in numeric attribute '" +
@@ -210,7 +257,7 @@ StatusOr<Dataset> ReadArffString(const std::string& text) {
     code[attrs[target].values[i]] = static_cast<int>(i);
   }
   for (size_t r = 0; r < n; ++r) {
-    const std::string& cell = rows[r][target];
+    const std::string& cell = rows[r][target].text;
     auto it = code.find(cell);
     if (it == code.end()) {
       return Status::InvalidArgument("ARFF: class value '" + cell +
@@ -233,46 +280,91 @@ StatusOr<Dataset> ReadArffFile(const std::string& path) {
   return ReadArffString(buf.str());
 }
 
-std::string WriteArffString(const Dataset& dataset) {
-  std::ostringstream out;
-  out << "@relation "
-      << (dataset.name().empty() ? std::string("smartml") : dataset.name())
-      << "\n\n";
-  for (const auto& f : dataset.features()) {
-    out << "@attribute '" << f.name << "' ";
-    if (f.is_categorical()) {
-      out << "{";
-      for (size_t i = 0; i < f.categories.size(); ++i) {
-        if (i > 0) out << ",";
-        out << f.categories[i];
-      }
-      out << "}";
-    } else {
-      out << "numeric";
+namespace {
+
+/// Appends `s` single-quoted, with a backslash before each quote and
+/// backslash and \n, \r, \t for those controls, as ReadArffToken reads it.
+void AppendQuotedArff(std::string* out, std::string_view s) {
+  *out += '\'';
+  for (char c : s) {
+    switch (c) {
+      case '\'':
+      case '\\':
+        *out += '\\';
+        *out += c;
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        *out += c;
     }
-    out << "\n";
   }
-  out << "@attribute 'class' {";
+  *out += '\'';
+}
+
+/// Appends a nominal value or the relation name: bare when the reader takes
+/// it back unchanged, else quoted. Empty, "?" (the missing marker) and any
+/// text holding a separator, quote, brace, '%' or whitespace are quoted.
+void AppendArffToken(std::string* out, std::string_view s) {
+  if (s.empty() || s == "?" ||
+      s.find_first_of(",'\"\\%{} \t\n\v\f\r") != std::string_view::npos) {
+    AppendQuotedArff(out, s);
+  } else {
+    *out += s;
+  }
+}
+
+}  // namespace
+
+std::string WriteArffString(const Dataset& dataset) {
+  std::string out = "@relation ";
+  AppendArffToken(&out, dataset.name().empty() ? "smartml" : dataset.name());
+  out += "\n\n";
+  for (const auto& f : dataset.features()) {
+    out += "@attribute ";
+    AppendQuotedArff(&out, f.name);
+    if (f.is_categorical()) {
+      out += " {";
+      for (size_t i = 0; i < f.categories.size(); ++i) {
+        if (i > 0) out += ',';
+        AppendArffToken(&out, f.categories[i]);
+      }
+      out += "}\n";
+    } else {
+      out += " numeric\n";
+    }
+  }
+  out += "@attribute 'class' {";
   for (size_t i = 0; i < dataset.class_names().size(); ++i) {
-    if (i > 0) out << ",";
-    out << dataset.class_names()[i];
+    if (i > 0) out += ',';
+    AppendArffToken(&out, dataset.class_names()[i]);
   }
-  out << "}\n\n@data\n";
+  out += "}\n\n@data\n";
   for (size_t r = 0; r < dataset.NumRows(); ++r) {
     for (const auto& f : dataset.features()) {
       const double v = f.values[r];
       if (IsMissing(v)) {
-        out << "?";
+        out += '?';
       } else if (f.is_categorical()) {
-        out << f.categories[static_cast<size_t>(v)];
+        AppendArffToken(&out, f.categories[static_cast<size_t>(v)]);
       } else {
-        out << StrFormat("%.17g", v);
+        AppendDouble(&out, v, 17);
       }
-      out << ",";
+      out += ',';
     }
-    out << dataset.class_names()[static_cast<size_t>(dataset.label(r))] << "\n";
+    AppendArffToken(
+        &out, dataset.class_names()[static_cast<size_t>(dataset.label(r))]);
+    out += '\n';
   }
-  return out.str();
+  out.shrink_to_fit();
+  return out;
 }
 
 }  // namespace smartml

@@ -196,46 +196,50 @@ StatusOr<Dataset> ReadCsvFile(const std::string& path,
 
 namespace {
 
-std::string EscapeCsv(const std::string& s, char delimiter) {
+void AppendCsvField(std::string* out, const std::string& s, char delimiter) {
   if (s.find(delimiter) == std::string::npos &&
       s.find('"') == std::string::npos && s.find('\n') == std::string::npos) {
-    return s;
+    *out += s;
+    return;
   }
-  std::string out = "\"";
+  *out += '"';
   for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
+    if (c == '"') *out += '"';
+    *out += c;
   }
-  out += '"';
-  return out;
+  *out += '"';
 }
 
 }  // namespace
 
 std::string WriteCsvString(const Dataset& dataset, char delimiter) {
-  std::ostringstream out;
+  std::string out;
   for (const auto& f : dataset.features()) {
-    out << EscapeCsv(f.name, delimiter) << delimiter;
+    AppendCsvField(&out, f.name, delimiter);
+    out += delimiter;
   }
-  out << "class\n";
+  out += "class\n";
   for (size_t r = 0; r < dataset.NumRows(); ++r) {
     for (const auto& f : dataset.features()) {
       const double v = f.values[r];
       if (IsMissing(v)) {
-        out << "?";
+        out += '?';
       } else if (f.is_categorical()) {
-        out << EscapeCsv(f.categories[static_cast<size_t>(v)], delimiter);
+        AppendCsvField(&out, f.categories[static_cast<size_t>(v)], delimiter);
       } else {
-        out << StrFormat("%.17g", v);
+        AppendDouble(&out, v, 17);
       }
-      out << delimiter;
+      out += delimiter;
     }
-    out << EscapeCsv(dataset.class_names()[static_cast<size_t>(
-                         dataset.label(r))],
-                     delimiter)
-        << "\n";
+    AppendCsvField(
+        &out, dataset.class_names()[static_cast<size_t>(dataset.label(r))],
+        delimiter);
+    out += '\n';
   }
-  return out.str();
+  // Callers may hold the text for as long as a job lives: return it at its
+  // size, not at the capacity growth left.
+  out.shrink_to_fit();
+  return out;
 }
 
 Status WriteCsvFile(const Dataset& dataset, const std::string& path,

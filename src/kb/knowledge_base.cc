@@ -140,11 +140,12 @@ struct KbMetrics {
   }
 };
 
-/// True when every meta-feature is finite. One NaN or inf coordinate makes
-/// the record's distance to every query NaN, and a NaN in the normalizer
+/// True when every coordinate is finite. One NaN or inf meta-feature makes
+/// a record's distance to every query NaN, and a NaN in the normalizer
 /// spreads that to every record, so such a record is never stored.
-bool HasFiniteMetaFeatures(const KbRecord& record) {
-  return std::all_of(record.meta_features.begin(), record.meta_features.end(),
+template <typename Vector>
+bool AllFinite(const Vector& values) {
+  return std::all_of(values.begin(), values.end(),
                      [](double v) { return std::isfinite(v); });
 }
 
@@ -207,7 +208,7 @@ KnowledgeBase& KnowledgeBase::operator=(KnowledgeBase&& other) noexcept {
 }
 
 Status KnowledgeBase::AddRecord(const KbRecord& record) {
-  if (!HasFiniteMetaFeatures(record)) {
+  if (!AllFinite(record.meta_features)) {
     KbMetrics::Get().rejected_records->Increment();
     SMARTML_LOG_WARN << "KB: refused record '" << record.dataset_name
                      << "' with a non-finite meta-feature";
@@ -501,7 +502,7 @@ void KnowledgeBase::BulkLoad(std::vector<KbRecord>&& records) {
   by_name.reserve(records.size());
   size_t rejected = 0;
   for (auto& record : records) {
-    if (!HasFiniteMetaFeatures(record)) {
+    if (!AllFinite(record.meta_features)) {
       ++rejected;
       continue;
     }
@@ -523,6 +524,9 @@ void KnowledgeBase::BulkLoad(std::vector<KbRecord>&& records) {
 
 std::vector<Nomination> KnowledgeBase::Nominate(
     const MetaFeatureVector& mf, const NominationOptions& options) const {
+  // A non-finite query is NaN away from every record, and NaN scores break
+  // the ranking's sort: the caller gets the empty-KB answer instead.
+  if (!AllFinite(mf)) return {};
   std::shared_lock lock(mutex_);
   return NominateImpl(
       NearestIndicesLocked(mf, nullptr, 0.0, options.max_neighbors), options);
@@ -531,6 +535,10 @@ std::vector<Nomination> KnowledgeBase::Nominate(
 std::vector<Nomination> KnowledgeBase::Nominate(
     const MetaFeatureVector& mf, const LandmarkVector& landmarks,
     const NominationOptions& options) const {
+  if (!AllFinite(mf) ||
+      (options.landmark_weight > 0.0 && !AllFinite(landmarks))) {
+    return {};
+  }
   std::shared_lock lock(mutex_);
   return NominateImpl(
       NearestIndicesLocked(mf, &landmarks, options.landmark_weight,
@@ -608,22 +616,31 @@ std::string KnowledgeBase::Serialize() const {
 }
 
 std::string KnowledgeBase::SerializeLocked() const {
-  std::ostringstream out;
-  out << kHeader << "\n";
+  std::string out = kHeader;
+  out += '\n';
   for (const auto& record : state_.records) {
-    out << "record " << record.dataset_name << "\n";
-    out << "meta " << MetaFeaturesToString(record.meta_features) << "\n";
+    out += "record ";
+    out += record.dataset_name;
+    out += "\nmeta ";
+    out += MetaFeaturesToString(record.meta_features);
+    out += '\n';
     if (record.has_landmarks) {
-      out << "landmarks " << LandmarksToString(record.landmarks) << "\n";
+      out += "landmarks ";
+      out += LandmarksToString(record.landmarks);
+      out += '\n';
     }
     for (const auto& result : record.results) {
-      out << "algo " << result.algorithm << " "
-          << StrFormat("%.17g", result.accuracy) << " "
-          << result.best_config.ToExactString() << "\n";
+      out += "algo ";
+      out += result.algorithm;
+      out += ' ';
+      AppendDouble(&out, result.accuracy, 17);
+      out += ' ';
+      out += result.best_config.ToExactString();
+      out += '\n';
     }
-    out << "end\n";
+    out += "end\n";
   }
-  return out.str();
+  return out;
 }
 
 namespace {

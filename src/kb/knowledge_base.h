@@ -176,7 +176,7 @@ class KnowledgeBase {
 
   /// Nominates algorithms for a dataset with meta-features `mf`.
   /// Empty-KB behaviour: returns an empty list (the caller falls back to a
-  /// default roster).
+  /// default roster). A query with a non-finite meta-feature gets the same.
   std::vector<Nomination> Nominate(const MetaFeatureVector& mf,
                                    const NominationOptions& options) const;
 

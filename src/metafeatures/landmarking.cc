@@ -92,7 +92,7 @@ std::string LandmarksToString(const LandmarkVector& lm) {
   std::string out;
   for (size_t i = 0; i < kNumLandmarkers; ++i) {
     if (i > 0) out += " ";
-    out += StrFormat("%.17g", lm[i]);
+    AppendDouble(&out, lm[i], 17);
   }
   return out;
 }

@@ -18,14 +18,17 @@ void AtomicAdd(std::atomic<double>* target, double value) {
   }
 }
 
-/// Prometheus sample value: integers render without a decimal point, +Inf
-/// as "+Inf", everything else with enough digits to round trip visually.
-std::string FormatValue(double value) {
-  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    return StrFormat("%.0f", value);
+/// Appends a Prometheus sample value: integers render without a decimal
+/// point, +Inf as "+Inf", everything else with enough digits to round trip
+/// visually.
+void AppendValue(std::string* out, double value) {
+  if (std::isinf(value)) {
+    *out += value > 0 ? "+Inf" : "-Inf";
+  } else if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    AppendFixed0(out, value);
+  } else {
+    AppendDouble(out, value, 10);
   }
-  return StrFormat("%.10g", value);
 }
 
 std::string EscapeLabelValue(const std::string& value) {
@@ -75,7 +78,7 @@ void AppendSample(std::string* out, const std::string& name,
     *out += '}';
   }
   *out += ' ';
-  *out += FormatValue(value);
+  AppendValue(out, value);
   *out += '\n';
 }
 
@@ -269,8 +272,10 @@ std::string MetricsRegistry::EncodePrometheus() const {
           const Histogram::Snapshot snapshot =
               series.histogram->TakeSnapshot();
           for (size_t i = 0; i < snapshot.bounds.size(); ++i) {
-            AppendSample(&out, name + "_bucket", rendered,
-                         "le=\"" + FormatValue(snapshot.bounds[i]) + "\"",
+            std::string le = "le=\"";
+            AppendValue(&le, snapshot.bounds[i]);
+            le += '"';
+            AppendSample(&out, name + "_bucket", rendered, le,
                          static_cast<double>(snapshot.cumulative[i]));
           }
           AppendSample(&out, name + "_bucket", rendered, "le=\"+Inf\"",

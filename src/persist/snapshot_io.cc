@@ -1,11 +1,11 @@
 #include "src/persist/snapshot_io.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
 #include <cstring>
 
 #include "src/common/crc32.h"
@@ -224,24 +224,11 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
     return Status::IOError("cannot stat '" + path + "'");
   }
   const size_t size = static_cast<size_t>(st.st_size);
-  std::string out;
-  if (size == 0) {
-    ::close(fd);
-    return out;
-  }
-  // mmap is the cheap path for large snapshots: the kernel pages the file
-  // straight into the copy below with no read-buffer double copy.
-  void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (mapped != MAP_FAILED) {
-    out.assign(static_cast<const char*>(mapped), size);
-    ::munmap(mapped, size);
-    ::close(fd);
-    return out;
-  }
-  out.resize(size);
+  std::string out(size, '\0');
   size_t off = 0;
   while (off < size) {
     const ssize_t n = ::read(fd, out.data() + off, size - off);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       ::close(fd);
       return Status::IOError("read failed: " + path);

@@ -142,9 +142,9 @@ Status AtomicWriteFile(const std::string& path, std::string_view payload,
 /// effort; not all filesystems need it).
 void FsyncDir(const std::string& dir);
 
-/// Reads a whole file into memory via mmap when possible (one mapping +
-/// one copy-out, no stdio buffering), falling back to plain reads. IOError
-/// when the file cannot be opened.
+/// Reads a whole file into memory with read(2) straight into the returned
+/// string (one copy, no stdio buffering). IOError when the file cannot be
+/// opened or ends before its stat size.
 StatusOr<std::string> ReadFileBytes(const std::string& path);
 
 }  // namespace smartml

@@ -44,9 +44,10 @@ std::string Serialize(const ParamConfig& config, bool exact) {
     out += key;
     out += "=";
     if (const double* d = std::get_if<double>(&value)) {
-      out += StrFormat(exact ? "%.17g" : "%.12g", *d);
+      AppendDouble(&out, *d, exact ? 17 : 12);
     } else if (const int64_t* i = std::get_if<int64_t>(&value)) {
-      out += StrFormat("%lldL", static_cast<long long>(*i));
+      AppendInt(&out, *i);
+      out += 'L';
     } else {
       out += std::get<std::string>(value);
     }

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -272,6 +273,24 @@ TEST(JsonParseTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseJson("1 2").ok());
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("nan").ok());
+}
+
+TEST(JsonParseTest, RejectsNumbersThatOverflowToInfinity) {
+  // JSON has no infinities; a literal past DBL_MAX is not read as one.
+  for (const char* text : {"1e999", "-1e999", "[1, 2e308]",
+                           "{\"a\": 179769313486231590e293}"}) {
+    const auto v = ParseJson(text);
+    ASSERT_FALSE(v.ok()) << text;
+    EXPECT_NE(v.status().message().find("invalid number"), std::string::npos)
+        << v.status().ToString();
+  }
+  // Underflow and the largest finite double still parse.
+  auto tiny = ParseJson("1e-999");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny->number, 0.0);
+  auto max = ParseJson("1.7976931348623157e308");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->number, std::numeric_limits<double>::max());
 }
 
 TEST(JsonParseTest, WriterOutputParses) {
@@ -626,6 +645,25 @@ TEST_F(RestServiceTest, V1SelectRejectsBadBodies) {
   // Non-numeric value.
   EXPECT_EQ(Call("POST", "/v1/select", R"({"num_instances": "80"})").status,
             400);
+}
+
+TEST_F(RestServiceTest, V1SelectRejectsAnInfiniteMetaFeature) {
+  RunToCompletion(DatasetCsv(), {});
+  auto dataset = ReadCsvString(DatasetCsv());
+  ASSERT_TRUE(dataset.ok());
+  auto extracted = ExtractMetaFeatures(*dataset);
+  ASSERT_TRUE(extracted.ok());
+  // One meta-feature spelled as a literal that overflows a double.
+  std::string body = MetaFeaturesToJson(*extracted);
+  const std::string key = "\"" + MetaFeatureNames()[3] + "\":";
+  const size_t at = body.find(key);
+  ASSERT_NE(at, std::string::npos) << body;
+  const size_t value = at + key.size();
+  body.replace(value, body.find_first_of(",}", value) - value, "1e999");
+  const HttpResponse response = Call("POST", "/v1/select", body);
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("invalid number"), std::string::npos)
+      << response.body;
 }
 
 TEST_F(RestServiceTest, V1RunsLifecycle) {

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 #include <random>
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/distributions.h"
@@ -199,6 +201,14 @@ TEST(StringsTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[1], "");
   EXPECT_EQ(parts[2], "b");
   EXPECT_EQ(parts[3], "");
+}
+
+/// One CSV record's fields, copied out of SplitCsvRecord's views.
+std::vector<std::string> SplitCsvLine(std::string_view line) {
+  std::vector<std::string_view> fields;
+  std::deque<std::string> owned;
+  SplitCsvRecord(line, ',', &fields, &owned);
+  return {fields.begin(), fields.end()};
 }
 
 TEST(StringsTest, SplitCsvLineQuoted) {

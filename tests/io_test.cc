@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "src/data/arff.h"
 #include "src/data/csv.h"
@@ -250,6 +252,67 @@ TEST(ArffTest, CrossFormatConversion) {
   EXPECT_EQ(arff->NumFeatures(), csv->NumFeatures());
   EXPECT_EQ(arff->labels(), csv->labels());
   EXPECT_DOUBLE_EQ(arff->feature(0).values[2], 3.5);
+}
+
+TEST(ArffTest, RoundTripQuotesSpecialNamesAndValues) {
+  // Separators, both quote kinds, backslashes, spaces (also leading and
+  // trailing), '%', braces, controls, "?" as a value, and the empty string.
+  const std::vector<std::string> categories = {
+      "x,y", "it's", "say \"hi\"", "back\\slash", " asia", "tab\there",
+      "new\nline", "%pct", "{brace}", "?", "", "plain"};
+  Dataset d("rel, 'quoted' % name");
+  d.AddNumericFeature("the 'x', %1",
+                      {1.5, -0.0, 2.5e-300, std::nan(""), 4.0, 5.0, 6.0, 7.0,
+                       8.0, 9.0, 10.0, 11.0});
+  std::vector<double> codes(categories.size());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<double>(codes.size() - 1 - i);
+  }
+  codes[5] = std::nan("");
+  d.AddCategoricalFeature("cat\\{}", codes, categories);
+  std::vector<int> labels(categories.size());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i % 3);
+  }
+  d.SetLabels(labels, {"?", "a,b", "c 'd'"});
+
+  auto back = ReadArffString(WriteArffString(d));
+  ASSERT_TRUE(back.ok()) << back.status().ToString() << "\n"
+                         << WriteArffString(d);
+  EXPECT_EQ(back->name(), d.name());
+  ASSERT_EQ(back->NumFeatures(), 2u);
+  EXPECT_EQ(back->feature(0).name, d.feature(0).name);
+  EXPECT_EQ(back->feature(1).name, d.feature(1).name);
+  EXPECT_EQ(back->feature(1).categories, categories);
+  EXPECT_EQ(back->class_names(), d.class_names());
+  EXPECT_EQ(back->labels(), d.labels());
+  for (size_t r = 0; r < d.NumRows(); ++r) {
+    for (size_t j = 0; j < 2; ++j) {
+      const double want = d.feature(j).values[r];
+      const double got = back->feature(j).values[r];
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << "feature " << j << " row " << r;
+      } else {
+        EXPECT_EQ(std::signbit(got), std::signbit(want));
+        EXPECT_EQ(got, want) << "feature " << j << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(ArffTest, PlainNamesAndValuesStayBare) {
+  Dataset d("round");
+  d.AddNumericFeature("x", {1.5, 0.1});
+  d.AddCategoricalFeature("c", {1, 0}, {"u", "v"});
+  d.SetLabels({0, 1}, {"n", "p"});
+  EXPECT_EQ(WriteArffString(d),
+            "@relation round\n\n"
+            "@attribute 'x' numeric\n"
+            "@attribute 'c' {u,v}\n"
+            "@attribute 'class' {n,p}\n\n"
+            "@data\n"
+            "1.5,v,n\n"
+            "0.10000000000000001,u,p\n");
 }
 
 TEST(ArffTest, RoundTrip) {

@@ -330,6 +330,47 @@ TEST(KbTest, NonFiniteRecordCannotPoisonLookups) {
   ExpectSameRoster(kb.Nominate(*query, options), before);
 }
 
+TEST(KbTest, NonFiniteQueryNominatesNothing) {
+  // The same records inserted in two orders. With a NaN distance in the
+  // ranking, which roster came back depended on the order.
+  const std::vector<KbRecord> records = {
+      MakeRecord("a", 1.0, {{"svm", 0.9}, {"knn", 0.5}}),
+      MakeRecord("b", 2.0, {{"j48", 0.8}}),
+      MakeRecord("c", 3.0, {{"knn", 0.7}, {"lda", 0.6}}),
+      MakeRecord("d", 4.0, {{"rpart", 0.95}})};
+  KnowledgeBase forward;
+  KnowledgeBase backward;
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE(forward.AddRecord(records[i]).ok());
+    ASSERT_TRUE(backward.AddRecord(records[records.size() - 1 - i]).ok());
+  }
+  NominationOptions options;
+  options.max_algorithms = 3;
+  const MetaFeatureVector finite = MakeMeta(2.2);
+  const std::vector<Nomination> roster = forward.Nominate(finite, options);
+  ASSERT_EQ(roster.size(), 3u);
+  ExpectSameRoster(backward.Nominate(finite, options), roster);
+
+  LandmarkVector landmarks{};
+  options.landmark_weight = 0.5;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (size_t i : {size_t{0}, kNumMetaFeatures - 1}) {
+      MetaFeatureVector query = finite;
+      query[i] = bad;
+      // The empty-KB answer: the caller takes its cold-start roster.
+      EXPECT_TRUE(forward.Nominate(query, options).empty()) << bad << " " << i;
+      EXPECT_TRUE(backward.Nominate(query, options).empty()) << bad << " " << i;
+      EXPECT_TRUE(forward.Nominate(query, landmarks, options).empty());
+    }
+    LandmarkVector bad_landmarks{};
+    bad_landmarks[1] = bad;
+    EXPECT_TRUE(forward.Nominate(finite, bad_landmarks, options).empty());
+    EXPECT_TRUE(backward.Nominate(finite, bad_landmarks, options).empty());
+  }
+}
+
 TEST(KbTest, LoadsDropNonFiniteRecords) {
   std::vector<KbRecord> records = {MakeRecord("near", 1.0, {{"svm", 0.9}}),
                                    MakeRecord("poisoned", 2.0, {{"j48", 0.8}}),
